@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import constant_C, hierarchy_ode_solve, short_time_horizon, theorem_bound
-from .core import ConfigError, RngStream, config_from_dict, _pop_key
+from .core import ConfigError, RngStream, config_from_dict, _as_integral, _pop_key
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
     ExperimentPlan,
@@ -176,8 +176,10 @@ def _cmd_bounds(args) -> int:
     gamma = float(_pop_key(data, "gamma", (int, float)))
     m_const = float(_pop_key(data, "M", (int, float)))
     t_final = float(_pop_key(data, "T", (int, float)))
-    ns = [int(v) for v in _pop_key(data, "n", list)]
+    ns = [_as_integral(v, "bounds config: key 'n'") for v in _pop_key(data, "n", list)]
     ks_req = _pop_key(data, "k", list, default=None)
+    if ks_req is not None:
+        ks_req = [_as_integral(v, "bounds config: key 'k'") for v in ks_req]
     dt = float(_pop_key(data, "dt", (int, float), default=1e-3))
     horizons = _pop_key(data, "horizons", list, default=[])
     if data:
@@ -185,7 +187,7 @@ def _cmd_bounds(args) -> int:
 
     bound_rows = []
     for n in ns:
-        ks = [int(v) for v in ks_req] if ks_req is not None else list(range(1, n + 1))
+        ks = ks_req if ks_req is not None else list(range(1, n + 1))
         c_val = constant_C(c0, gamma, m_const, t_final)
         h0 = np.array([c0 * k * k / (n * n) for k in range(1, n + 1)])
         casc_dt = dt if gamma <= 0 else min(dt, 1.0 / (2.0 * gamma * n))
@@ -376,6 +378,10 @@ def _cmd_rate_fit(args) -> int:
     n_filter = _pop_key(filt, "n", (int, float), default=None)
     if filt:
         raise ConfigError(f"unknown filter keys: {sorted(filt)}")
+    if k_filter is not None:
+        k_filter = _as_integral(k_filter, "rate-fit filter: key 'k'")
+    if n_filter is not None:
+        n_filter = _as_integral(n_filter, "rate-fit filter: key 'n'")
     if data:
         raise ConfigError(f"unknown rate-fit keys: {sorted(data)}")
     if axis not in ("n", "k"):
@@ -390,11 +396,11 @@ def _cmd_rate_fit(args) -> int:
     for row in rows:
         if row["estimator"] != estimator:
             continue
-        if k_filter is not None and int(row["k"]) != int(k_filter):
+        if k_filter is not None and int(row["k"]) != k_filter:
             continue
         if t_filter is not None and abs(float(row["t"]) - float(t_filter)) > 1e-9:
             continue
-        if n_filter is not None and int(row["n"]) != int(n_filter):
+        if n_filter is not None and int(row["n"]) != n_filter:
             continue
         pts.append((float(row[axis]), float(row["value"])))
     try:

@@ -305,6 +305,14 @@ def _as_int(v: Any, where: str) -> int:
     return v
 
 
+def _as_integral(v: Any, where: str) -> int:
+    """An integer-valued number (5 or 5.0) as int; fractional, non-finite,
+    boolean and non-numeric values are errors, never truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (isinstance(v, float) and not v.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {v!r}")
+    return int(v)
+
+
 def _as_real(v: Any, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {v!r}")

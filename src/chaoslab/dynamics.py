@@ -9,6 +9,9 @@ scheme and is never adapted at runtime.
 Interacting drifts go through DriftSpec.pair_mean_generic: built-ins with
 separable structure (linear, trigonometric kernels) use exact O(n)
 rearrangements of the pairwise sum; everything else takes the O(n^2) path.
+The separable fast paths read per-particle features (DriftSpec.feature_map);
+a loop that needs more than one fast path per step computes the features
+once per step and passes them to each.
 """
 
 from __future__ import annotations
@@ -45,12 +48,17 @@ _P_PICARD_FBM_BASE = 200  # + iterate index
 
 
 class BlowupError(RuntimeError):
-    """Simulation produced a non-finite state."""
+    """Simulation produced a non-finite value: the state of a particle, or
+    the log-weight of a replica (then particle is None)."""
 
-    def __init__(self, step: int, particle: int):
-        super().__init__(f"non-finite state at step {step}, particle {particle}")
+    def __init__(self, step: int, particle: int | None = None, replica: int | None = None):
+        if replica is None:
+            super().__init__(f"non-finite state at step {step}, particle {particle}")
+        else:
+            super().__init__(f"non-finite log-weight at step {step}, replica {replica}")
         self.step = step
         self.particle = particle
+        self.replica = replica
 
 
 def _first_nonfinite(states: np.ndarray, step: int) -> None:
@@ -238,17 +246,25 @@ class MeanFieldLaw:
     ens_paths: np.ndarray | None  # (m, steps+1, d)
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # step -> (m, d)
 
-    def mean_drift_at(self, idx: int, t: float, x: np.ndarray) -> np.ndarray:
-        """<b(t, x, .), mu_t-hat>: the interaction averaged over the ensemble."""
+    def mean_drift_at(self, idx: int, t: float, x: np.ndarray, feats=None) -> np.ndarray:
+        """<b(t, x, .), mu_t-hat>: the interaction averaged over the ensemble.
+
+        feats, when given, is drift.feature_map(x) already computed this step.
+        """
         if self.drift.pair_state is None:
             return np.zeros_like(x)
         if self.summaries is not None:
-            return self.drift.mf_drift(t, x, self.summaries[idx])
+            return self.drift.mean_field_drift(t, x, None, self.summaries[idx], feats)
         assert self.ens_paths is not None
         return self.drift.mean_field_drift(t, x, self.ens_paths[:, idx, :], None)
 
-    def reference_drift_at(self, idx: int, t: float, x: np.ndarray) -> np.ndarray:
-        total = self.mean_drift_at(idx, t, x)
+    def reference_drift_at(self, idx: int, t: float, x: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
+        """Drift of a fresh independent copy: b0 + <b(t, x, .), mu_t-hat>.
+
+        mean, when given, is mean_drift_at(idx, t, x) already computed this
+        step; a caller that needs both evaluates the mean field only once.
+        """
+        total = self.mean_drift_at(idx, t, x) if mean is None else mean
         if self.drift.b0_state is not None:
             total = total + self.drift.b0_state(t, x)
         return total
@@ -307,7 +323,7 @@ def solve_mckean_vlasov_picard(
     prev_summaries: np.ndarray | None = None
     prev_paths: np.ndarray | None = None
     if coupled and separable:
-        prev_summaries = np.tile(drift.mf_summary(init_states), (grid.steps + 1, 1))
+        prev_summaries = np.tile(drift.mf_summary(drift.feature_map(init_states)), (grid.steps + 1, 1))
     elif coupled:
         prev_paths = np.broadcast_to(init_states[:, None, :], (m, grid.steps + 1, d)).copy()
 
@@ -346,13 +362,16 @@ def solve_mckean_vlasov_picard(
             if coupled and separable:
                 if summary_acc is None:
                     summary_acc = np.zeros((grid.steps + 1, prev_summaries.shape[1]))
-                summary_acc[0] += b * drift.mf_summary(states)
+                # features of the current states, shared by the summary and
+                # the next step's mean-field drift
+                feats = drift.feature_map(states)
+                summary_acc[0] += b * drift.mf_summary(feats)
 
             for s in range(grid.steps):
                 t = float(times[s])
                 if coupled:
                     if separable:
-                        total = drift.mf_drift(t, states, prev_summaries[s])
+                        total = drift.mf_drift(t, feats, prev_summaries[s])
                     else:
                         total = drift.mean_field_drift(t, states, prev_paths[:, s, :], None)
                 else:
@@ -370,7 +389,8 @@ def solve_mckean_vlasov_picard(
                 if keep_paths:
                     cur_paths[lo : lo + b, s + 1, :] = states
                 if coupled and separable:
-                    summary_acc[s + 1] += b * drift.mf_summary(states)
+                    feats = drift.feature_map(states)
+                    summary_acc[s + 1] += b * drift.mf_summary(feats)
             terminal[lo : lo + b] = states
 
         if prev_terminal is not None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import constant_C, estimate_beta, hierarchy_ode_solve, short_time_horizon, theorem_bound
-from .core import ConfigError, RngStream, SimConfig, config_from_dict, _pop_key
+from .core import ConfigError, RngStream, SimConfig, config_from_dict, _as_integral, _pop_key
 from .dynamics import (
     BlowupError,
     extract_marginal,
@@ -96,24 +96,24 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     base = config_from_dict(_pop_key(work, "base", dict))
     # nested sections are copied before popping so caller dicts stay intact
     sweep = dict(_pop_key(work, "sweep", dict))
-    sweep_n = tuple(int(v) for v in _pop_key(sweep, "n", list))
-    sweep_k = tuple(int(v) for v in _pop_key(sweep, "k", list, default=[1]))
+    sweep_n = tuple(_as_integral(v, "sweep: key 'n'") for v in _pop_key(sweep, "n", list))
+    sweep_k = tuple(_as_integral(v, "sweep: key 'k'") for v in _pop_key(sweep, "k", list, default=[1]))
     sweep_t = tuple(float(v) for v in _pop_key(sweep, "t", list, default=[base.grid.terminal]))
     if sweep:
         raise ConfigError(f"unknown sweep keys: {sorted(sweep)}")
     estimators = tuple(str(v) for v in _pop_key(work, "estimators", list, default=["girsanov"]))
     picard = dict(_pop_key(work, "picard", dict, default={}))
-    picard_m = int(_pop_key(picard, "m", (int, float), default=10_000))
-    picard_iters = int(_pop_key(picard, "iters", (int, float), default=3))
+    picard_m = _as_integral(_pop_key(picard, "m", (int, float), default=10_000), "picard: key 'm'")
+    picard_iters = _as_integral(_pop_key(picard, "iters", (int, float), default=3), "picard: key 'iters'")
     if picard:
         raise ConfigError(f"unknown picard keys: {sorted(picard)}")
     knn = dict(_pop_key(work, "knn", dict, default={}))
-    knn_neighbors = int(_pop_key(knn, "neighbors", (int, float), default=4))
-    knn_samples = int(_pop_key(knn, "samples", (int, float), default=10_000))
+    knn_neighbors = _as_integral(_pop_key(knn, "neighbors", (int, float), default=4), "knn: key 'neighbors'")
+    knn_samples = _as_integral(_pop_key(knn, "samples", (int, float), default=10_000), "knn: key 'samples'")
     if knn:
         raise ConfigError(f"unknown knn keys: {sorted(knn)}")
     tv = dict(_pop_key(work, "tv", dict, default={}))
-    tv_bins = int(_pop_key(tv, "bins", (int, float), default=32))
+    tv_bins = _as_integral(_pop_key(tv, "bins", (int, float), default=32), "tv: key 'bins'")
     if tv:
         raise ConfigError(f"unknown tv keys: {sorted(tv)}")
     bounds = dict(_pop_key(work, "bounds", dict, default={}))

@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainSpec, KernelRef, DriftRef, SimConfig, torus_displacement, wrap_torus
+from .core import ConfigError, DomainSpec, KernelRef, DriftRef, SimConfig, _as_integral, torus_displacement, wrap_torus
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,8 +71,12 @@ class KernelSpec:
 
 
 def _perp_over_r2(u: np.ndarray) -> np.ndarray:
-    # u_perp / |u|^2 with u_perp = (u2, -u1); no prefactor.
+    # u_perp / |u|^2 with u_perp = (u2, -u1); no prefactor. The odd kernel
+    # is 0 at u = 0 (reached only through the frozen eps-ball), not 0/0.
     r2 = u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1]
+    at_zero = r2 == 0.0
+    if at_zero.any():
+        r2 = np.where(at_zero, np.inf, r2)
     out = np.empty_like(u)
     out[..., 0] = u[..., 1] / r2
     out[..., 1] = -u[..., 0] / r2
@@ -82,7 +86,7 @@ def _perp_over_r2(u: np.ndarray) -> np.ndarray:
 def _apply_eps(x: np.ndarray, eps: float, freeze_inside: bool) -> np.ndarray:
     """Singularity policy around 0: reject inside the eps-ball, or project
     onto the eps-sphere (freeze) for simulation use. r = 0 freezes to the
-    zero vector by oddness."""
+    zero vector, where the kernel is 0 by oddness."""
     r = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
     if eps == 0.0:
         if np.any(r == 0.0):
@@ -227,23 +231,32 @@ class DriftSpec:
     path-protocol methods (b0_at / pair_at) exist so non-anticipativity
     and growth validation can be exercised on explicit sample paths.
 
-    pair_mean, mf_summary and mf_drift are optional algebraic fast paths:
-    pair_mean computes (n-1)^{-1} sum_{j != i} b(t, X^i, X^j) for all i
-    without forming the pairwise tensor; mf_summary/mf_drift evaluate the
-    drift averaged against an ensemble through a small per-step summary.
-    Both are exact rearrangements of the pairwise sums, not approximations.
+    pair_mean, mf_summary and mf_drift are optional algebraic fast paths
+    built from per-particle features: features(x) computes what they read
+    from the states (sin and cos of the trigonometric kernel; None means
+    the states themselves), so an integrator computes the features once per
+    step and hands the same features to every fast path of that step.
+    pair_mean(t, f) computes (n-1)^{-1} sum_{j != i} b(t, X^i, X^j) for all
+    i without forming the pairwise tensor; mf_summary(f) reduces an
+    ensemble to a small summary, and mf_drift(t, f, summary) evaluates the
+    drift averaged against that ensemble. All are exact rearrangements of
+    the pairwise sums, not approximations.
     """
 
     name: str
     growth_constant: float
     torus: bool
     params: dict[str, Any] = field(default_factory=dict)
-    state_dependent: bool = True
     b0_state: Callable[[float, np.ndarray], np.ndarray] | None = None
     pair_state: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
-    pair_mean: Callable[[float, np.ndarray], np.ndarray] | None = None
-    mf_summary: Callable[[np.ndarray], np.ndarray] | None = None
-    mf_drift: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
+    features: Callable[[np.ndarray], Any] | None = None
+    pair_mean: Callable[[float, Any], np.ndarray] | None = None
+    mf_summary: Callable[[Any], np.ndarray] | None = None
+    mf_drift: Callable[[float, Any, np.ndarray], np.ndarray] | None = None
+
+    def feature_map(self, x: np.ndarray) -> Any:
+        """Features of the states x that the fast paths read."""
+        return x if self.features is None else self.features(x)
 
     def b0_at(self, times: np.ndarray, paths: np.ndarray, j: int) -> np.ndarray:
         """b0 at grid index j, reading only paths[..., :j+1, :]."""
@@ -257,27 +270,40 @@ class DriftSpec:
             return np.zeros_like(xpaths[..., j, :])
         return self.pair_state(float(times[j]), xpaths[..., j, :], ypaths[..., j, :])
 
-    def pair_mean_generic(self, t: float, states: np.ndarray) -> np.ndarray:
-        """(n-1)^{-1} sum_{j != i} b(t, X^i, X^j), O(n^2) fallback."""
+    def pair_mean_generic(self, t: float, states: np.ndarray, feats: Any = None) -> np.ndarray:
+        """(n-1)^{-1} sum_{j != i} b(t, X^i, X^j), O(n^2) fallback.
+
+        feats, when given, is feature_map(states) already computed this step.
+        """
         if self.pair_state is None:
             return np.zeros_like(states)
         n = states.shape[-2]
         if n < 2:
             raise ValueError("pairwise drift needs n >= 2")
         if self.pair_mean is not None:
-            return self.pair_mean(t, states)
+            return self.pair_mean(t, self.feature_map(states) if feats is None else feats)
         vals = self.pair_state(t, states[..., :, None, :], states[..., None, :, :])
         # remove the diagonal i = j before averaging
         diag = self.pair_state(t, states, states)
         total = np.add.reduce(vals, axis=-2) - diag
         return total / (n - 1)
 
-    def mean_field_drift(self, t: float, x: np.ndarray, ensemble_states: np.ndarray | None, summary: np.ndarray | None) -> np.ndarray:
-        """Drift of x averaged against an ensemble: (1/m) sum_l b(t, x, Y_l)."""
+    def mean_field_drift(
+        self,
+        t: float,
+        x: np.ndarray,
+        ensemble_states: np.ndarray | None,
+        summary: np.ndarray | None,
+        feats: Any = None,
+    ) -> np.ndarray:
+        """Drift of x averaged against an ensemble: (1/m) sum_l b(t, x, Y_l).
+
+        feats, when given, is feature_map(x) already computed this step.
+        """
         if self.pair_state is None:
             return np.zeros_like(x)
         if self.mf_drift is not None and summary is not None:
-            return self.mf_drift(t, x, summary)
+            return self.mf_drift(t, self.feature_map(x) if feats is None else feats, summary)
         if ensemble_states is None:
             raise ValueError("generic mean-field drift needs ensemble states")
         m = ensemble_states.shape[0]
@@ -393,6 +419,7 @@ def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x + y
 
+    # The features are the states themselves.
     def pair_mean(t: float, states: np.ndarray) -> np.ndarray:
         # sum_{j != i}(x_i + x_j) = (n-1) x_i + (S - x_i)
         n = states.shape[-2]
@@ -425,6 +452,7 @@ def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return y - x
 
+    # The features are the states themselves.
     def pair_mean(t: float, states: np.ndarray) -> np.ndarray:
         n = states.shape[-2]
         total = np.add.reduce(states, axis=-2, keepdims=True)
@@ -475,35 +503,35 @@ def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
         def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             return smooth_divfree_kernel(torus_displacement(x, y), spec.frequency)
 
-        def pair_mean(t: float, states: np.ndarray) -> np.ndarray:
+        def features(x: np.ndarray) -> tuple[np.ndarray, ...]:
+            a2 = w * x[..., 1]
+            a1 = w * x[..., 0]
+            return np.sin(a2), np.cos(a2), np.sin(a1), np.cos(a1)
+
+        def pair_mean(t: float, feats: tuple[np.ndarray, ...]) -> np.ndarray:
             # sum_{j != i} sin(w (a_i - a_j)) = sin(a_i) C - cos(a_i) S with
             # C = sum cos(a_j), S = sum sin(a_j); the i = j term vanishes.
-            n = states.shape[-2]
-            a2 = w * states[..., 1]
-            a1 = w * states[..., 0]
-            s2, c2 = np.sin(a2), np.cos(a2)
-            s1, c1 = np.sin(a1), np.cos(a1)
+            s2, c2, s1, c1 = feats
+            n = s2.shape[-1]
             C2 = np.add.reduce(c2, axis=-1, keepdims=True)
             S2 = np.add.reduce(s2, axis=-1, keepdims=True)
             C1 = np.add.reduce(c1, axis=-1, keepdims=True)
             S1 = np.add.reduce(s1, axis=-1, keepdims=True)
-            out = np.empty_like(states)
+            out = np.empty(s2.shape + (2,))
             out[..., 0] = (s2 * C2 - c2 * S2) / (n - 1)
             out[..., 1] = (s1 * C1 - c1 * S1) / (n - 1)
             return out
 
-        def mf_summary(states: np.ndarray) -> np.ndarray:
-            a2 = w * states[..., 1]
-            a1 = w * states[..., 0]
-            return np.array([np.mean(np.cos(a2)), np.mean(np.sin(a2)), np.mean(np.cos(a1)), np.mean(np.sin(a1))])
+        def mf_summary(feats: tuple[np.ndarray, ...]) -> np.ndarray:
+            s2, c2, s1, c1 = feats
+            return np.array([np.mean(c2), np.mean(s2), np.mean(c1), np.mean(s1)])
 
-        def mf_drift(t: float, x: np.ndarray, summary: np.ndarray) -> np.ndarray:
+        def mf_drift(t: float, feats: tuple[np.ndarray, ...], summary: np.ndarray) -> np.ndarray:
             c2m, s2m, c1m, s1m = summary
-            a2 = w * x[..., 1]
-            a1 = w * x[..., 0]
-            out = np.empty_like(x)
-            out[..., 0] = np.sin(a2) * c2m - np.cos(a2) * s2m
-            out[..., 1] = np.sin(a1) * c1m - np.cos(a1) * s1m
+            s2, c2, s1, c1 = feats
+            out = np.empty(s2.shape + (2,))
+            out[..., 0] = s2 * c2m - c2 * s2m
+            out[..., 1] = s1 * c1m - c1 * s1m
             return out
 
         return DriftSpec(
@@ -512,6 +540,7 @@ def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
             torus=True,
             params={"frequency": spec.frequency},
             pair_state=pair,
+            features=features,
             pair_mean=pair_mean,
             mf_summary=mf_summary,
             mf_drift=mf_drift,
@@ -548,7 +577,7 @@ _DRIFT_BUILTINS: dict[str, Callable[[dict, DomainSpec], DriftSpec]] = {
 def kernel_from_ref(ref: KernelRef, config: SimConfig) -> KernelSpec:
     params = dict(ref.params)
     if ref.name == "smooth_divfree":
-        freq = int(params.pop("frequency", 1))
+        freq = _as_integral(params.pop("frequency", 1), "smooth_divfree: param 'frequency'")
         if params:
             raise ConfigError(f"smooth_divfree: unknown params {sorted(params)}")
         return KernelSpec(kind="smooth_divfree", d=config.domain.dim, frequency=freq)

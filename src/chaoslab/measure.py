@@ -129,7 +129,9 @@ def girsanov_weight(
 
     The reference copies evolve with drift b0 + <b(t, x, .), mu_t-hat>;
     the weight integrand is the pairwise interaction evaluated on those
-    same copies minus the mean-field term (b0 cancels). Fractional noise
+    same copies minus the mean-field term (b0 cancels). Each step evaluates
+    the mean-field term once, for both uses, and the drift's features once
+    for all its fast paths. Fractional noise
     retains the underlying Brownian driver and pushes the running drift
     integral through the inverse Volterra transform first.
     """
@@ -182,9 +184,10 @@ def girsanov_weight(
         if fractional:
             for s in range(steps):
                 t = float(times[s])
-                delta = drift.pair_mean_generic(t, states) - mean_field.mean_drift_at(s, t, states)
-                delta_store[..., s] = delta
-                ref = mean_field.reference_drift_at(s, t, states)
+                feats = drift.feature_map(states)
+                mf = mean_field.mean_drift_at(s, t, states, feats)
+                delta_store[..., s] = drift.pair_mean_generic(t, states, feats) - mf
+                ref = mean_field.reference_drift_at(s, t, states, mf)
                 states = states + dt * ref + db_incr[:, :, s, :]
                 if torus:
                     states = wrap_torus_unchecked(states)
@@ -205,11 +208,14 @@ def girsanov_weight(
         else:
             for s in range(steps):
                 t = float(times[s])
-                delta = drift.pair_mean_generic(t, states) - mean_field.mean_drift_at(s, t, states)
+                feats = drift.feature_map(states)
+                mf = mean_field.mean_drift_at(s, t, states, feats)
+                delta = drift.pair_mean_generic(t, states, feats) - mf
                 dw = math.sqrt(dt) * gen.standard_normal((b, n, d))
-                lz += np.sum(delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(delta * delta, axis=(1, 2))
-                en += dt * np.sum(delta * delta, axis=2)
-                ref = mean_field.reference_drift_at(s, t, states)
+                dd = delta * delta
+                lz += np.sum(delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
+                en += dt * np.sum(dd, axis=2)
+                ref = mean_field.reference_drift_at(s, t, states, mf)
                 states = states + dt * ref + dw
                 if torus:
                     states = wrap_torus_unchecked(states)
@@ -218,8 +224,8 @@ def girsanov_weight(
                 lz_path[:, s + 1] = lz
 
         if not np.all(np.isfinite(lz_path)):
-            bad = np.argwhere(~np.isfinite(lz_path))[0]
-            raise BlowupError(int(bad[1]), int(bad[0]))
+            row, step = np.argwhere(~np.isfinite(lz_path))[0]
+            raise BlowupError(int(step), replica=lo + int(row))
         log_z[lo : lo + b] = lz_path
         energy[lo : lo + b] = en
 

@@ -19,21 +19,11 @@ order in dt on smooth inputs, degrading near the r = 0 endpoint singularity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import RngStream, TimeGrid
-
-
-@dataclass
-class NoisePath:
-    grid: TimeGrid
-    values: np.ndarray  # (steps+1, d), values[0] = 0
-    hurst: float
-    underlying_w: np.ndarray | None = None  # driver Brownian path, same shape
-    cholesky_fallback: bool = False
 
 
 def fbm_covariance(t, s, hurst: float):
@@ -144,18 +134,6 @@ def sample_fbm_batch(
         np.cumsum(dw, axis=2, out=dw)
         w[:, 1:, :] = np.swapaxes(dw, 1, 2)
     return values, w, fallback
-
-
-def sample_fbm(grid: TimeGrid, hurst: float, d: int, rng: RngStream, method: str = "circulant") -> NoisePath:
-    """One fBm path; each coordinate drawn from its own substream."""
-    cols = []
-    fallback = False
-    for c in range(d):
-        vals, _, fb = sample_fbm_batch(grid, hurst, 1, 1, rng.substream(1000 + c), method=method)
-        cols.append(vals[0, :, 0])
-        fallback |= fb
-    values = np.stack(cols, axis=-1)
-    return NoisePath(grid=grid, values=values, hurst=hurst, cholesky_fallback=fallback)
 
 
 def empirical_covariance_table(

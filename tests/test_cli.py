@@ -230,6 +230,13 @@ class TestBoundsCommand:
         extra = write_json(tmp_path, "b3.json", {**base, "weird": 1})
         assert main(["bounds", "--config", extra, "--out", str(tmp_path / "o3")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key,value", [("n", [10.5]), ("k", [2.5]), ("k", [True])])
+    def test_non_integral_n_and_k_rejected(self, tmp_path, capsys, key, value):
+        base = {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [10]}
+        cfg = write_json(tmp_path, "b.json", {**base, key: value})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"key '{key}'" in capsys.readouterr().err
+
 
 class TestNoiseCheckCommand:
     def test_brownian_covariance_passes(self, tmp_path, capsys):
@@ -341,6 +348,15 @@ class TestRateFitCommand:
                                 {"input": data, "filter": {"species": 1}})
         assert main(["rate-fit", "--config", bad_filter,
                      "--out", str(tmp_path / "o3")]) == EXIT_CONFIG
+
+    def test_non_integral_k_filter_rejected(self, tmp_path, capsys):
+        data = self.entropy_csv(tmp_path)
+        cfg = write_json(tmp_path, "r.json", {
+            "input": data, "filter": {"estimator": "girsanov", "k": 1.5, "t": 0.25},
+        })
+        assert main(["rate-fit", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "key 'k'" in capsys.readouterr().err
 
     def test_too_few_points_is_config_error(self, tmp_path, capsys):
         data = self.entropy_csv(tmp_path)

@@ -162,6 +162,25 @@ class TestSimulate:
         assert exc.value.step > 0
         assert 0 <= exc.value.particle < 3
 
+    def test_biot_savart_default_eps_stays_finite(self):
+        # every particle meets itself on the i = j diagonal, where the
+        # frozen kernel must be 0, not 0/0
+        cfg = config_from_dict(
+            {
+                "domain": {"kind": "torus", "dim": 2},
+                "kernel": {"name": "biot_savart_periodic", "params": {}},
+                "n_particles": 3,
+                "grid": {"t0": 0.0, "dt": 0.01, "steps": 4},
+                "noise": {"kind": "brownian"},
+                "initial_law": {"name": "uniform", "params": {}},
+                "seed": 11,
+                "replicas": 4,
+            }
+        )
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        assert cfg.eps is None and ens.eps == cfg.effective_eps > 0
+        assert np.all(np.isfinite(ens.positions_at(cfg.grid.steps)))
+
     def test_fractional_driver_shapes_and_determinism(self):
         cfg = make_cfg(
             noise={"kind": "fbm", "hurst": 0.3},

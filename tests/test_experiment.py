@@ -141,6 +141,34 @@ class TestPlanParsing:
         with pytest.raises(ConfigError, match=message):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("sweep", "n", [4, 8.9]),
+            ("sweep", "k", [1.5]),
+            ("sweep", "k", [True]),
+            ("picard", "m", 150.7),
+            ("picard", "iters", 2.5),
+            ("knn", "neighbors", 4.2),
+            ("knn", "samples", 300.5),
+            ("tv", "bins", 8.5),
+            ("tv", "bins", float("inf")),
+        ],
+    )
+    def test_non_integral_counts_rejected(self, section, key, value):
+        data = make_plan_dict()
+        data[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}: key '{key}'"):
+            plan_from_dict(data)
+
+    def test_integral_floats_parse_as_ints(self):
+        data = make_plan_dict()
+        data["sweep"]["n"] = [4.0, 6]
+        data["picard"]["m"] = 300.0
+        plan = plan_from_dict(data)
+        assert plan.sweep_n == (4, 6) and all(type(n) is int for n in plan.sweep_n)
+        assert plan.picard_m == 300 and type(plan.picard_m) is int
+
     def test_load_plan_file(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(make_plan_dict()))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoslab.core import DomainSpec, RngStream, config_from_dict
+from chaoslab.core import ConfigError, DomainSpec, RngStream, config_from_dict
 from chaoslab.kernels import (
     DriftSpec,
     biot_savart_free,
@@ -90,6 +90,26 @@ class TestBiotSavartPeriodic:
             biot_savart_periodic(x + shift, truncation_radius=8),
             atol=1e-10,
         )
+
+
+class TestBiotSavartAtCoincidentPoints:
+    @pytest.mark.parametrize("kernel", [biot_savart_free, biot_savart_periodic])
+    def test_zero_displacement_gives_zero(self, kernel):
+        # r = 0 freezes to the zero vector, where the odd kernel is 0; the
+        # other rows keep their bits
+        x = np.array([[0.0, 0.0], [0.2, -0.1], [0.003, 0.004], [0.0, 0.0]])
+        out = kernel(x, eps=0.01, freeze_inside=True)
+        assert np.array_equal(out[[0, 3]], np.zeros((2, 2)))
+        for i in (1, 2):
+            assert np.array_equal(out[i], kernel(x[i : i + 1], eps=0.01, freeze_inside=True)[0])
+
+    def test_coincident_particles_pair_mean_is_finite(self):
+        drift = build_drift(torus_kernel_cfg("biot_savart_periodic"))
+        states = np.array([[[0.1, 0.2], [0.1, 0.2], [-0.3, 0.4]]])
+        out = drift.pair_mean_generic(0.0, states)
+        assert np.all(np.isfinite(out))
+        # particles 0 and 1 coincide, so each sees only particle 2
+        assert np.array_equal(out[0, 0], out[0, 1])
 
 
 class TestSmoothDivfree:
@@ -209,6 +229,74 @@ class TestDriftSpecs:
         assert np.allclose(out, x + 0.5)
 
 
+def _state_formulas(drift_name, w=2.0 * math.pi):
+    """Pair mean, ensemble summary and mean-field drift written directly on
+    the states: the reference the feature-based fast paths must match bit
+    for bit."""
+    if drift_name == "smooth_divfree":
+
+        def pair_mean(states):
+            n = states.shape[-2]
+            a2, a1 = w * states[..., 1], w * states[..., 0]
+            s2, c2, s1, c1 = np.sin(a2), np.cos(a2), np.sin(a1), np.cos(a1)
+            C2, S2, C1, S1 = (np.add.reduce(v, axis=-1, keepdims=True) for v in (c2, s2, c1, s1))
+            out = np.empty_like(states)
+            out[..., 0] = (s2 * C2 - c2 * S2) / (n - 1)
+            out[..., 1] = (s1 * C1 - c1 * S1) / (n - 1)
+            return out
+
+        def summary(ens):
+            a2, a1 = w * ens[..., 1], w * ens[..., 0]
+            return np.array([np.mean(np.cos(a2)), np.mean(np.sin(a2)), np.mean(np.cos(a1)), np.mean(np.sin(a1))])
+
+        def mf_drift(x, m):
+            a2, a1 = w * x[..., 1], w * x[..., 0]
+            out = np.empty_like(x)
+            out[..., 0] = np.sin(a2) * m[0] - np.cos(a2) * m[1]
+            out[..., 1] = np.sin(a1) * m[2] - np.cos(a1) * m[3]
+            return out
+
+        return pair_mean, summary, mf_drift
+
+    def total(states):
+        return np.add.reduce(states, axis=-2, keepdims=True)
+
+    if drift_name == "linear_pair":
+        return (
+            lambda s: s + (total(s) - s) / (s.shape[-2] - 1),
+            lambda ens: np.mean(ens, axis=0),
+            lambda x, m: x + m,
+        )
+    return (
+        lambda s: (total(s) - s.shape[-2] * s) / (s.shape[-2] - 1),
+        lambda ens: np.mean(ens, axis=0),
+        lambda x, m: m - x,
+    )
+
+
+class TestFeatureFastPaths:
+    @pytest.mark.parametrize("name", ["linear_pair", "attract_pair", "smooth_divfree"])
+    def test_equal_to_state_formulas(self, name):
+        if name == "smooth_divfree":
+            drift = build_drift(torus_kernel_cfg(name, {"frequency": 1}))
+            states = RNG.uniform(-0.5, 0.5, size=(5, 6, 2))
+            ens = RNG.uniform(-0.5, 0.5, size=(40, 2))
+        else:
+            drift = build_drift(lin_cfg(name, dim=2))
+            states = RNG.normal(size=(5, 6, 2))
+            ens = RNG.normal(size=(40, 2))
+        pair_mean, summary, mf_drift = _state_formulas(name)
+        feats = drift.feature_map(states)
+        got_summary = drift.mf_summary(drift.feature_map(ens))
+        assert np.array_equal(got_summary, summary(ens))
+        assert np.array_equal(drift.pair_mean(0.1, feats), pair_mean(states))
+        assert np.array_equal(drift.mf_drift(0.1, feats, got_summary), mf_drift(states, got_summary))
+        # the entry points give the same bits with and without features at hand
+        assert np.array_equal(drift.pair_mean_generic(0.1, states, feats), pair_mean(states))
+        assert np.array_equal(drift.pair_mean_generic(0.1, states), pair_mean(states))
+        assert np.array_equal(drift.mean_field_drift(0.1, states, None, got_summary), mf_drift(states, got_summary))
+
+
 class TestGrowthValidation:
     def test_linear_pair_passes(self):
         drift = build_drift(lin_cfg("linear_pair"))
@@ -233,6 +321,14 @@ class TestKernelRefParsing:
     def test_unknown_kernel_param(self):
         with pytest.raises(Exception, match="unknown params"):
             build_drift(torus_kernel_cfg("smooth_divfree", {"wavelength": 2}))
+
+    @pytest.mark.parametrize("bad", [1.5, True, "2"])
+    def test_frequency_must_be_integral(self, bad):
+        with pytest.raises(ConfigError, match="frequency"):
+            build_drift(torus_kernel_cfg("smooth_divfree", {"frequency": bad}))
+
+    def test_integral_float_frequency_accepted(self):
+        assert build_drift(torus_kernel_cfg("smooth_divfree", {"frequency": 2.0})).params == {"frequency": 2}
 
 
 @given(st.integers(min_value=1, max_value=3))

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chaoslab.core import RngStream, TimeGrid, config_from_dict
-from chaoslab.dynamics import solve_mckean_vlasov_picard
+from chaoslab.dynamics import BLOCK_REPLICAS, BlowupError, solve_mckean_vlasov_picard
+from chaoslab.kernels import DriftSpec
 from chaoslab.measure import (
     CheckRecord,
     GirsanovWeight,
@@ -173,6 +174,45 @@ class TestGirsanovWeight:
         a = girsanov_weight(cfg, law, RngStream(root_seed=3))
         b = girsanov_weight(cfg, law, RngStream(root_seed=3))
         assert np.array_equal(a.log_z, b.log_z)
+
+    def test_generic_mean_field_evaluated_once_per_step(self, monkeypatch):
+        # the weight integrand and the reference drift share one mean-field
+        # evaluation, the O(m b) ensemble sum for a non-separable drift
+        cfg = make_cfg(
+            drift={"name": "sign_gated_pair", "params": {}},
+            n_particles=2,
+            replicas=BLOCK_REPLICAS + 6,
+            grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 3},
+        )
+        law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=100, iters=1)
+        calls = []
+        original = DriftSpec.mean_field_drift
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1].shape)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DriftSpec, "mean_field_drift", counted)
+        girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
+        assert calls == [(BLOCK_REPLICAS, 2, 1)] * 3 + [(6, 2, 1)] * 3
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nonfinite_log_weight_names_the_replica(self, monkeypatch):
+        cfg = make_cfg(n_particles=2, replicas=BLOCK_REPLICAS + 6, grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 3})
+        law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=100, iters=1)
+        pair_mean = law.drift.pair_mean_generic
+
+        def poisoned(t, states, feats=None):
+            out = pair_mean(t, states, feats)
+            if states.shape[0] == 6:  # the second replica block
+                out[3] = np.inf
+            return out
+
+        monkeypatch.setattr(law.drift, "pair_mean_generic", poisoned)
+        message = f"non-finite log-weight at step 1, replica {BLOCK_REPLICAS + 3}"
+        with pytest.raises(BlowupError, match=message) as exc:
+            girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
+        assert (exc.value.step, exc.value.replica, exc.value.particle) == (1, BLOCK_REPLICAS + 3, None)
 
 
 class TestEntropyGirsanov:
