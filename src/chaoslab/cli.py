@@ -17,18 +17,18 @@ import csv
 import json
 import os
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .bounds import constant_C, hierarchy_ode_solve, short_time_horizon, theorem_bound
-from .core import ConfigError, RngStream, config_from_dict, _as_integral, _pop_key
+from .bounds import short_time_horizon
+from .core import ConfigError, RngStream, config_from_dict, load_json, _as_integral, _as_real, _pop_key
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
     ExperimentPlan,
     _write_csv,
+    bound_rows,
     fit_rate,
     plan_from_dict,
     run_experiment,
@@ -52,19 +52,6 @@ def _default_threads() -> int:
         return 1
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    return data
-
-
 def _write_manifest(out_dir: str, payload: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -73,7 +60,7 @@ def _write_manifest(out_dir: str, payload: dict) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = config_from_dict(_load_json(args.config))
+    cfg = config_from_dict(load_json(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     ens = simulate_particle_system(cfg, RngStream(cfg.seed))
@@ -155,7 +142,7 @@ def _finish_run(result, out_dir: str) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    plan = _plan_from_config(_load_json(args.config), estimators=("girsanov", "knn"))
+    plan = _plan_from_config(load_json(args.config), estimators=("girsanov", "knn"))
     if args.seed is not None:
         plan = replace(plan, base=replace(plan.base, seed=args.seed))
     result = run_experiment(plan, threads=args.threads)
@@ -163,7 +150,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    plan = _plan_from_config(_load_json(args.config), estimators=("girsanov", "knn", "histogram_tv"))
+    plan = _plan_from_config(load_json(args.config), estimators=("girsanov", "knn", "histogram_tv"))
     if args.seed is not None:
         plan = replace(plan, base=replace(plan.base, seed=args.seed))
     result = run_experiment(plan, threads=args.threads)
@@ -171,45 +158,27 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    data = _load_json(args.config)
-    c0 = float(_pop_key(data, "C0", (int, float)))
-    gamma = float(_pop_key(data, "gamma", (int, float)))
-    m_const = float(_pop_key(data, "M", (int, float)))
-    t_final = float(_pop_key(data, "T", (int, float)))
+    data = load_json(args.config)
+    c0 = _as_real(_pop_key(data, "C0", None), "bounds config: key 'C0'")
+    gamma = _as_real(_pop_key(data, "gamma", None), "bounds config: key 'gamma'")
+    m_const = _as_real(_pop_key(data, "M", None), "bounds config: key 'M'")
+    t_final = _as_real(_pop_key(data, "T", None), "bounds config: key 'T'")
     ns = [_as_integral(v, "bounds config: key 'n'") for v in _pop_key(data, "n", list)]
     ks_req = _pop_key(data, "k", list, default=None)
     if ks_req is not None:
         ks_req = [_as_integral(v, "bounds config: key 'k'") for v in ks_req]
-    dt = float(_pop_key(data, "dt", (int, float), default=1e-3))
+    dt = _as_real(_pop_key(data, "dt", None, default=1e-3), "bounds config: key 'dt'")
     horizons = _pop_key(data, "horizons", list, default=[])
     if data:
         raise ConfigError(f"unknown bounds config keys: {sorted(data)}")
 
-    bound_rows = []
+    rows = []
     for n in ns:
         ks = ks_req if ks_req is not None else list(range(1, n + 1))
-        c_val = constant_C(c0, gamma, m_const, t_final)
-        h0 = np.array([c0 * k * k / (n * n) for k in range(1, n + 1)])
-        casc_dt = dt if gamma <= 0 else min(dt, 1.0 / (2.0 * gamma * n))
-        env = hierarchy_ode_solve(n, m_const, gamma, h0, t_final, casc_dt)
         for k in ks:
             if k > n:
                 raise ConfigError(f"k = {k} exceeds n = {n}")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                closed = theorem_bound(c_val, gamma, t_final, n, k)
-            bound_rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "t": t_final,
-                    "closed_form": closed,
-                    "cascade": env.at(k),
-                    "C": c_val,
-                    "gamma": gamma,
-                    "M": m_const,
-                }
-            )
+        rows += bound_rows(n, ks, [t_final], c0, gamma, m_const, dt)
     horizon_rows = []
     for item in horizons:
         spec = dict(item)
@@ -235,7 +204,7 @@ def _cmd_bounds(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "bounds.csv"),
-        bound_rows,
+        rows,
         ["n", "k", "t", "closed_form", "cascade", "C", "gamma", "M"],
     )
     _write_csv(
@@ -255,12 +224,12 @@ def _cmd_bounds(args) -> int:
             "n": ns,
         },
     )
-    print(f"wrote {len(bound_rows)} bound rows, {len(horizon_rows)} horizon rows to {args.out}")
+    print(f"wrote {len(rows)} bound rows, {len(horizon_rows)} horizon rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_noise_check(args) -> int:
-    cfg = config_from_dict(_load_json(args.config))
+    cfg = config_from_dict(load_json(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if cfg.noise.kind != "fbm":
@@ -307,7 +276,7 @@ def _cmd_noise_check(args) -> int:
 
 
 def _cmd_kernel_probe(args) -> int:
-    cfg = config_from_dict(_load_json(args.config))
+    cfg = config_from_dict(load_json(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if cfg.kernel is None:
@@ -368,7 +337,7 @@ def _cmd_kernel_probe(args) -> int:
 
 
 def _cmd_rate_fit(args) -> int:
-    data = _load_json(args.config)
+    data = load_json(args.config)
     input_path = str(_pop_key(data, "input", str))
     axis = str(_pop_key(data, "axis", str, default="n"))
     filt = _pop_key(data, "filter", dict, default={})

@@ -125,6 +125,9 @@ class TimeGrid:
             raise ConfigError("TimeGrid: dt must be finite and > 0")
         if self.steps < 1:
             raise ConfigError("TimeGrid: steps must be >= 1")
+        # terminal cannot convert an int steps of 2**1023 or more to float
+        if self.steps >= 2**1023 or not math.isfinite(self.terminal):
+            raise ConfigError("TimeGrid: t0 + steps*dt must be finite")
 
     @property
     def terminal(self) -> float:
@@ -215,6 +218,14 @@ class InitialLaw:
         unknown = set(self.params) - set(self._ALLOWED_PARAMS[self.name])
         if unknown:
             raise ConfigError(f"{self.name}: unknown params {sorted(unknown)}")
+        for key in ("sigma", "radius"):
+            if key in self.params:
+                _as_real(self.params[key], f"initial_law.params: key {key!r}")
+        mean = self.params.get("mean", [])
+        if not isinstance(mean, list):
+            raise ConfigError(f"initial_law.params: key 'mean' expects a list of numbers, got {mean!r}")
+        for v in mean:
+            _as_real(v, "initial_law.params: key 'mean'")
 
 
 @dataclass(frozen=True)
@@ -252,6 +263,8 @@ class SimConfig:
             raise ConfigError("uniform initial law lives on the torus")
         if self.initial_law.name in ("gaussian", "uniform_ball") and self.domain.is_torus:
             raise ConfigError(f"initial law {self.initial_law.name!r} lives on R^d")
+        if len(self.initial_law.params.get("mean", [0.0] * self.domain.dim)) != self.domain.dim:
+            raise ConfigError(f"initial_law.params: key 'mean' needs one entry per dimension (d = {self.domain.dim})")
 
     @property
     def effective_eps(self) -> float:
@@ -259,20 +272,6 @@ class SimConfig:
         if self.eps is not None:
             return self.eps
         return math.sqrt(self.grid.dt) / 10.0
-
-
-def _take(d: dict, where: str, required: dict[str, type | tuple], optional: dict[str, Any]) -> dict:
-    """Fail-closed key extraction: unknown keys are configuration errors."""
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {missing}")
-    out = dict(d)
-    for k, default in optional.items():
-        out.setdefault(k, default)
-    return out
 
 
 _MISSING = object()
@@ -299,10 +298,16 @@ def _pop_key(d: dict, key: str, types: type | tuple | None, default: Any = _MISS
     return v
 
 
-def _as_int(v: Any, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}: expected an integer, got {v!r}")
-    return v
+def _pop_object(d: dict, key: str, where: str, default: Any = _MISSING) -> Any:
+    """Pop a nested JSON object as a copy the caller may pop from in turn.
+    With a None default, an explicit null counts as absent."""
+    v = _pop_key(d, key, (dict, type(None)) if default is None else dict, default, where)
+    return v if v is None or v is default else dict(v)
+
+
+def _reject_unknown(d: dict, where: str) -> None:
+    if d:
+        raise ConfigError(f"{where}: unknown keys {sorted(d)}")
 
 
 def _as_integral(v: Any, where: str) -> int:
@@ -314,91 +319,96 @@ def _as_integral(v: Any, where: str) -> int:
 
 
 def _as_real(v: Any, where: str) -> float:
+    """A finite number as float; booleans, strings and values that are not
+    finite in float64 are errors, never coerced."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
+    return x
 
 
 def config_from_dict(raw: dict[str, Any]) -> SimConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    top = _take(
-        raw,
-        "config",
-        required={
-            "domain": dict,
-            "n_particles": int,
-            "grid": dict,
-            "noise": dict,
-            "initial_law": dict,
-            "seed": int,
-            "replicas": int,
-        },
-        optional={"kernel": None, "drift": None, "eps": None, "truncation_radius": 8},
+    top = dict(raw)
+
+    dom = _pop_object(top, "domain", "config")
+    domain = DomainSpec(kind=_pop_key(dom, "kind", str, where="domain"), dim=_pop_key(dom, "dim", int, where="domain"))
+    _reject_unknown(dom, "domain")
+
+    g = _pop_object(top, "grid", "config")
+    grid = TimeGrid(
+        t0=_as_real(_pop_key(g, "t0", None, 0.0, "grid"), "grid: key 't0'"),
+        dt=_as_real(_pop_key(g, "dt", None, where="grid"), "grid: key 'dt'"),
+        steps=_pop_key(g, "steps", int, where="grid"),
     )
+    horizon = _pop_key(g, "horizon", None, None, "grid")
+    _reject_unknown(g, "grid")
+    if horizon is not None:
+        grid.check_horizon(_as_real(horizon, "grid: key 'horizon'"))
 
-    dom = _take(top["domain"], "domain", required={"kind": str, "dim": int}, optional={})
-    domain = DomainSpec(kind=dom["kind"], dim=_as_int(dom["dim"], "domain.dim"))
-
-    g = _take(
-        top["grid"],
-        "grid",
-        required={"dt": float, "steps": int},
-        optional={"t0": 0.0, "horizon": None},
+    nz = _pop_object(top, "noise", "config")
+    noise = NoiseSpec(
+        kind=_pop_key(nz, "kind", str, where="noise"),
+        hurst=_as_real(_pop_key(nz, "hurst", None, 0.5, "noise"), "noise: key 'hurst'"),
     )
-    grid = TimeGrid(t0=_as_real(g["t0"], "grid.t0"), dt=_as_real(g["dt"], "grid.dt"), steps=_as_int(g["steps"], "grid.steps"))
-    if g["horizon"] is not None:
-        grid.check_horizon(_as_real(g["horizon"], "grid.horizon"))
+    _reject_unknown(nz, "noise")
 
-    nz = _take(top["noise"], "noise", required={"kind": str}, optional={"hurst": 0.5})
-    noise = NoiseSpec(kind=nz["kind"], hurst=_as_real(nz["hurst"], "noise.hurst"))
+    il = _pop_object(top, "initial_law", "config")
+    initial_law = InitialLaw(name=_pop_key(il, "name", str, where="initial_law"),
+                             params=_pop_object(il, "params", "initial_law", default={}))
+    _reject_unknown(il, "initial_law")
 
-    il = _take(top["initial_law"], "initial_law", required={"name": str}, optional={"params": {}})
-    if not isinstance(il["params"], dict):
-        raise ConfigError("initial_law.params must be an object")
-    initial_law = InitialLaw(name=il["name"], params=il["params"])
+    refs = {}
+    for key, ref_type in (("kernel", KernelRef), ("drift", DriftRef)):
+        ref = _pop_object(top, key, "config", default=None)
+        if ref is not None:
+            refs[key] = ref_type(
+                name=_pop_key(ref, "name", str, where=key), params=_pop_object(ref, "params", key, default={})
+            )
+            _reject_unknown(ref, key)
 
-    kernel = None
-    if top["kernel"] is not None:
-        kz = _take(top["kernel"], "kernel", required={"name": str}, optional={"params": {}})
-        if not isinstance(kz["params"], dict):
-            raise ConfigError("kernel.params must be an object")
-        kernel = KernelRef(name=kz["name"], params=kz["params"])
-
-    drift = None
-    if top["drift"] is not None:
-        dz = _take(top["drift"], "drift", required={"name": str}, optional={"params": {}})
-        if not isinstance(dz["params"], dict):
-            raise ConfigError("drift.params must be an object")
-        drift = DriftRef(name=dz["name"], params=dz["params"])
-
-    eps = None if top["eps"] is None else _as_real(top["eps"], "eps")
-
-    return SimConfig(
+    eps = _pop_key(top, "eps", None, None)
+    config = SimConfig(
         domain=domain,
-        n_particles=_as_int(top["n_particles"], "n_particles"),
+        n_particles=_pop_key(top, "n_particles", int),
         grid=grid,
         noise=noise,
         initial_law=initial_law,
-        seed=_as_int(top["seed"], "seed"),
-        replicas=_as_int(top["replicas"], "replicas"),
-        kernel=kernel,
-        drift=drift,
-        eps=eps,
-        truncation_radius=_as_int(top["truncation_radius"], "truncation_radius"),
+        seed=_pop_key(top, "seed", int),
+        replicas=_pop_key(top, "replicas", int),
+        kernel=refs.get("kernel"),
+        drift=refs.get("drift"),
+        eps=None if eps is None else _as_real(eps, "config: key 'eps'"),
+        truncation_radius=_pop_key(top, "truncation_radius", int, 8),
     )
+    _reject_unknown(top, "config")
+    return config
+
+
+def load_json(path: str | Path) -> dict:
+    """Read one JSON object from a file; a missing file, invalid JSON or a
+    document that is not an object is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return data
 
 
 def load_config(path: str | Path) -> SimConfig:
     """Read a SimConfig from a JSON file, rejecting unknown keys."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file is not valid JSON: {e}")
-    return config_from_dict(raw)
+    return config_from_dict(load_json(path))
 
 
 def sample_initial(law: InitialLaw, domain: DomainSpec, size: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:

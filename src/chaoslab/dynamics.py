@@ -6,6 +6,12 @@ owns one value-keyed random stream, so results are independent of memory
 layout, scheduling and thread count. Block size is part of the sampling
 scheme and is never adapted at runtime.
 
+Every path family (the particle system, the Picard iterates, the
+reference copies and the change-of-measure copies in measure.py) steps
+through one integrator, integrate_block. A caller supplies its drift as
+drift_at(s, t, x) and records what it needs through observe(s, x, dw);
+_block_start draws a block's initial states and builds its noise.
+
 Interacting drifts go through DriftSpec.pair_mean_generic: built-ins with
 separable structure (linear, trigonometric kernels) use exact O(n)
 rearrangements of the pairwise sum; everything else takes the O(n^2) path.
@@ -61,14 +67,6 @@ class BlowupError(RuntimeError):
         self.replica = replica
 
 
-def _first_nonfinite(states: np.ndarray, step: int) -> None:
-    bad = ~np.isfinite(states)
-    if bad.any():
-        idx = np.argwhere(bad)[0]
-        particle = int(idx[-2]) if states.ndim >= 2 else 0
-        raise BlowupError(step, particle)
-
-
 @dataclass
 class ParticleEnsemble:
     grid: TimeGrid
@@ -107,15 +105,71 @@ def extract_marginal(ensemble: ParticleEnsemble, k: int, t: float) -> np.ndarray
     return pos[:, :k, :].reshape(r, -1).copy()
 
 
-def _snapshot_steps(grid: TimeGrid, snapshot_times) -> list[int]:
+def _snapshot_steps(grid: TimeGrid, snapshot_times) -> set[int]:
+    """Grid steps to record: the requested times, the start and the end."""
     if snapshot_times is None:
-        return [grid.steps]
-    steps = sorted({grid.index_of(float(t)) for t in snapshot_times} | {grid.steps})
-    return steps
+        return {0, grid.steps}
+    return {grid.index_of(float(t)) for t in snapshot_times} | {0, grid.steps}
 
 
-def _block_noise_brownian(gen: np.random.Generator, shape: tuple[int, ...], dt: float) -> np.ndarray:
-    return math.sqrt(dt) * gen.standard_normal(shape)
+def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int], size: tuple[int, ...],
+                 sample_fbm, method: str = "circulant", initial: np.ndarray | None = None,
+                 with_driver: bool = False):
+    """Initial states and noise of one block of paths with leading shape size.
+
+    purposes names the block generator and the fBm stream in the particle
+    slot of stream. The block generator draws the initial states (unless
+    initial is given; they are copied) and then, under Brownian noise, one
+    increment per step, in step order. Fractional increments are pre-drawn
+    with sample_fbm from the fBm stream; each caller passes the
+    sample_fbm_batch its own module imports, so patching that name reaches
+    its draws. Returns (states, increment(s), driver, fell_back):
+    driver holds the coupled Brownian driver increments, shape size +
+    (steps, d), when with_driver is set on fractional noise, else None.
+    """
+    grid, d = config.grid, config.domain.dim
+    gen = stream.for_particle(purposes[0]).generator()
+    if initial is None:
+        states = sample_initial(config.initial_law, config.domain, size, gen)
+        if config.domain.is_torus:
+            states = wrap_torus_unchecked(states)
+    else:
+        states = initial.copy()
+    if config.noise.kind == "fbm" and config.noise.hurst != 0.5:
+        vals, w_paths, fell_back = sample_fbm(
+            grid, config.noise.hurst, d, math.prod(size), stream.for_particle(purposes[1]),
+            method=method, with_driver=with_driver,
+        )
+        shape = size + (grid.steps, d)
+        incr = np.diff(vals, axis=1).reshape(shape)
+        driver = np.diff(w_paths, axis=1).reshape(shape) if with_driver else None
+        return states, lambda s: incr[..., s, :], driver, fell_back
+    sqrt_dt, shape = math.sqrt(grid.dt), size + (d,)
+    return states, lambda s: sqrt_dt * gen.standard_normal(shape), None, False
+
+
+def integrate_block(states: np.ndarray, grid: TimeGrid, torus: bool, drift_at, increment, observe) -> np.ndarray:
+    """Euler-Maruyama steps X_{s+1} = X_s + dt drift_at(s, t_s, X_s) + increment(s)
+    for one block of paths; returns the terminal states.
+
+    Torus states are wrapped after every step, and a non-finite state raises
+    BlowupError with its (step, particle). observe(s, states, dw) sees the
+    states at every step s = 0..steps (dw is None at s = 0).
+    """
+    dt = grid.dt
+    times = grid.times()
+    observe(0, states, None)
+    for s in range(grid.steps):
+        total = drift_at(s, float(times[s]), states)
+        dw = increment(s)
+        states = states + dt * total + dw
+        if torus:
+            states = wrap_torus_unchecked(states)
+        if not np.all(np.isfinite(states)):
+            # states are (..., particle, d): report the first bad particle
+            raise BlowupError(s + 1, int(np.argwhere(~np.isfinite(states))[0][-2]))
+        observe(s + 1, states, dw)
+    return states
 
 
 def simulate_particle_system(
@@ -138,9 +192,7 @@ def simulate_particle_system(
     n, d = config.n_particles, config.domain.dim
     r_total = config.replicas
     torus = config.domain.is_torus
-    dt = grid.dt
-    times = grid.times()
-    snap_steps = set(_snapshot_steps(grid, snapshot_times)) | {0}
+    snap_steps = _snapshot_steps(grid, snapshot_times)
 
     ens = ParticleEnsemble(
         grid=grid,
@@ -165,58 +217,35 @@ def simulate_particle_system(
         ens.sup_x = np.empty((r_total, n))
         ens.sup_w = np.empty((r_total, n))
 
-    fractional = config.noise.kind == "fbm" and config.noise.hurst != 0.5
+    def drift_at(s, t, x):
+        total = drift.pair_mean_generic(t, x) if drift.pair_state is not None else np.zeros_like(x)
+        if drift.b0_state is not None:
+            total = total + drift.b0_state(t, x)
+        return total
 
     for block_idx, lo in enumerate(range(0, r_total, BLOCK_REPLICAS)):
         b = min(BLOCK_REPLICAS, r_total - lo)
-        stream = rng.for_replica(block_idx)
-        gen = stream.for_particle(_P_SIM).generator()
-        states = sample_initial(config.initial_law, config.domain, (b, n), gen)
-        if torus:
-            states = wrap_torus_unchecked(states)
+        rows = slice(lo, lo + b)
+        states, increment, _, _ = _block_start(
+            config, rng.for_replica(block_idx), (_P_SIM, _P_SIM_FBM), (b, n), sample_fbm_batch, noise_method
+        )
+        w_cum = np.zeros((b, n, d))  # running driver, for the sup of |W|
 
-        fbm_incr = None
-        if fractional:
-            # One fGn series per (replica, particle, coordinate), drawn from
-            # a dedicated stream so the step loop stays Brownian-free.
-            vals, _, _ = sample_fbm_batch(
-                grid, config.noise.hurst, d, b * n, stream.for_particle(_P_SIM_FBM), method=noise_method
-            )
-            fbm_incr = np.diff(vals, axis=1).reshape(b, n, grid.steps, d)
-
-        if track_sups:
-            sup_x = np.linalg.norm(states, axis=-1)
-            sup_w = np.zeros((b, n))
-            w_cum = np.zeros((b, n, d))
-
-        if 0 in snap_steps:
-            ens.snapshots[0][lo : lo + b] = states
-        if retain_paths:
-            ens.paths[lo : lo + b, :, 0, :] = states
-
-        for s in range(grid.steps):
-            t = float(times[s])
-            total = drift.pair_mean_generic(t, states) if drift.pair_state is not None else np.zeros_like(states)
-            if drift.b0_state is not None:
-                total = total + drift.b0_state(t, states)
-            dw = fbm_incr[:, :, s, :] if fractional else _block_noise_brownian(gen, (b, n, d), dt)
-            states = states + dt * total + dw
-            if torus:
-                states = wrap_torus_unchecked(states)
-            elif track_sups:
-                w_cum += dw
-                np.maximum(sup_x, np.linalg.norm(states, axis=-1), out=sup_x)
-                np.maximum(sup_w, np.linalg.norm(w_cum, axis=-1), out=sup_w)
-            if not np.all(np.isfinite(states)):
-                _first_nonfinite(states, s + 1)
-            if (s + 1) in snap_steps:
-                ens.snapshots[s + 1][lo : lo + b] = states
+        def observe(s, x, dw):
+            if s in snap_steps:
+                ens.snapshots[s][rows] = x
             if retain_paths:
-                ens.paths[lo : lo + b, :, s + 1, :] = states
+                ens.paths[rows, :, s, :] = x
+            if track_sups:
+                if dw is None:
+                    ens.sup_x[rows] = np.linalg.norm(x, axis=-1)
+                    ens.sup_w[rows] = 0.0
+                    return
+                np.add(w_cum, dw, out=w_cum)
+                np.maximum(ens.sup_x[rows], np.linalg.norm(x, axis=-1), out=ens.sup_x[rows])
+                np.maximum(ens.sup_w[rows], np.linalg.norm(w_cum, axis=-1), out=ens.sup_w[rows])
 
-        if track_sups:
-            ens.sup_x[lo : lo + b] = sup_x
-            ens.sup_w[lo : lo + b] = sup_w
+        integrate_block(states, grid, torus, drift_at, increment, observe)
     return ens
 
 
@@ -298,16 +327,11 @@ def solve_mckean_vlasov_picard(
     grid = config.grid
     d = config.domain.dim
     torus = config.domain.is_torus
-    dt = grid.dt
-    times = grid.times()
-    snap_steps = set(_snapshot_steps(grid, snapshot_times)) | {0}
+    snap_steps = _snapshot_steps(grid, snapshot_times)
     coupled = drift.pair_state is not None
     separable = drift.mf_summary is not None
     if coupled and not separable and m * (grid.steps + 1) * d > MAX_ENSEMBLE_ELEMENTS:
         raise MemoryError("generic mean-field drift retains the full ensemble; reduce m or steps")
-
-    fractional = config.noise.kind == "fbm" and config.noise.hurst != 0.5
-    hurst = config.noise.hurst if fractional else 0.5
 
     # Iterate 0: initial draws held constant in time. The same draws seed
     # every iterate, so only the interaction estimate changes between them.
@@ -327,6 +351,21 @@ def solve_mckean_vlasov_picard(
     elif coupled:
         prev_paths = np.broadcast_to(init_states[:, None, :], (m, grid.steps + 1, d)).copy()
 
+    # features of the current block states, shared by the end-of-step
+    # summary and the next step's mean-field drift
+    feats = None
+
+    def drift_at(s, t, x):
+        if not coupled:
+            total = np.zeros_like(x)
+        elif separable:
+            total = drift.mf_drift(t, feats, prev_summaries[s])
+        else:
+            total = drift.mean_field_drift(t, x, prev_paths[:, s, :], None)
+        if drift.b0_state is not None:
+            total = total + drift.b0_state(t, x)
+        return total
+
     prev_terminal: np.ndarray | None = None
     residuals: list[float] = []
     snapshots: dict[int, np.ndarray] = {}
@@ -336,7 +375,7 @@ def solve_mckean_vlasov_picard(
         cur_paths = np.empty((m, grid.steps + 1, d)) if keep_paths else None
         # mf_summary values are means of per-particle features, so the full
         # ensemble summary is the size-weighted average of block summaries.
-        summary_acc: np.ndarray | None = None
+        summary_acc = np.zeros((grid.steps + 1, prev_summaries.shape[1])) if coupled and separable else None
         terminal = np.empty((m, d))
         want_snaps = it == effective_iters
         if want_snaps:
@@ -344,54 +383,23 @@ def solve_mckean_vlasov_picard(
 
         for block_idx, lo in enumerate(range(0, m, PATH_BLOCK)):
             b = min(PATH_BLOCK, m - lo)
-            stream = rng.for_replica(block_idx)
-            gen = stream.for_particle(_P_PICARD_BASE + it).generator()
-            states = init_states[lo : lo + b].copy()
+            rows = slice(lo, lo + b)
+            states, increment, _, _ = _block_start(
+                config, rng.for_replica(block_idx), (_P_PICARD_BASE + it, _P_PICARD_FBM_BASE + it), (b,),
+                sample_fbm_batch, initial=init_states[rows],
+            )
 
-            fbm_incr = None
-            if fractional:
-                vals, _, _ = sample_fbm_batch(
-                    grid, hurst, d, b, stream.for_particle(_P_PICARD_FBM_BASE + it), method="circulant"
-                )
-                fbm_incr = np.diff(vals, axis=1)
-
-            if want_snaps:
-                snapshots[0][lo : lo + b] = states
-            if keep_paths:
-                cur_paths[lo : lo + b, 0, :] = states
-            if coupled and separable:
-                if summary_acc is None:
-                    summary_acc = np.zeros((grid.steps + 1, prev_summaries.shape[1]))
-                # features of the current states, shared by the summary and
-                # the next step's mean-field drift
-                feats = drift.feature_map(states)
-                summary_acc[0] += b * drift.mf_summary(feats)
-
-            for s in range(grid.steps):
-                t = float(times[s])
-                if coupled:
-                    if separable:
-                        total = drift.mf_drift(t, feats, prev_summaries[s])
-                    else:
-                        total = drift.mean_field_drift(t, states, prev_paths[:, s, :], None)
-                else:
-                    total = np.zeros_like(states)
-                if drift.b0_state is not None:
-                    total = total + drift.b0_state(t, states)
-                dw = fbm_incr[:, s, :] if fractional else _block_noise_brownian(gen, (b, d), dt)
-                states = states + dt * total + dw
-                if torus:
-                    states = wrap_torus_unchecked(states)
-                if not np.all(np.isfinite(states)):
-                    _first_nonfinite(states, s + 1)
-                if want_snaps and (s + 1) in snap_steps:
-                    snapshots[s + 1][lo : lo + b] = states
+            def observe(s, x, dw):
+                nonlocal feats
+                if want_snaps and s in snap_steps:
+                    snapshots[s][rows] = x
                 if keep_paths:
-                    cur_paths[lo : lo + b, s + 1, :] = states
+                    cur_paths[rows, s, :] = x
                 if coupled and separable:
-                    feats = drift.feature_map(states)
-                    summary_acc[s + 1] += b * drift.mf_summary(feats)
-            terminal[lo : lo + b] = states
+                    feats = drift.feature_map(x)
+                    summary_acc[s] += b * drift.mf_summary(feats)
+
+            terminal[rows] = integrate_block(states, grid, torus, drift_at, increment, observe)
 
         if prev_terminal is not None:
             residuals.append(_w1_marginal(prev_terminal, terminal))
@@ -429,37 +437,19 @@ def sample_reference_marginals(
     estimates: the same law the change-of-measure reference uses.
     """
     grid = mean_field.grid
-    d = init_dim = config.domain.dim
-    torus = config.domain.is_torus
-    dt = grid.dt
-    times = grid.times()
-    snap_steps = set(_snapshot_steps(grid, snapshot_times)) | {0}
-    out = {s: np.empty((count, init_dim)) for s in snap_steps}
-    fractional = config.noise.kind == "fbm" and config.noise.hurst != 0.5
+    snap_steps = _snapshot_steps(grid, snapshot_times)
+    out = {s: np.empty((count, config.domain.dim)) for s in snap_steps}
 
     for block_idx, lo in enumerate(range(0, count, PATH_BLOCK)):
         b = min(PATH_BLOCK, count - lo)
-        stream = rng.for_replica(block_idx)
-        gen = stream.for_particle(_P_REF).generator()
-        states = sample_initial(config.initial_law, config.domain, (b,), gen)
-        if torus:
-            states = wrap_torus_unchecked(states)
-        fbm_incr = None
-        if fractional:
-            vals, _, _ = sample_fbm_batch(
-                grid, config.noise.hurst, d, b, stream.for_particle(_P_REF_FBM), method="circulant"
-            )
-            fbm_incr = np.diff(vals, axis=1)
-        out[0][lo : lo + b] = states
-        for s in range(grid.steps):
-            t = float(times[s])
-            total = mean_field.reference_drift_at(s, t, states)
-            dw = fbm_incr[:, s, :] if fractional else _block_noise_brownian(gen, (b, d), dt)
-            states = states + dt * total + dw
-            if torus:
-                states = wrap_torus_unchecked(states)
-            if not np.all(np.isfinite(states)):
-                _first_nonfinite(states, s + 1)
-            if (s + 1) in snap_steps:
-                out[s + 1][lo : lo + b] = states
+        rows = slice(lo, lo + b)
+        states, increment, _, _ = _block_start(
+            config, rng.for_replica(block_idx), (_P_REF, _P_REF_FBM), (b,), sample_fbm_batch
+        )
+
+        def observe(s, x, dw):
+            if s in snap_steps:
+                out[s][rows] = x
+
+        integrate_block(states, grid, config.domain.is_torus, mean_field.reference_drift_at, increment, observe)
     return out

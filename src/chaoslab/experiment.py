@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import constant_C, estimate_beta, hierarchy_ode_solve, short_time_horizon, theorem_bound
-from .core import ConfigError, RngStream, SimConfig, config_from_dict, _as_integral, _pop_key
+from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json
+from .core import _as_integral, _as_real, _pop_key, _pop_object
 from .dynamics import (
     BlowupError,
     extract_marginal,
@@ -78,9 +79,11 @@ class ExperimentPlan:
                 raise ConfigError("swept k must be >= 1")
             if kmax is not None and k > kmax:
                 raise ConfigError(f"swept k = {k} exceeds the smallest swept n = {kmax}")
-        grid_times = self.base.grid.times()
+        grid = self.base.grid
         for t in self.sweep_t:
-            if float(np.min(np.abs(grid_times - t))) > 1e-9:
+            # nearest grid point by arithmetic: the grid may be too long to list
+            idx = np.clip(np.rint((t - grid.t0) / grid.dt), 0, grid.steps)
+            if abs(grid.t0 + grid.dt * idx - t) > 1e-9:
                 raise ConfigError(f"sweep time {t} is not a grid point")
         if self.picard_m < 100:
             raise ConfigError("picard_m must be >= 100")
@@ -93,37 +96,36 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     if not isinstance(data, dict):
         raise ConfigError("plan must be a JSON object")
     work = dict(data)
-    base = config_from_dict(_pop_key(work, "base", dict))
-    # nested sections are copied before popping so caller dicts stay intact
-    sweep = dict(_pop_key(work, "sweep", dict))
-    sweep_n = tuple(_as_integral(v, "sweep: key 'n'") for v in _pop_key(sweep, "n", list))
-    sweep_k = tuple(_as_integral(v, "sweep: key 'k'") for v in _pop_key(sweep, "k", list, default=[1]))
-    sweep_t = tuple(float(v) for v in _pop_key(sweep, "t", list, default=[base.grid.terminal]))
+    base = config_from_dict(_pop_key(work, "base", dict, where="plan"))
+    sweep = _pop_object(work, "sweep", "plan")
+    sweep_n = tuple(_as_integral(v, "sweep: key 'n'") for v in _pop_key(sweep, "n", list, where="sweep"))
+    sweep_k = tuple(_as_integral(v, "sweep: key 'k'") for v in _pop_key(sweep, "k", list, [1], "sweep"))
+    sweep_t = tuple(_as_real(v, "sweep: key 't'") for v in _pop_key(sweep, "t", list, [base.grid.terminal], "sweep"))
     if sweep:
         raise ConfigError(f"unknown sweep keys: {sorted(sweep)}")
-    estimators = tuple(str(v) for v in _pop_key(work, "estimators", list, default=["girsanov"]))
-    picard = dict(_pop_key(work, "picard", dict, default={}))
-    picard_m = _as_integral(_pop_key(picard, "m", (int, float), default=10_000), "picard: key 'm'")
-    picard_iters = _as_integral(_pop_key(picard, "iters", (int, float), default=3), "picard: key 'iters'")
+    estimators = tuple(str(v) for v in _pop_key(work, "estimators", list, ["girsanov"], "plan"))
+    picard = _pop_object(work, "picard", "plan", default={})
+    picard_m = _as_integral(_pop_key(picard, "m", None, 10_000), "picard: key 'm'")
+    picard_iters = _as_integral(_pop_key(picard, "iters", None, 3), "picard: key 'iters'")
     if picard:
         raise ConfigError(f"unknown picard keys: {sorted(picard)}")
-    knn = dict(_pop_key(work, "knn", dict, default={}))
-    knn_neighbors = _as_integral(_pop_key(knn, "neighbors", (int, float), default=4), "knn: key 'neighbors'")
-    knn_samples = _as_integral(_pop_key(knn, "samples", (int, float), default=10_000), "knn: key 'samples'")
+    knn = _pop_object(work, "knn", "plan", default={})
+    knn_neighbors = _as_integral(_pop_key(knn, "neighbors", None, 4), "knn: key 'neighbors'")
+    knn_samples = _as_integral(_pop_key(knn, "samples", None, 10_000), "knn: key 'samples'")
     if knn:
         raise ConfigError(f"unknown knn keys: {sorted(knn)}")
-    tv = dict(_pop_key(work, "tv", dict, default={}))
-    tv_bins = _as_integral(_pop_key(tv, "bins", (int, float), default=32), "tv: key 'bins'")
+    tv = _pop_object(work, "tv", "plan", default={})
+    tv_bins = _as_integral(_pop_key(tv, "bins", None, 32), "tv: key 'bins'")
     if tv:
         raise ConfigError(f"unknown tv keys: {sorted(tv)}")
-    bounds = dict(_pop_key(work, "bounds", dict, default={}))
-    bound_c0 = float(_pop_key(bounds, "C0", (int, float), default=0.05))
-    bound_gamma = float(_pop_key(bounds, "gamma", (int, float), default=1.0))
-    bound_m = float(_pop_key(bounds, "M", (int, float), default=1.0))
-    kappa = float(_pop_key(bounds, "kappa", (int, float), default=1.0))
+    bounds = _pop_object(work, "bounds", "plan", default={})
+    bound_c0 = _as_real(_pop_key(bounds, "C0", None, 0.05), "bounds: key 'C0'")
+    bound_gamma = _as_real(_pop_key(bounds, "gamma", None, 1.0), "bounds: key 'gamma'")
+    bound_m = _as_real(_pop_key(bounds, "M", None, 1.0), "bounds: key 'M'")
+    kappa = _as_real(_pop_key(bounds, "kappa", None, 1.0), "bounds: key 'kappa'")
     if bounds:
         raise ConfigError(f"unknown bounds keys: {sorted(bounds)}")
-    label = str(_pop_key(work, "label", str, default="run"))
+    label = _pop_key(work, "label", str, "run", "plan")
     if work:
         raise ConfigError(f"unknown plan keys: {sorted(work)}")
     return ExperimentPlan(
@@ -146,12 +148,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
 
 
 def load_plan(path: str) -> ExperimentPlan:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return plan_from_dict(data)
+    return plan_from_dict(load_json(path))
 
 
 @dataclass
@@ -341,19 +338,29 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
                 out["check_failed"] = True
 
     # closed-form and cascade envelopes on the same (k, t) lattice
-    t_max = max(plan.sweep_t)
-    gamma = plan.bound_gamma
-    h0 = np.array([plan.bound_c0 * k * k / (n * n) for k in range(1, n + 1)])
-    casc_dt = grid.dt if gamma <= 0 else min(grid.dt, 1.0 / (2.0 * gamma * n))
-    cascade = hierarchy_ode_solve(n, plan.bound_m, gamma, h0, t_max, casc_dt)
-    for t in plan.sweep_t:
-        c_t = constant_C(plan.bound_c0, gamma, plan.bound_m, t)
+    out["bounds"] = bound_rows(n, ks, plan.sweep_t, plan.bound_c0, plan.bound_gamma, plan.bound_m, grid.dt)
+    return out
+
+
+def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: float) -> list[dict]:
+    """Closed-form and cascade envelope rows for one n on the (k, t) lattice.
+
+    The cascade starts from H^k_0 = c0 k^2 / n^2 and runs to max(times) with
+    step dt, clamped to the 1/(2 gamma n) stability limit; each row reads it
+    at the cascade time nearest t. Needs 1 <= k <= n for every k.
+    """
+    h0 = np.array([c0 * k * k / (n * n) for k in range(1, n + 1)])
+    casc_dt = dt if gamma <= 0 else min(dt, 1.0 / (2.0 * gamma * n))
+    cascade = hierarchy_ode_solve(n, m_const, gamma, h0, max(times), casc_dt)
+    rows = []
+    for t in times:
+        c_t = constant_C(c0, gamma, m_const, t)
         ci = int(np.argmin(np.abs(cascade.times - t)))
         for k in ks:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 closed = theorem_bound(c_t, gamma, t, n, k)
-            out["bounds"].append(
+            rows.append(
                 {
                     "n": n,
                     "k": k,
@@ -362,10 +369,10 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
                     "cascade": cascade.at(k, ci),
                     "C": c_t,
                     "gamma": gamma,
-                    "M": plan.bound_m,
+                    "M": m_const,
                 }
             )
-    return out
+    return rows
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:

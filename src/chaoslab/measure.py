@@ -26,14 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import RngStream, SimConfig, TimeGrid, sample_initial, wrap_torus_unchecked
+from .core import RngStream, SimConfig, TimeGrid
 from .dynamics import (
     BLOCK_REPLICAS,
     BlowupError,
     MeanFieldLaw,
     _P_WEIGHT,
     _P_WEIGHT_FBM,
-    _first_nonfinite,
+    _block_start,
+    integrate_block,
 )
 from .kernels import build_drift
 from .noise import sample_fbm_batch, volterra_inverse_apply
@@ -144,90 +145,65 @@ def girsanov_weight(
         raise ValueError("interacting weight needs n >= 2")
     grid = config.grid
     d = config.domain.dim
-    torus = config.domain.is_torus
     dt = grid.dt
-    times = grid.times()
     steps = grid.steps
     fractional = config.noise.kind == "fbm" and config.noise.hurst != 0.5
     hurst = config.noise.hurst if fractional else 0.5
 
-    log_z = np.empty((r_total, steps + 1))
-    energy = np.empty((r_total, n))
+    log_z = np.zeros((r_total, steps + 1))
+    energy = np.zeros((r_total, n))
     k_energy = np.empty((r_total, n)) if fractional else None
-    quality = None
-    if fractional:
-        quality = "fractional weight: inverse Volterra transform carries O(dt) quadrature error"
+    quality = "fractional weight: inverse Volterra transform carries O(dt) quadrature error" if fractional else None
+
+    delta = None  # interaction minus mean field at the current step
 
     for block_idx, lo in enumerate(range(0, r_total, BLOCK_REPLICAS)):
         b = min(BLOCK_REPLICAS, r_total - lo)
-        stream = rng.for_replica(block_idx)
-        gen = stream.for_particle(_P_WEIGHT).generator()
-        states = sample_initial(config.initial_law, config.domain, (b, n), gen)
-        if torus:
-            states = wrap_torus_unchecked(states)
+        rows = slice(lo, lo + b)
+        states, increment, driver, fell_back = _block_start(
+            config, rng.for_replica(block_idx), (_P_WEIGHT, _P_WEIGHT_FBM), (b, n), sample_fbm_batch,
+            noise_method, with_driver=fractional,
+        )
+        if fell_back:
+            quality = "fractional weight: circulant embedding not PSD, dense factor used"
+        delta_store = np.empty((b, n, d, steps)) if fractional else None
 
-        if fractional:
-            vals, w_paths, fell_back = sample_fbm_batch(
-                grid, hurst, d, b * n, stream.for_particle(_P_WEIGHT_FBM), method=noise_method, with_driver=True
+        def drift_at(s, t, x):
+            nonlocal delta
+            feats = drift.feature_map(x)
+            mf = mean_field.mean_drift_at(s, t, x, feats)
+            delta = drift.pair_mean_generic(t, x, feats) - mf
+            if fractional:
+                delta_store[..., s] = delta
+            return mean_field.reference_drift_at(s, t, x, mf)
+
+        def observe(s, x, dw):
+            if s == 0 or fractional:
+                return
+            # left-point Ito sums: delta is from step s - 1, dw drives it
+            dd = delta * delta
+            log_z[rows, s] = log_z[rows, s - 1] + (
+                np.sum(delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
             )
-            if fell_back:
-                quality = "fractional weight: circulant embedding not PSD, dense factor used"
-            db_incr = np.diff(vals, axis=1).reshape(b, n, steps, d)
-            dw_incr = np.diff(w_paths, axis=1).reshape(b, n, steps, d)
-            delta_store = np.empty((b, n, d, steps))
-        else:
-            lz = np.zeros(b)
-            en = np.zeros((b, n))
-            lz_path = np.empty((b, steps + 1))
-            lz_path[:, 0] = 0.0
+            energy[rows] += dt * np.sum(dd, axis=2)
+
+        integrate_block(states, grid, config.domain.is_torus, drift_at, increment, observe)
 
         if fractional:
-            for s in range(steps):
-                t = float(times[s])
-                feats = drift.feature_map(states)
-                mf = mean_field.mean_drift_at(s, t, states, feats)
-                delta_store[..., s] = drift.pair_mean_generic(t, states, feats) - mf
-                ref = mean_field.reference_drift_at(s, t, states, mf)
-                states = states + dt * ref + db_incr[:, :, s, :]
-                if torus:
-                    states = wrap_torus_unchecked(states)
-                if not np.all(np.isfinite(states)):
-                    _first_nonfinite(states, s + 1)
             # running integral of delta_b, then the inverse Volterra map
             h = np.concatenate(
                 [np.zeros((b, n, d, 1)), np.cumsum(delta_store * dt, axis=-1)], axis=-1
             )
             dk = volterra_inverse_apply(h, hurst, grid)  # (b, n, d, steps)
-            dwt = dw_incr.transpose(0, 1, 3, 2)  # (b, n, d, steps)
+            dwt = driver.transpose(0, 1, 3, 2)  # (b, n, d, steps)
             incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
-            lz_path = np.concatenate(
-                [np.zeros((b, 1)), np.cumsum(incr, axis=-1)], axis=-1
-            )
-            en = dt * np.sum(delta_store * delta_store, axis=(2, 3))
-            k_energy[lo : lo + b] = dt * np.sum(dk * dk, axis=(2, 3))
-        else:
-            for s in range(steps):
-                t = float(times[s])
-                feats = drift.feature_map(states)
-                mf = mean_field.mean_drift_at(s, t, states, feats)
-                delta = drift.pair_mean_generic(t, states, feats) - mf
-                dw = math.sqrt(dt) * gen.standard_normal((b, n, d))
-                dd = delta * delta
-                lz += np.sum(delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
-                en += dt * np.sum(dd, axis=2)
-                ref = mean_field.reference_drift_at(s, t, states, mf)
-                states = states + dt * ref + dw
-                if torus:
-                    states = wrap_torus_unchecked(states)
-                if not np.all(np.isfinite(states)):
-                    _first_nonfinite(states, s + 1)
-                lz_path[:, s + 1] = lz
+            log_z[rows, 1:] = np.cumsum(incr, axis=-1)
+            energy[rows] = dt * np.sum(delta_store * delta_store, axis=(2, 3))
+            k_energy[rows] = dt * np.sum(dk * dk, axis=(2, 3))
 
-        if not np.all(np.isfinite(lz_path)):
-            row, step = np.argwhere(~np.isfinite(lz_path))[0]
+        if not np.all(np.isfinite(log_z[rows])):
+            row, step = np.argwhere(~np.isfinite(log_z[rows]))[0]
             raise BlowupError(int(step), replica=lo + int(row))
-        log_z[lo : lo + b] = lz_path
-        energy[lo : lo + b] = en
 
     return GirsanovWeight(
         grid=grid,

@@ -83,6 +83,13 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("domain", 5), ("grid", "fast")])
+    def test_malformed_section_names_the_key(self, tmp_path, capsys, key, value):
+        cfg = write_json(tmp_path, "c.json", sim_config(**{key: value}))
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"key {key!r} expects dict" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blowup(self, tmp_path, capsys):
         cfg = write_json(
@@ -232,6 +239,13 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("key,value", [("n", [10.5]), ("k", [2.5]), ("k", [True])])
     def test_non_integral_n_and_k_rejected(self, tmp_path, capsys, key, value):
+        base = {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [10]}
+        cfg = write_json(tmp_path, "b.json", {**base, key: value})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("C0", float("inf")), ("T", "0.5"), ("dt", True)])
+    def test_non_numeric_constants_rejected(self, tmp_path, capsys, key, value):
         base = {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [10]}
         cfg = write_json(tmp_path, "b.json", {**base, key: value})
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -219,8 +219,51 @@ class TestConfigParsing:
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path))
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match="config not found"):
+            load_config(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize(
+        "law,message",
+        [
+            ({"name": "gaussian", "params": {"sigma": "0.5"}}, "key 'sigma'"),
+            ({"name": "gaussian", "params": {"sigma": "x"}}, "key 'sigma'"),
+            ({"name": "gaussian", "params": {"sigma": True}}, "key 'sigma'"),
+            ({"name": "gaussian", "params": {"mean": [0.0]}}, "one entry per dimension"),
+            ({"name": "gaussian", "params": {"mean": 0.0}}, "key 'mean' expects a list"),
+            ({"name": "gaussian", "params": {"mean": [0.0, "1"]}}, "key 'mean'"),
+            ({"name": "gaussian", "params": {"mean": [0.0, float("nan")]}}, "finite"),
+            ({"name": "uniform_ball", "params": {"radius": "2"}}, "key 'radius'"),
+            ({"name": "gaussian", "params": None}, "key 'params' expects dict"),
+        ],
+    )
+    def test_initial_law_values_checked_at_parse_time(self, law, message):
+        raw = make_config_dict(
+            domain={"kind": "euclidean", "dim": 2}, kernel=None, drift={"name": "linear_pair", "params": {}},
+            initial_law=law,
+        )
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"domain": 5}, "key 'domain' expects dict"),
+            ({"grid": "fast"}, "key 'grid' expects dict"),
+            ({"grid": {"dt": 0.01, "steps": 10**400}}, "must be finite"),
+            ({"grid": {"dt": 10**400, "steps": 10}}, "key 'dt'"),
+            ({"noise": {"kind": "brownian", "hurst": "0.5"}}, "key 'hurst'"),
+            ({"eps": float("inf")}, "key 'eps'"),
+            ({"kernel": {"name": "smooth_divfree", "params": {}, "extra": 1}}, "kernel: unknown keys"),
+        ],
+    )
+    def test_malformed_values_name_the_key(self, over, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(make_config_dict(**over))
 
 
 class TestSampleInitial:

@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab.core import RngStream, config_from_dict
+from chaoslab.core import RngStream, TimeGrid, config_from_dict
 from chaoslab.dynamics import (
     BlowupError,
     MeanFieldLaw,
     extract_marginal,
+    integrate_block,
     sample_reference_marginals,
     simulate_particle_system,
     solve_mckean_vlasov_picard,
@@ -39,6 +40,51 @@ def make_cfg(**over):
 def zscore(samples, exact):
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     return (samples.mean() - exact) / se
+
+
+class TestIntegrateBlock:
+    def run(self, increments, torus=False, grid=None):
+        grid = grid or TimeGrid(t0=0.5, dt=0.25, steps=increments.shape[0])
+        seen, times = [], []
+
+        def zero_drift(s, t, x):
+            times.append((s, t))
+            return np.zeros_like(x)
+
+        def observe(s, x, dw):
+            seen.append((s, x.copy(), dw))
+
+        out = integrate_block(
+            np.zeros(increments.shape[1:]), grid, torus, zero_drift, lambda s: increments[s], observe
+        )
+        return out, seen, times
+
+    def test_zero_drift_returns_cumulative_increments(self):
+        incr = np.random.default_rng(0).standard_normal((6, 3, 2, 1))
+        out, seen, times = self.run(incr)
+        assert np.array_equal(out, np.cumsum(incr, axis=0)[-1])
+        assert [s for s, _, _ in seen] == list(range(7))
+        assert seen[0][2] is None and np.array_equal(seen[0][1], np.zeros((3, 2, 1)))
+        for s, x, dw in seen[1:]:
+            assert np.array_equal(x, np.cumsum(incr, axis=0)[s - 1])
+            assert np.array_equal(dw, incr[s - 1])
+        assert times == [(s, 0.5 + 0.25 * s) for s in range(6)]
+
+    def test_torus_states_wrapped(self):
+        incr = np.full((5, 4, 2), 0.3)
+        out, seen, _ = self.run(incr, torus=True)
+        for s, x, _ in seen:
+            expected = 0.3 * s - math.floor(0.3 * s + 0.5)
+            assert np.allclose(x, expected, atol=1e-12) and np.all((-0.5 <= x) & (x < 0.5))
+        assert np.allclose(out, 0.3 * 5 - 2.0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_planted_nan_reports_step_and_particle(self):
+        incr = np.zeros((6, 2, 5, 1))
+        incr[3, 1, 2, 0] = np.nan  # drives step 4, replica 1, particle 2
+        with pytest.raises(BlowupError, match="step 4, particle 2") as exc:
+            self.run(incr)
+        assert (exc.value.step, exc.value.particle) == (4, 2)
 
 
 class TestSimulate:

@@ -4,13 +4,15 @@ import copy
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chaoslab.core import ConfigError
 from chaoslab.experiment import (
+    ExperimentPlan,
     RunResult,
     _fmt,
     fit_rate,
@@ -133,6 +135,11 @@ class TestPlanParsing:
             (lambda d: d["sweep"].__setitem__("t", []), "sweep_t must not be empty"),
             (lambda d: d["picard"].__setitem__("m", 50), "picard_m"),
             (lambda d: d["picard"].__setitem__("iters", 0), "picard_iters"),
+            (lambda d: d["sweep"].__setitem__("t", ["0.1"]), "sweep: key 't'"),
+            (lambda d: d["sweep"].__setitem__("t", [True]), "sweep: key 't'"),
+            (lambda d: d["bounds"].__setitem__("C0", 10**400), "bounds: key 'C0'"),
+            (lambda d: d["base"]["initial_law"]["params"].__setitem__("sigma", "0.5"), "key 'sigma'"),
+            (lambda d: d["base"]["initial_law"]["params"].__setitem__("mean", [0.2, 0.0]), "one entry per dimension"),
         ],
     )
     def test_fail_closed(self, mutate, message):
@@ -178,6 +185,57 @@ class TestPlanParsing:
         bad.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_plan(str(bad))
+        with pytest.raises(ConfigError, match="config not found"):
+            load_plan(str(tmp_path / "missing.json"))
+
+
+SHIPPED_PLANS = [
+    json.loads(path.read_text())
+    for path in sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _containers(node):
+    """Every dict and list inside node, with its path."""
+    found = [node]
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            found += _containers(child)
+    return found
+
+
+class TestPlanParsingProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_plans_parse_or_fail_closed(self, data):
+        # a value replaced by any JSON value, a key dropped or a key added,
+        # anywhere in a shipped plan: parsing returns a plan or a ConfigError
+        plan = copy.deepcopy(data.draw(st.sampled_from(SHIPPED_PLANS)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            node = data.draw(st.sampled_from(_containers(plan)))
+            op = data.draw(st.sampled_from(["replace", "drop", "add"]))
+            if op == "add" or not node:
+                if isinstance(node, dict):
+                    node[data.draw(st.text(max_size=6))] = data.draw(json_values)
+                else:
+                    node.append(data.draw(json_values))
+                continue
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            if op == "drop":
+                del node[key]
+            else:
+                node[key] = data.draw(json_values)
+        try:
+            parsed = plan_from_dict(plan)
+        except ConfigError:
+            return
+        assert isinstance(parsed, ExperimentPlan)
 
 
 @pytest.mark.filterwarnings("ignore:only \\d+ replicas")
