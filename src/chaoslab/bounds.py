@@ -31,10 +31,7 @@ __all__ = [
 class BoundEnvelope:
     """Per-(k, t) upper bounds on the k-marginal relative entropy."""
 
-    kind: str  # "closed_form" | "ode_cascade"
     n: int
-    gamma: float
-    M: float
     times: np.ndarray  # (n_t,)
     values: np.ndarray  # (n, n_t); row i is k = i + 1
     params: dict = field(default_factory=dict)
@@ -81,25 +78,6 @@ def constant_C(C0: float, gamma: float, M: float, T: float) -> float:
     if min(C0, gamma, M, T) < 0:
         raise ValueError("constant_C takes nonnegative inputs")
     return 8.0 * (C0 + (1.0 + gamma) * M * T) * math.exp(6.0 * gamma * T)
-
-
-def closed_form_envelope(C0: float, gamma: float, M: float, T: float, n: int) -> BoundEnvelope:
-    """theorem_bound evaluated for every k at time T, as an envelope."""
-    C = constant_C(C0, gamma, M, T)
-    vals = np.empty((n, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k in range(1, n + 1):
-            vals[k - 1, 0] = theorem_bound(C, gamma, T, n, k)
-    return BoundEnvelope(
-        kind="closed_form",
-        n=n,
-        gamma=gamma,
-        M=M,
-        times=np.array([T]),
-        values=vals,
-        params={"C0": C0, "C": C, "T": T},
-    )
 
 
 def hierarchy_ode_solve(
@@ -149,15 +127,7 @@ def hierarchy_ode_solve(
         cur = upd
         values[:, s + 1] = cur
     times = np.linspace(0.0, T, steps + 1)
-    return BoundEnvelope(
-        kind="ode_cascade",
-        n=n,
-        gamma=gamma,
-        M=M,
-        times=times,
-        values=values,
-        params={"dt": h, "requested_dt": dt},
-    )
+    return BoundEnvelope(n=n, times=times, values=values, params={"dt": h, "requested_dt": dt})
 
 
 def short_time_horizon(
@@ -209,13 +179,6 @@ class BetaFit:
     beta: float
     per_p: dict[int, float]
     residual: float
-    n: int
-    delta: float
-    hurst: float | None = None
-
-    def moment_bound(self, p: int) -> float:
-        e = _delta_exponent(self.hurst)
-        return math.factorial(p) * self.beta**p * self.delta ** (e * p) / self.n**p
 
 
 def estimate_beta(
@@ -254,4 +217,4 @@ def estimate_beta(
     residual = 0.0 if beta == 0 else (beta - lo) / beta
     if beta <= 0:
         beta = np.finfo(float).tiny
-    return BetaFit(beta=beta, per_p=per_p, residual=residual, n=n, delta=delta, hurst=hurst)
+    return BetaFit(beta=beta, per_p=per_p, residual=residual)

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: simulate, entropy, bounds, noise-check, kernel-probe,
-rate-fit, run. Every subcommand takes --config <path> plus the shared
---seed/--out/--threads flags; outputs are plain CSV files and a JSON
-manifest in the --out directory.
+Subcommands: simulate, bounds, noise-check, kernel-probe, rate-fit, run.
+Every subcommand takes --config <path> plus the shared --seed/--out/--threads
+flags; outputs are plain CSV files and a JSON manifest in the --out
+directory. run takes a plan or a bare simulation config and runs every
+estimator unless the plan names its own ("estimators": ["girsanov", "knn"]
+is the entropy-only pipeline).
 
 Exit codes: 0 success, 2 config error, 3 simulation blow-up,
 4 estimator unreliable (effective-sample-size guard), 5 consistency-check
@@ -26,6 +28,7 @@ from .bounds import short_time_horizon
 from .core import ConfigError, RngStream, config_from_dict, load_json, _as_integral, _as_real, _pop_key
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
+    _ESTIMATORS,
     ExperimentPlan,
     _write_csv,
     bound_rows,
@@ -96,23 +99,22 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _plan_from_config(data: dict, estimators: tuple[str, ...]) -> ExperimentPlan:
+def _plan_from_config(data: dict) -> ExperimentPlan:
     """Accept either a full plan (has "sweep") or a bare simulation config,
     which becomes a single-point plan at the terminal time.
 
-    The subcommand's estimator set applies unless the plan names its own.
+    Every estimator runs unless the plan names its own.
     """
     if "sweep" in data:
-        explicit = "estimators" in data
         plan = plan_from_dict(data)
-        return plan if explicit else replace(plan, estimators=estimators)
+        return plan if "estimators" in data else replace(plan, estimators=_ESTIMATORS)
     cfg = config_from_dict(data)
     return ExperimentPlan(
         base=cfg,
         sweep_n=(cfg.n_particles,),
         sweep_k=(1,),
         sweep_t=(cfg.grid.terminal,),
-        estimators=estimators,
+        estimators=_ESTIMATORS,
     )
 
 
@@ -141,16 +143,8 @@ def _finish_run(result, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _cmd_entropy(args) -> int:
-    plan = _plan_from_config(load_json(args.config), estimators=("girsanov", "knn"))
-    if args.seed is not None:
-        plan = replace(plan, base=replace(plan.base, seed=args.seed))
-    result = run_experiment(plan, threads=args.threads)
-    return _finish_run(result, args.out)
-
-
 def _cmd_run(args) -> int:
-    plan = _plan_from_config(load_json(args.config), estimators=("girsanov", "knn", "histogram_tv"))
+    plan = _plan_from_config(load_json(args.config))
     if args.seed is not None:
         plan = replace(plan, base=replace(plan.base, seed=args.seed))
     result = run_experiment(plan, threads=args.threads)
@@ -180,23 +174,25 @@ def _cmd_bounds(args) -> int:
                 raise ConfigError(f"k = {k} exceeds n = {n}")
         rows += bound_rows(n, ks, [t_final], c0, gamma, m_const, dt)
     horizon_rows = []
-    for item in horizons:
+    for i, item in enumerate(horizons):
+        where = f"bounds config: horizons[{i}]"
+        if not isinstance(item, dict):
+            raise ConfigError(f"{where} expects an object, got {item!r}")
         spec = dict(item)
-        kappa = float(_pop_key(spec, "kappa", (int, float)))
-        beta = float(_pop_key(spec, "beta", (int, float)))
-        regime = str(_pop_key(spec, "regime", str, default="brownian"))
-        hurst = _pop_key(spec, "hurst", (int, float), default=None)
-        c_h = _pop_key(spec, "C", (int, float), default=16.0)
+        kappa = _as_real(_pop_key(spec, "kappa", None, where=where), f"{where}: key 'kappa'")
+        beta = _as_real(_pop_key(spec, "beta", None, where=where), f"{where}: key 'beta'")
+        regime = _pop_key(spec, "regime", str, "brownian", where)
+        hurst = _pop_key(spec, "hurst", None, None, where)
+        hurst = None if hurst is None else _as_real(hurst, f"{where}: key 'hurst'")
+        c_h = _as_real(_pop_key(spec, "C", None, 16.0, where), f"{where}: key 'C'")
         if spec:
             raise ConfigError(f"unknown horizon keys: {sorted(spec)}")
-        hz = short_time_horizon(
-            kappa, beta, regime=regime, hurst=None if hurst is None else float(hurst), C=float(c_h)
-        )
+        hz = short_time_horizon(kappa, beta, regime=regime, hurst=hurst, C=c_h)
         horizon_rows.append(
             {
                 "kappa": kappa,
                 "beta": beta,
-                "hurst": "" if hurst is None else float(hurst),
+                "hurst": "" if hurst is None else hurst,
                 "regime": regime,
                 "delta_star": hz.delta_star,
             }
@@ -410,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
         "simulate": ("integrate the particle system, write position snapshots", _cmd_simulate),
-        "entropy": ("estimate relative entropy along the sweep", _cmd_entropy),
         "bounds": ("evaluate closed-form and cascade bounds", _cmd_bounds),
         "noise-check": ("verify fractional noise covariance empirically", _cmd_noise_check),
         "kernel-probe": ("sample kernel values, divergence, and L^p growth", _cmd_kernel_probe),

@@ -97,9 +97,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.root_seed, spawn_key=self._spawn_key())
         return np.random.Generator(np.random.Philox(ss))
 
-    def substream(self, counter: int) -> "RngStream":
-        return RngStream(self.root_seed, self.replica, self.particle, counter)
-
     def for_replica(self, replica: int) -> "RngStream":
         return RngStream(self.root_seed, replica, self.particle, self.counter)
 

@@ -70,13 +70,8 @@ class BlowupError(RuntimeError):
 @dataclass
 class ParticleEnsemble:
     grid: TimeGrid
-    domain_kind: str
     n: int
     replicas: int
-    drift_name: str
-    eps: float
-    truncation_radius: int
-    noise_kind: str
     hurst: float
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # step -> (R, n, d)
     paths: np.ndarray | None = None  # (R, n, steps+1, d) when retained
@@ -113,8 +108,7 @@ def _snapshot_steps(grid: TimeGrid, snapshot_times) -> set[int]:
 
 
 def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int], size: tuple[int, ...],
-                 sample_fbm, method: str = "circulant", initial: np.ndarray | None = None,
-                 with_driver: bool = False):
+                 sample_fbm, initial: np.ndarray | None = None, with_driver: bool = False):
     """Initial states and noise of one block of paths with leading shape size.
 
     purposes names the block generator and the fBm stream in the particle
@@ -126,6 +120,8 @@ def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int]
     its draws. Returns (states, increment(s), driver, fell_back):
     driver holds the coupled Brownian driver increments, shape size +
     (steps, d), when with_driver is set on fractional noise, else None.
+    The fBm is sampled by circulant embedding, or by the causal Cholesky
+    route when the driver is wanted.
     """
     grid, d = config.grid, config.domain.dim
     gen = stream.for_particle(purposes[0]).generator()
@@ -138,7 +134,7 @@ def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int]
     if config.noise.kind == "fbm" and config.noise.hurst != 0.5:
         vals, w_paths, fell_back = sample_fbm(
             grid, config.noise.hurst, d, math.prod(size), stream.for_particle(purposes[1]),
-            method=method, with_driver=with_driver,
+            method="cholesky" if with_driver else "circulant", with_driver=with_driver,
         )
         shape = size + (grid.steps, d)
         incr = np.diff(vals, axis=1).reshape(shape)
@@ -178,7 +174,6 @@ def simulate_particle_system(
     snapshot_times=None,
     retain_paths: bool = False,
     track_sups: bool = False,
-    noise_method: str = "circulant",
 ) -> ParticleEnsemble:
     """Integrate the interacting n-particle system over all replicas.
 
@@ -195,15 +190,7 @@ def simulate_particle_system(
     snap_steps = _snapshot_steps(grid, snapshot_times)
 
     ens = ParticleEnsemble(
-        grid=grid,
-        domain_kind=config.domain.kind,
-        n=n,
-        replicas=r_total,
-        drift_name=drift.name,
-        eps=config.effective_eps,
-        truncation_radius=config.truncation_radius,
-        noise_kind=config.noise.kind,
-        hurst=config.noise.hurst if config.noise.kind == "fbm" else 0.5,
+        grid=grid, n=n, replicas=r_total, hurst=config.noise.hurst if config.noise.kind == "fbm" else 0.5
     )
     for s in snap_steps:
         ens.snapshots[s] = np.empty((r_total, n, d))
@@ -227,7 +214,7 @@ def simulate_particle_system(
         b = min(BLOCK_REPLICAS, r_total - lo)
         rows = slice(lo, lo + b)
         states, increment, _, _ = _block_start(
-            config, rng.for_replica(block_idx), (_P_SIM, _P_SIM_FBM), (b, n), sample_fbm_batch, noise_method
+            config, rng.for_replica(block_idx), (_P_SIM, _P_SIM_FBM), (b, n), sample_fbm_batch
         )
         w_cum = np.zeros((b, n, d))  # running driver, for the sup of |W|
 
@@ -261,11 +248,11 @@ class MeanFieldLaw:
     The drift of a fresh independent copy is b0 + mean_drift_at; the mean
     field enters either through small per-step summaries (separable
     built-ins, exact rearrangement) or through the retained ensemble states
-    (generic drifts).
+    (generic drifts). The Picard iterates, the reference copies and the
+    change-of-measure copies all evaluate b0 + <b, mu> through this class.
     """
 
     grid: TimeGrid
-    domain_kind: str
     drift: DriftSpec
     m: int
     iters: int
@@ -317,9 +304,10 @@ def solve_mckean_vlasov_picard(
 ) -> MeanFieldLaw:
     """Picard iteration over empirical laws.
 
-    Iterate j drives m fresh independent paths with the interaction averaged
-    against iterate j-1 (iterate 0 is the initial law held constant in
-    time). The residual between successive iterates is the max-over-
+    Each iterate is held as a MeanFieldLaw. Iterate j drives m fresh
+    independent paths with the drift of a fresh copy under iterate j-1
+    (reference_drift_at); iterate 0 is the initial law held constant in
+    time. The residual between successive iterates is the max-over-
     coordinates W1 distance of terminal marginals; an increase flags
     non-convergence.
     """
@@ -329,12 +317,13 @@ def solve_mckean_vlasov_picard(
     torus = config.domain.is_torus
     snap_steps = _snapshot_steps(grid, snapshot_times)
     coupled = drift.pair_state is not None
-    separable = drift.mf_summary is not None
-    if coupled and not separable and m * (grid.steps + 1) * d > MAX_ENSEMBLE_ELEMENTS:
+    separable = coupled and drift.mf_summary is not None
+    keep_paths = coupled and not separable
+    if keep_paths and m * (grid.steps + 1) * d > MAX_ENSEMBLE_ELEMENTS:
         raise MemoryError("generic mean-field drift retains the full ensemble; reduce m or steps")
 
-    # Iterate 0: initial draws held constant in time. The same draws seed
-    # every iterate, so only the interaction estimate changes between them.
+    # The same initial draws seed every iterate, so only the interaction
+    # estimate changes between them.
     gen0 = rng.for_particle(_P_PICARD_INIT).generator()
     init_states = sample_initial(config.initial_law, config.domain, (m,), gen0)
     if torus:
@@ -344,42 +333,29 @@ def solve_mckean_vlasov_picard(
     if effective_iters >= _P_PICARD_FBM_BASE - _P_PICARD_BASE:
         raise ValueError("iteration count exceeds the stream-keying budget")
 
-    prev_summaries: np.ndarray | None = None
-    prev_paths: np.ndarray | None = None
-    if coupled and separable:
-        prev_summaries = np.tile(drift.mf_summary(drift.feature_map(init_states)), (grid.steps + 1, 1))
-    elif coupled:
-        prev_paths = np.broadcast_to(init_states[:, None, :], (m, grid.steps + 1, d)).copy()
+    residuals: list[float] = []
+    law = MeanFieldLaw(
+        grid=grid, drift=drift, m=m, iters=0, residuals=residuals, non_convergent=False,
+        summaries=np.tile(drift.mf_summary(drift.feature_map(init_states)), (grid.steps + 1, 1)) if separable else None,
+        ens_paths=np.broadcast_to(init_states[:, None, :], (m, grid.steps + 1, d)) if keep_paths else None,
+    )
 
     # features of the current block states, shared by the end-of-step
     # summary and the next step's mean-field drift
     feats = None
 
     def drift_at(s, t, x):
-        if not coupled:
-            total = np.zeros_like(x)
-        elif separable:
-            total = drift.mf_drift(t, feats, prev_summaries[s])
-        else:
-            total = drift.mean_field_drift(t, x, prev_paths[:, s, :], None)
-        if drift.b0_state is not None:
-            total = total + drift.b0_state(t, x)
-        return total
+        return law.reference_drift_at(s, t, x, law.mean_drift_at(s, t, x, feats))
 
     prev_terminal: np.ndarray | None = None
-    residuals: list[float] = []
-    snapshots: dict[int, np.ndarray] = {}
-
     for it in range(1, effective_iters + 1):
-        keep_paths = coupled and not separable
         cur_paths = np.empty((m, grid.steps + 1, d)) if keep_paths else None
         # mf_summary values are means of per-particle features, so the full
         # ensemble summary is the size-weighted average of block summaries.
-        summary_acc = np.zeros((grid.steps + 1, prev_summaries.shape[1])) if coupled and separable else None
+        summary_acc = np.zeros_like(law.summaries) if separable else None
         terminal = np.empty((m, d))
-        want_snaps = it == effective_iters
-        if want_snaps:
-            snapshots = {s: np.empty((m, d)) for s in snap_steps}
+        last = it == effective_iters
+        snapshots = {s: np.empty((m, d)) for s in snap_steps} if last else {}
 
         for block_idx, lo in enumerate(range(0, m, PATH_BLOCK)):
             b = min(PATH_BLOCK, m - lo)
@@ -391,11 +367,11 @@ def solve_mckean_vlasov_picard(
 
             def observe(s, x, dw):
                 nonlocal feats
-                if want_snaps and s in snap_steps:
+                if last and s in snap_steps:
                     snapshots[s][rows] = x
                 if keep_paths:
                     cur_paths[rows, s, :] = x
-                if coupled and separable:
+                if separable:
                     feats = drift.feature_map(x)
                     summary_acc[s] += b * drift.mf_summary(feats)
 
@@ -404,23 +380,12 @@ def solve_mckean_vlasov_picard(
         if prev_terminal is not None:
             residuals.append(_w1_marginal(prev_terminal, terminal))
         prev_terminal = terminal
-        if coupled and separable:
-            prev_summaries = summary_acc / m
-        prev_paths = cur_paths
-
-    non_convergent = len(residuals) >= 2 and residuals[-1] > residuals[-2]
-    return MeanFieldLaw(
-        grid=grid,
-        domain_kind=config.domain.kind,
-        drift=drift,
-        m=m,
-        iters=effective_iters,
-        residuals=residuals,
-        non_convergent=non_convergent,
-        summaries=prev_summaries if coupled and separable else None,
-        ens_paths=prev_paths,
-        snapshots=snapshots,
-    )
+        law = MeanFieldLaw(
+            grid=grid, drift=drift, m=m, iters=it, residuals=residuals,
+            non_convergent=len(residuals) >= 2 and residuals[-1] > residuals[-2],
+            summaries=summary_acc / m if separable else None, ens_paths=cur_paths, snapshots=snapshots,
+        )
+    return law
 
 
 def sample_reference_marginals(

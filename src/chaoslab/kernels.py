@@ -2,8 +2,8 @@
 
 Two families: singular Biot-Savart kernels on R^2 / T^2 (free-space and
 periodic lattice sum) and bounded smooth test kernels, plus named drift
-built-ins with linear-growth metadata. Drifts are declared by name and
-parameter map in the config; no runtime-loaded code.
+built-ins. Drifts are declared by name and parameter map in the config; no
+runtime-loaded code.
 
 The periodic lattice sum is truncated to |k|_inf <= R and accumulated in
 +k/-k pairs inside complete shells. Pairing makes antisymmetry exact in
@@ -84,19 +84,15 @@ def _perp_over_r2(u: np.ndarray) -> np.ndarray:
 
 
 def _apply_eps(x: np.ndarray, eps: float, freeze_inside: bool) -> np.ndarray:
-    """Singularity policy around 0: reject inside the eps-ball, or project
-    onto the eps-sphere (freeze) for simulation use. r = 0 freezes to the
-    zero vector, where the kernel is 0 by oddness."""
+    """Singularity policy around 0: reject inside the eps-ball (at r = 0 when
+    eps = 0), or project onto the eps-sphere (freeze) for simulation use.
+    r = 0 freezes to the zero vector, where the kernel is 0 by oddness."""
     r = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-    if eps == 0.0:
-        if np.any(r == 0.0):
-            raise ValueError("biot_savart: singular evaluation at a lattice point with eps = 0")
-        return x
-    inside = r < eps
+    inside = (r < eps) | (r == 0.0)
     if not np.any(inside):
         return x
     if not freeze_inside:
-        raise ValueError("biot_savart: evaluation inside the eps-ball (pass freeze_inside for simulation semantics)")
+        raise ValueError("biot_savart: evaluation inside the eps-ball or at 0 (pass freeze_inside for simulation semantics)")
     safe_r = np.where(r == 0.0, 1.0, r)
     projected = np.where(r == 0.0, 0.0, x * (eps / safe_r))
     return np.where(inside, projected, x)
@@ -224,12 +220,10 @@ def grid_lp_norm(p: float, n_cells: int, truncation_radius: int = 8) -> float:
 
 @dataclass
 class DriftSpec:
-    """Drift pair (b0, b) with linear-growth metadata.
+    """Drift pair (b0, b): b0_state(t, x) and pair_state(t, x, y).
 
-    Built-ins are state drifts: the path functionals read the path at the
-    current time only, which keeps the integrator O(1) in memory. The
-    path-protocol methods (b0_at / pair_at) exist so non-anticipativity
-    and growth validation can be exercised on explicit sample paths.
+    Built-ins are state drifts: they read the states at the current time
+    only, which keeps the integrator O(1) in memory.
 
     pair_mean, mf_summary and mf_drift are optional algebraic fast paths
     built from per-particle features: features(x) computes what they read
@@ -244,7 +238,6 @@ class DriftSpec:
     """
 
     name: str
-    growth_constant: float
     torus: bool
     params: dict[str, Any] = field(default_factory=dict)
     b0_state: Callable[[float, np.ndarray], np.ndarray] | None = None
@@ -257,18 +250,6 @@ class DriftSpec:
     def feature_map(self, x: np.ndarray) -> Any:
         """Features of the states x that the fast paths read."""
         return x if self.features is None else self.features(x)
-
-    def b0_at(self, times: np.ndarray, paths: np.ndarray, j: int) -> np.ndarray:
-        """b0 at grid index j, reading only paths[..., :j+1, :]."""
-        if self.b0_state is None:
-            return np.zeros_like(paths[..., j, :])
-        return self.b0_state(float(times[j]), paths[..., j, :])
-
-    def pair_at(self, times: np.ndarray, xpaths: np.ndarray, ypaths: np.ndarray, j: int) -> np.ndarray:
-        """b at grid index j, reading only the paths up to index j."""
-        if self.pair_state is None:
-            return np.zeros_like(xpaths[..., j, :])
-        return self.pair_state(float(times[j]), xpaths[..., j, :], ypaths[..., j, :])
 
     def pair_mean_generic(self, t: float, states: np.ndarray, feats: Any = None) -> np.ndarray:
         """(n-1)^{-1} sum_{j != i} b(t, X^i, X^j), O(n^2) fallback.
@@ -283,8 +264,8 @@ class DriftSpec:
         if self.pair_mean is not None:
             return self.pair_mean(t, self.feature_map(states) if feats is None else feats)
         vals = self.pair_state(t, states[..., :, None, :], states[..., None, :, :])
-        # remove the diagonal i = j before averaging
-        diag = self.pair_state(t, states, states)
+        # remove the diagonal i = j before averaging; np.diagonal puts it last
+        diag = np.moveaxis(np.diagonal(vals, axis1=-3, axis2=-2), -1, -2)
         total = np.add.reduce(vals, axis=-2) - diag
         return total / (n - 1)
 
@@ -316,52 +297,6 @@ class DriftSpec:
         return acc / m
 
 
-def running_sup(paths: np.ndarray, j: int) -> np.ndarray:
-    """sup_{s <= t_j} |X_s| (Euclidean norm) over the retained grid."""
-    seg = paths[..., : j + 1, :]
-    return np.max(np.sqrt(np.sum(seg * seg, axis=-1)), axis=-1)
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    max_ratio: float
-    passed: bool
-
-
-def validate_linear_growth(
-    drift: DriftSpec,
-    sample_paths: np.ndarray,
-    times: np.ndarray,
-    check_indices: list[int] | None = None,
-) -> GrowthReport:
-    """Empirical check of |b0(t,x)| + |b(t,x,y)| <= K(1 + ||x||_t + ||y||_t).
-
-    sample_paths: (n_paths, steps+1, d). The ratio is maximized over all
-    ordered path pairs and the requested grid indices.
-    """
-    paths = np.asarray(sample_paths, dtype=np.float64)
-    if paths.ndim != 3:
-        raise ValueError("sample_paths must be (n_paths, steps+1, d)")
-    npaths = paths.shape[0]
-    if npaths < 1:
-        raise ValueError("need at least one sample path")
-    if check_indices is None:
-        check_indices = list(range(paths.shape[1]))
-    max_ratio = 0.0
-    for j in check_indices:
-        sup = running_sup(paths, j)  # (n_paths,)
-        b0 = drift.b0_at(times, paths, j)
-        b0_norm = np.sqrt(np.sum(b0 * b0, axis=-1))
-        for a in range(npaths):
-            xa = paths[a : a + 1]
-            pv = drift.pair_at(times, np.broadcast_to(xa, paths.shape), paths, j)
-            pv_norm = np.sqrt(np.sum(pv * pv, axis=-1))
-            denom = 1.0 + sup[a] + sup
-            ratio = (b0_norm[a] + pv_norm) / denom
-            max_ratio = max(max_ratio, float(np.max(ratio)))
-    return GrowthReport(max_ratio=max_ratio, passed=max_ratio <= drift.growth_constant + 1e-9)
-
-
 # ---------------------------------------------------------------------------
 # Built-in drift registry
 # ---------------------------------------------------------------------------
@@ -375,7 +310,7 @@ def _reject_unknown_params(name: str, params: dict, allowed: tuple[str, ...] = (
 
 def _drift_zero(params: dict, domain: DomainSpec) -> DriftSpec:
     _reject_unknown_params("zero", params)
-    return DriftSpec(name="zero", growth_constant=0.0, torus=domain.is_torus, params=dict(params))
+    return DriftSpec(name="zero", torus=domain.is_torus, params=dict(params))
 
 
 def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
@@ -388,7 +323,6 @@ def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
 
     return DriftSpec(
         name="constant_b0",
-        growth_constant=float(np.linalg.norm(c)),
         torus=domain.is_torus,
         params={"c": c.tolist()},
         b0_state=b0,
@@ -404,7 +338,6 @@ def _drift_restoring_b0(params: dict, domain: DomainSpec) -> DriftSpec:
 
     return DriftSpec(
         name="restoring_b0",
-        growth_constant=rate,
         torus=domain.is_torus,
         params={"rate": rate},
         b0_state=b0,
@@ -434,7 +367,6 @@ def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
 
     return DriftSpec(
         name="linear_pair",
-        growth_constant=1.0,
         torus=False,
         params=dict(params),
         pair_state=pair,
@@ -466,7 +398,6 @@ def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
 
     return DriftSpec(
         name="attract_pair",
-        growth_constant=1.0,
         torus=False,
         params=dict(params),
         pair_state=pair,
@@ -489,7 +420,6 @@ def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
 
     return DriftSpec(
         name="sign_gated_pair",
-        growth_constant=1.0,
         torus=False,
         params=dict(params),
         pair_state=pair,
@@ -536,7 +466,6 @@ def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
 
         return DriftSpec(
             name="kernel:smooth_divfree",
-            growth_constant=math.sqrt(2.0),
             torus=True,
             params={"frequency": spec.frequency},
             pair_state=pair,
@@ -547,17 +476,15 @@ def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
         )
 
     # Singular kernels: generic O(n^2) pairwise path with frozen-ball
-    # regularization. The growth constant reflects the eps cap.
+    # regularization.
     eps = spec.regularization_eps
 
     def pair_bs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         disp = torus_displacement(x, y) if spec.kind == "biot_savart_periodic" else x - y
         return spec(disp, freeze_inside=True)
 
-    cap = math.inf if eps == 0.0 else 1.0 / (TWO_PI * eps) + 2.0 * spec.truncation_radius
     return DriftSpec(
         name=f"kernel:{spec.kind}",
-        growth_constant=cap,
         torus=spec.kind == "biot_savart_periodic",
         params={"truncation_radius": spec.truncation_radius, "eps": eps},
         pair_state=pair_bs,

@@ -50,7 +50,6 @@ __all__ = [
     "tv_histogram",
     "concentration_bounds",
     "pinsker_and_subadditivity_check",
-    "reduced_pinsker_check",
 ]
 
 _JITTER_SEED = 12345
@@ -64,10 +63,7 @@ class GirsanovWeight:
     grid: TimeGrid
     log_z: np.ndarray
     n: int
-    noise_kind: str
     hurst: float
-    drift_name: str
-    seed: int
     quality_flag: str | None = None
     # per-(replica, particle) int_0^T |delta_b|^2 dt, for beta moment fits
     drift_energy: np.ndarray | None = None  # (replicas, n)
@@ -122,7 +118,6 @@ def girsanov_weight(
     rng: RngStream,
     n: int | None = None,
     replicas: int | None = None,
-    noise_method: str = "cholesky",
 ) -> GirsanovWeight:
     """Simulate replicas of n independent mean-field copies and accumulate
     the exponential-martingale log-weight of the interacting system
@@ -162,7 +157,7 @@ def girsanov_weight(
         rows = slice(lo, lo + b)
         states, increment, driver, fell_back = _block_start(
             config, rng.for_replica(block_idx), (_P_WEIGHT, _P_WEIGHT_FBM), (b, n), sample_fbm_batch,
-            noise_method, with_driver=fractional,
+            with_driver=fractional,
         )
         if fell_back:
             quality = "fractional weight: circulant embedding not PSD, dense factor used"
@@ -209,10 +204,7 @@ def girsanov_weight(
         grid=grid,
         log_z=log_z,
         n=n,
-        noise_kind=config.noise.kind,
         hurst=hurst,
-        drift_name=drift.name,
-        seed=rng.root_seed,
         quality_flag=quality,
         drift_energy=energy,
         volterra_energy=k_energy,
@@ -514,25 +506,3 @@ def pinsker_and_subadditivity_check(
             "n": report_h.n,
         },
     )
-
-
-def reduced_pinsker_check(
-    samples_mu: np.ndarray,
-    samples_nu: np.ndarray,
-    phi,
-    h_est: float,
-) -> dict:
-    """Weighted-Pinsker residual: RHS - LHS of
-    (int phi d(mu - nu))^2 <= 4 [ (1/6) int phi^2 dmu + (1/3) int phi^2 dnu ] H.
-
-    Both sides are Monte Carlo estimates; the residual should be >=
-    -(sampling tolerance). Note the left side uses the signed difference
-    of means, a lower bound for the |mu - nu| integral the inequality
-    controls.
-    """
-    fm = np.asarray(phi(np.asarray(samples_mu)), dtype=float).ravel()
-    fn = np.asarray(phi(np.asarray(samples_nu)), dtype=float).ravel()
-    lhs = float((np.mean(fm) - np.mean(fn)) ** 2)
-    c = float(np.mean(fm**2) / 6.0 + np.mean(fn**2) / 3.0)
-    rhs = float(4.0 * c * h_est)
-    return {"lhs": lhs, "rhs": rhs, "C": c, "h": h_est, "residual": rhs - lhs}

@@ -131,10 +131,7 @@ def _constant_shift_weight(c, replicas, steps, dt, seed):
     dw = math.sqrt(dt) * gen.standard_normal((replicas, steps, 1))
     delta = np.full((replicas, steps, 1), c)
     lz = log_weights_from_deltas(delta, dw, dt)
-    return GirsanovWeight(
-        grid=grid, log_z=lz, n=1, noise_kind="brownian", hurst=0.5,
-        drift_name="shift", seed=seed,
-    )
+    return GirsanovWeight(grid=grid, log_z=lz, n=1, hurst=0.5)
 
 
 def test_criterion_3_gaussian_shift_oracles():

@@ -6,6 +6,7 @@ contract (codes 0/2/3/4/5, CSV schemas, manifest fields) is pinned here.
 """
 
 import csv
+import importlib
 import json
 import os
 
@@ -134,14 +135,17 @@ class TestEntropyAndRun:
         }
 
     def test_entropy_on_bare_config(self, tmp_path):
+        # run turns a bare simulation config into one point at the
+        # terminal time and runs every estimator there
         cfg = write_json(tmp_path, "c.json", sim_config())
         out = tmp_path / "out"
-        code = main(["entropy", "--config", cfg, "--out", str(out)])
+        code = main(["run", "--config", cfg, "--out", str(out)])
         assert code == EXIT_OK
         rows = read_rows(out / "entropy.csv")
-        assert {r["estimator"] for r in rows} == {"girsanov", "knn"}
+        assert {r["estimator"] for r in rows} == {"girsanov", "knn", "histogram_tv"}
+        assert {(r["n"], r["k"], r["t"]) for r in rows} == {("4", "1", "0.1")}
         man = json.loads((out / "manifest.json").read_text())
-        assert man["estimators"] == ["girsanov", "knn"]
+        assert man["estimators"] == ["girsanov", "knn", "histogram_tv"]
 
     def test_run_uses_all_estimators(self, tmp_path):
         cfg = write_json(tmp_path, "p.json", self.plan_dict())
@@ -250,6 +254,22 @@ class TestBoundsCommand:
         cfg = write_json(tmp_path, "b.json", {**base, key: value})
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"key '{key}'" in capsys.readouterr().err
+
+    def test_non_object_horizon_rejected(self, tmp_path, capsys):
+        base = {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [10]}
+        cfg = write_json(tmp_path, "b.json", {**base, "horizons": [{"kappa": 1.0, "beta": 2.0}, 5]})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "horizons[1] expects an object, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value", [("kappa", float("nan")), ("beta", "2"), ("hurst", True), ("C", float("inf"))]
+    )
+    def test_horizon_values_must_be_finite_numbers(self, tmp_path, capsys, key, value):
+        base = {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [10]}
+        spec = {"kappa": 1.0, "beta": 1.0, "regime": "fractional", "hurst": 0.75, key: value}
+        cfg = write_json(tmp_path, "b.json", {**base, "horizons": [spec]})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"horizons[0]: key '{key}'" in capsys.readouterr().err
 
 
 class TestNoiseCheckCommand:
@@ -392,3 +412,16 @@ class TestThreadDefaults:
         assert _default_threads() == 1
         monkeypatch.delenv("CHAOSLAB_THREADS")
         assert _default_threads() == 1
+
+
+class TestPublicSurface:
+    def test_exported_names_resolve_and_entropy_is_gone(self, tmp_path):
+        for name in ("bounds", "measure"):
+            module = importlib.import_module(f"chaoslab.{name}")
+            for attr in module.__all__:
+                assert hasattr(module, attr), (name, attr)
+        # run with a plan naming its estimators replaces the old subcommand
+        cfg = write_json(tmp_path, "c.json", sim_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2

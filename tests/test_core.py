@@ -107,7 +107,7 @@ class TestRngStream:
             root.generator().normal(size=4),
             root.for_replica(1).generator().normal(size=4),
             root.for_particle(1).generator().normal(size=4),
-            root.substream(1).generator().normal(size=4),
+            RngStream(55, counter=1).generator().normal(size=4),
             RngStream(56).generator().normal(size=4),
         ]
         for i in range(len(draws)):

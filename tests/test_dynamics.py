@@ -224,7 +224,27 @@ class TestSimulate:
             }
         )
         ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
-        assert cfg.eps is None and ens.eps == cfg.effective_eps > 0
+        assert cfg.eps is None and cfg.effective_eps > 0
+        assert np.all(np.isfinite(ens.positions_at(cfg.grid.steps)))
+
+    def test_biot_savart_eps_zero_runs(self):
+        # eps = 0 has no frozen ball; the i = j diagonal sits at r = 0,
+        # where the kernel is 0 by oddness
+        cfg = config_from_dict(
+            {
+                "domain": {"kind": "torus", "dim": 2},
+                "kernel": {"name": "biot_savart_periodic", "params": {}},
+                "n_particles": 3,
+                "grid": {"t0": 0.0, "dt": 0.01, "steps": 4},
+                "noise": {"kind": "brownian"},
+                "initial_law": {"name": "uniform", "params": {}},
+                "seed": 11,
+                "replicas": 4,
+                "eps": 0.0,
+            }
+        )
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        assert cfg.effective_eps == 0.0
         assert np.all(np.isfinite(ens.positions_at(cfg.grid.steps)))
 
     def test_fractional_driver_shapes_and_determinism(self):

@@ -17,7 +17,6 @@ from chaoslab.kernels import (
     divergence_fd,
     grid_lp_norm,
     smooth_divfree_kernel,
-    validate_linear_growth,
 )
 
 RNG = np.random.default_rng(20260819)
@@ -102,6 +101,17 @@ class TestBiotSavartAtCoincidentPoints:
         assert np.array_equal(out[[0, 3]], np.zeros((2, 2)))
         for i in (1, 2):
             assert np.array_equal(out[i], kernel(x[i : i + 1], eps=0.01, freeze_inside=True)[0])
+
+    @pytest.mark.parametrize("kernel", [biot_savart_free, biot_savart_periodic])
+    def test_eps_zero_freezes_only_the_origin(self, kernel):
+        # with eps = 0 only r = 0 freezes (to 0, as in the eps > 0 branch);
+        # a direct evaluation there without freeze_inside still raises
+        x = np.array([[0.0, 0.0], [0.2, -0.1]])
+        out = kernel(x, eps=0.0, freeze_inside=True)
+        assert np.array_equal(out[0], np.zeros(2))
+        assert np.array_equal(out[1], kernel(x[1:], eps=0.0)[0])
+        with pytest.raises(ValueError, match="at 0"):
+            kernel(x, eps=0.0)
 
     def test_coincident_particles_pair_mean_is_finite(self):
         drift = build_drift(torus_kernel_cfg("biot_savart_periodic"))
@@ -201,6 +211,26 @@ class TestDriftSpecs:
                 want[r, i] = acc / (n - 1)
         assert np.allclose(got, want, atol=1e-12)
 
+    def test_generic_pair_mean_evaluates_the_pairs_once(self):
+        # the i = j diagonal is read out of the n x n tensor, not evaluated
+        # a second time
+        drift = build_drift(lin_cfg("sign_gated_pair"))
+        pair, calls = drift.pair_state, []
+
+        def counted(t, x, y):
+            calls.append(np.broadcast_shapes(x.shape, y.shape))
+            return pair(t, x, y)
+
+        drift.pair_state = counted
+        states = RNG.normal(size=(3, 5, 1))
+        got = drift.pair_mean_generic(0.2, states)
+        assert calls == [(3, 5, 5, 1)]
+        want = np.zeros_like(states)
+        for r in range(3):
+            for i in range(5):
+                want[r, i] = sum(pair(0.2, states[r, i], states[r, j]) for j in range(5) if j != i) / 4
+        assert np.allclose(got, want, atol=1e-12)
+
     def test_zero_drift(self):
         drift = build_drift(lin_cfg("zero"))
         states = RNG.normal(size=(2, 4, 1))
@@ -295,22 +325,6 @@ class TestFeatureFastPaths:
         assert np.array_equal(drift.pair_mean_generic(0.1, states, feats), pair_mean(states))
         assert np.array_equal(drift.pair_mean_generic(0.1, states), pair_mean(states))
         assert np.array_equal(drift.mean_field_drift(0.1, states, None, got_summary), mf_drift(states, got_summary))
-
-
-class TestGrowthValidation:
-    def test_linear_pair_passes(self):
-        drift = build_drift(lin_cfg("linear_pair"))
-        paths = RNG.normal(size=(20, 11, 1)).cumsum(axis=1) * 0.3
-        times = np.linspace(0.0, 0.1, 11)
-        report = validate_linear_growth(drift, paths, times)
-        assert report.passed
-        assert report.max_ratio <= 1.0 + 1e-12
-
-    def test_constant_drift_passes(self):
-        drift = build_drift(lin_cfg("constant_b0", {"c": [3.0]}))
-        paths = RNG.normal(size=(10, 11, 1)) * 0.1
-        times = np.linspace(0.0, 0.1, 11)
-        assert validate_linear_growth(drift, paths, times).passed
 
 
 class TestKernelRefParsing:
