@@ -172,7 +172,7 @@ def _delta_exponent(hurst: float | None) -> float:
 @dataclass(frozen=True)
 class BetaFit:
     """beta fitted so p! beta^p delta^{e p} / n^p dominates the measured
-    moments E[Y^p] for p in ps, with e the regime's delta exponent;
+    moments E[Y^p] for p = 1, 2, 3, with e the regime's delta exponent;
     residual is the relative spread of the per-p solutions (0 means one
     beta fits all orders exactly)."""
 
@@ -185,17 +185,16 @@ def estimate_beta(
     samples: np.ndarray,
     n: int,
     delta: float,
-    ps=(1, 2, 3),
     hurst: float | None = None,
 ) -> BetaFit:
     """Fit beta from per-particle samples of Y = integral over [0, delta]
     of the squared drift difference (or its Volterra transform in the
     fractional regime).
 
-    For each p, beta_p solves E[Y^p] = p! beta_p^p delta^{e p} / n^p with
-    e the regime's delta exponent; the reported beta is the max (the
-    smallest constant dominating all fitted orders), residual the relative
-    spread.
+    For each p in 1, 2, 3, beta_p solves
+    E[Y^p] = p! beta_p^p delta^{e p} / n^p with e the regime's delta
+    exponent; the reported beta is the max (the smallest constant
+    dominating all fitted orders), residual the relative spread.
     """
     y = np.asarray(samples, dtype=float).ravel()
     if y.size < 2:
@@ -206,10 +205,7 @@ def estimate_beta(
         raise ValueError("delta must be positive, n >= 1")
     e = _delta_exponent(hurst)
     per_p: dict[int, float] = {}
-    for p in ps:
-        p = int(p)
-        if p < 1:
-            raise ValueError("moment orders must be >= 1")
+    for p in (1, 2, 3):
         mp = float(np.mean(y**p))
         per_p[p] = (mp / math.factorial(p)) ** (1.0 / p) * n / delta**e
     beta = max(per_p.values())

@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: simulate, bounds, noise-check, kernel-probe, rate-fit, run.
-Every subcommand takes --config <path> plus the shared --seed/--out/--threads
-flags; outputs are plain CSV files and a JSON manifest in the --out
-directory. run takes a plan or a bare simulation config and runs every
-estimator unless the plan names its own ("estimators": ["girsanov", "knn"]
-is the entropy-only pipeline).
+Every subcommand takes --config <path> and --out <dir>, and only the flags
+it reads besides: --seed overrides the config seed on the four that draw
+random numbers (simulate, noise-check, kernel-probe, run), and --threads
+sets run's worker count. Outputs are plain CSV files and a JSON manifest in
+the --out directory. run takes a plan or a bare simulation config and runs
+every estimator unless the plan names its own ("estimators": ["girsanov",
+"knn"] is the entropy-only pipeline).
 
 Exit codes: 0 success, 2 config error, 3 simulation blow-up,
 4 estimator unreliable (effective-sample-size guard), 5 consistency-check
@@ -45,14 +47,6 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_UNRELIABLE = 4
 EXIT_CONSISTENCY = 5
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("CHAOSLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_manifest(out_dir: str, payload: dict) -> None:
@@ -338,15 +332,12 @@ def _cmd_rate_fit(args) -> int:
     axis = str(_pop_key(data, "axis", str, default="n"))
     filt = _pop_key(data, "filter", dict, default={})
     estimator = str(_pop_key(filt, "estimator", str, default="girsanov"))
-    k_filter = _pop_key(filt, "k", (int, float), default=None)
-    t_filter = _pop_key(filt, "t", (int, float), default=None)
-    n_filter = _pop_key(filt, "n", (int, float), default=None)
+    filters = {}  # column -> required value
+    for key, parse in (("k", _as_integral), ("t", _as_real), ("n", _as_integral)):
+        if key in filt:
+            filters[key] = parse(filt.pop(key), f"rate-fit filter: key '{key}'")
     if filt:
         raise ConfigError(f"unknown filter keys: {sorted(filt)}")
-    if k_filter is not None:
-        k_filter = _as_integral(k_filter, "rate-fit filter: key 'k'")
-    if n_filter is not None:
-        n_filter = _as_integral(n_filter, "rate-fit filter: key 'n'")
     if data:
         raise ConfigError(f"unknown rate-fit keys: {sorted(data)}")
     if axis not in ("n", "k"):
@@ -357,17 +348,25 @@ def _cmd_rate_fit(args) -> int:
             rows = list(reader)
     except FileNotFoundError as exc:
         raise ConfigError(f"input CSV not found: {input_path}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"input CSV unreadable: {input_path}: {exc}") from exc
+    missing = [c for c in ("estimator", "value", axis, *filters) if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"input CSV {input_path} lacks column(s) {missing}")
     pts = []
-    for row in rows:
-        if row["estimator"] != estimator:
-            continue
-        if k_filter is not None and int(row["k"]) != k_filter:
-            continue
-        if t_filter is not None and abs(float(row["t"]) - float(t_filter)) > 1e-9:
-            continue
-        if n_filter is not None and int(row["n"]) != n_filter:
-            continue
-        pts.append((float(row[axis]), float(row["value"])))
+    for i, row in enumerate(rows, start=1):
+        try:
+            if row["estimator"] != estimator:
+                continue
+            if "k" in filters and int(row["k"]) != filters["k"]:
+                continue
+            if "t" in filters and abs(float(row["t"]) - filters["t"]) > 1e-9:
+                continue
+            if "n" in filters and int(row["n"]) != filters["n"]:
+                continue
+            pts.append((float(row[axis]), float(row["value"])))
+        except (TypeError, ValueError) as exc:  # a short row reads None
+            raise ConfigError(f"input CSV {input_path}: data row {i}: {exc}") from exc
     try:
         fit = fit_rate(pts, axis=axis)
     except ValueError as exc:
@@ -404,25 +403,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"chaoslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # name -> (help, handler, takes --seed, takes --threads)
     specs = {
-        "simulate": ("integrate the particle system, write position snapshots", _cmd_simulate),
-        "bounds": ("evaluate closed-form and cascade bounds", _cmd_bounds),
-        "noise-check": ("verify fractional noise covariance empirically", _cmd_noise_check),
-        "kernel-probe": ("sample kernel values, divergence, and L^p growth", _cmd_kernel_probe),
-        "rate-fit": ("fit a power law to an entropy CSV", _cmd_rate_fit),
-        "run": ("full pipeline: simulate, estimate, bound, check", _cmd_run),
+        "simulate": ("integrate the particle system, write position snapshots", _cmd_simulate, True, False),
+        "bounds": ("evaluate closed-form and cascade bounds", _cmd_bounds, False, False),
+        "noise-check": ("verify fractional noise covariance empirically", _cmd_noise_check, True, False),
+        "kernel-probe": ("sample kernel values, divergence, and L^p growth", _cmd_kernel_probe, True, False),
+        "rate-fit": ("fit a power law to an entropy CSV", _cmd_rate_fit, False, False),
+        "run": ("full pipeline: simulate, estimate, bound, check", _cmd_run, True, True),
     }
-    for name, (help_text, func) in specs.items():
+    for name, (help_text, func, seeded, threaded) in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="chaoslab_out", help="output directory")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=_default_threads(),
-            help="worker threads (default: CHAOSLAB_THREADS or 1)",
-        )
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if threaded:
+            p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
         p.set_defaults(func=func)
     return parser
 
@@ -430,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
+    if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
         print("error: --seed must be a u64", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -254,8 +254,8 @@ class SimConfig:
             raise ConfigError("eps must be >= 0")
         if self.truncation_radius < 1:
             raise ConfigError("truncation_radius must be >= 1")
-        if self.kernel is not None and self.kernel.name.startswith("biot_savart") and self.domain.dim != 2:
-            raise ConfigError("biot_savart kernels require d = 2")
+        if self.kernel is not None and self.domain.dim != 2:
+            raise ConfigError("kernels are 2-D: a kernel config requires d = 2")
         if self.initial_law.name == "uniform" and not self.domain.is_torus:
             raise ConfigError("uniform initial law lives on the torus")
         if self.initial_law.name in ("gaussian", "uniform_ball") and self.domain.is_torus:

@@ -72,15 +72,9 @@ class ParticleEnsemble:
     grid: TimeGrid
     n: int
     replicas: int
-    hurst: float
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # step -> (R, n, d)
-    paths: np.ndarray | None = None  # (R, n, steps+1, d) when retained
-    sup_x: np.ndarray | None = None  # (R, n) running sup of |X| at T
-    sup_w: np.ndarray | None = None  # (R, n) running sup of |W| at T
 
     def positions_at(self, step: int) -> np.ndarray:
-        if self.paths is not None:
-            return self.paths[:, :, step, :]
         if step in self.snapshots:
             return self.snapshots[step]
         raise KeyError(f"step {step} was not recorded; request it via snapshot_times")
@@ -168,14 +162,9 @@ def integrate_block(states: np.ndarray, grid: TimeGrid, torus: bool, drift_at, i
     return states
 
 
-def simulate_particle_system(
-    config: SimConfig,
-    rng: RngStream,
-    snapshot_times=None,
-    retain_paths: bool = False,
-    track_sups: bool = False,
-) -> ParticleEnsemble:
-    """Integrate the interacting n-particle system over all replicas.
+def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=None) -> ParticleEnsemble:
+    """Integrate the interacting n-particle system over all replicas and
+    record the positions at the requested grid times, the start and the end.
 
     Initial positions are i.i.d. from the configured initial law. The drift
     is b0 plus the (n-1)^{-1}-normalized pairwise interaction; torus states
@@ -186,23 +175,11 @@ def simulate_particle_system(
     grid = config.grid
     n, d = config.n_particles, config.domain.dim
     r_total = config.replicas
-    torus = config.domain.is_torus
     snap_steps = _snapshot_steps(grid, snapshot_times)
 
-    ens = ParticleEnsemble(
-        grid=grid, n=n, replicas=r_total, hurst=config.noise.hurst if config.noise.kind == "fbm" else 0.5
-    )
+    ens = ParticleEnsemble(grid=grid, n=n, replicas=r_total)
     for s in snap_steps:
         ens.snapshots[s] = np.empty((r_total, n, d))
-    if retain_paths:
-        if r_total * n * (grid.steps + 1) * d > MAX_ENSEMBLE_ELEMENTS:
-            raise MemoryError("retain_paths would exceed the in-memory budget; record snapshot_times instead")
-        ens.paths = np.empty((r_total, n, grid.steps + 1, d))
-    if track_sups:
-        if torus:
-            raise ValueError("running sup norms are tracked on R^d only")
-        ens.sup_x = np.empty((r_total, n))
-        ens.sup_w = np.empty((r_total, n))
 
     def drift_at(s, t, x):
         total = drift.pair_mean_generic(t, x) if drift.pair_state is not None else np.zeros_like(x)
@@ -216,23 +193,12 @@ def simulate_particle_system(
         states, increment, _, _ = _block_start(
             config, rng.for_replica(block_idx), (_P_SIM, _P_SIM_FBM), (b, n), sample_fbm_batch
         )
-        w_cum = np.zeros((b, n, d))  # running driver, for the sup of |W|
 
         def observe(s, x, dw):
             if s in snap_steps:
                 ens.snapshots[s][rows] = x
-            if retain_paths:
-                ens.paths[rows, :, s, :] = x
-            if track_sups:
-                if dw is None:
-                    ens.sup_x[rows] = np.linalg.norm(x, axis=-1)
-                    ens.sup_w[rows] = 0.0
-                    return
-                np.add(w_cum, dw, out=w_cum)
-                np.maximum(ens.sup_x[rows], np.linalg.norm(x, axis=-1), out=ens.sup_x[rows])
-                np.maximum(ens.sup_w[rows], np.linalg.norm(w_cum, axis=-1), out=ens.sup_w[rows])
 
-        integrate_block(states, grid, torus, drift_at, increment, observe)
+        integrate_block(states, grid, config.domain.is_torus, drift_at, increment, observe)
     return ens
 
 
@@ -260,7 +226,6 @@ class MeanFieldLaw:
     non_convergent: bool
     summaries: np.ndarray | None  # (steps+1, q)
     ens_paths: np.ndarray | None  # (m, steps+1, d)
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # step -> (m, d)
 
     def mean_drift_at(self, idx: int, t: float, x: np.ndarray, feats=None) -> np.ndarray:
         """<b(t, x, .), mu_t-hat>: the interaction averaged over the ensemble.
@@ -300,7 +265,6 @@ def solve_mckean_vlasov_picard(
     rng: RngStream,
     m: int = 10_000,
     iters: int = 3,
-    snapshot_times=None,
 ) -> MeanFieldLaw:
     """Picard iteration over empirical laws.
 
@@ -309,13 +273,14 @@ def solve_mckean_vlasov_picard(
     (reference_drift_at); iterate 0 is the initial law held constant in
     time. The residual between successive iterates is the max-over-
     coordinates W1 distance of terminal marginals; an increase flags
-    non-convergence.
+    non-convergence. The returned law keeps only what its mean field
+    reads: per-step summaries for separable drifts, the whole ensemble of
+    paths for generic ones.
     """
     drift = build_drift(config)
     grid = config.grid
     d = config.domain.dim
     torus = config.domain.is_torus
-    snap_steps = _snapshot_steps(grid, snapshot_times)
     coupled = drift.pair_state is not None
     separable = coupled and drift.mf_summary is not None
     keep_paths = coupled and not separable
@@ -354,8 +319,6 @@ def solve_mckean_vlasov_picard(
         # ensemble summary is the size-weighted average of block summaries.
         summary_acc = np.zeros_like(law.summaries) if separable else None
         terminal = np.empty((m, d))
-        last = it == effective_iters
-        snapshots = {s: np.empty((m, d)) for s in snap_steps} if last else {}
 
         for block_idx, lo in enumerate(range(0, m, PATH_BLOCK)):
             b = min(PATH_BLOCK, m - lo)
@@ -367,8 +330,6 @@ def solve_mckean_vlasov_picard(
 
             def observe(s, x, dw):
                 nonlocal feats
-                if last and s in snap_steps:
-                    snapshots[s][rows] = x
                 if keep_paths:
                     cur_paths[rows, s, :] = x
                 if separable:
@@ -383,7 +344,7 @@ def solve_mckean_vlasov_picard(
         law = MeanFieldLaw(
             grid=grid, drift=drift, m=m, iters=it, residuals=residuals,
             non_convergent=len(residuals) >= 2 and residuals[-1] > residuals[-2],
-            summaries=summary_acc / m if separable else None, ens_paths=cur_paths, snapshots=snapshots,
+            summaries=summary_acc / m if separable else None, ens_paths=cur_paths,
         )
     return law
 

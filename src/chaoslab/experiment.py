@@ -70,6 +70,11 @@ class ExperimentPlan:
                 raise ConfigError(f"unknown estimator {est!r}; valid: {_ESTIMATORS}")
         if self.sweep_n and not self.sweep_t:
             raise ConfigError("sweep_t must not be empty when sweep_n is nonempty")
+        if self.sweep_n and not self.sweep_k:
+            raise ConfigError("sweep_k must not be empty when sweep_n is nonempty")
+        for axis, values in (("n", self.sweep_n), ("k", self.sweep_k), ("t", self.sweep_t)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"sweep_{axis} lists a value twice: {list(values)}")
         for n in self.sweep_n:
             if n < 2:
                 raise ConfigError("swept n must be >= 2")
@@ -89,6 +94,14 @@ class ExperimentPlan:
             raise ConfigError("picard_m must be >= 100")
         if self.picard_iters < 1:
             raise ConfigError("picard_iters must be >= 1")
+        # the kNN estimator needs 100 reference samples and fewer neighbors
+        # than samples; a histogram needs two bins per dimension
+        if self.knn_samples < 100:
+            raise ConfigError("knn samples must be >= 100")
+        if not 1 <= self.knn_neighbors < self.knn_samples:
+            raise ConfigError("knn neighbors must be >= 1 and below knn samples")
+        if self.tv_bins < 2:
+            raise ConfigError("tv bins must be >= 2")
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
@@ -195,9 +208,7 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
         },
     }
 
-    mf = solve_mckean_vlasov_picard(
-        cfg, rng, m=plan.picard_m, iters=plan.picard_iters, snapshot_times=plan.sweep_t
-    )
+    mf = solve_mckean_vlasov_picard(cfg, rng, m=plan.picard_m, iters=plan.picard_iters)
     out["provenance"]["picard_residuals"] = [float(r) for r in mf.residuals]
     out["provenance"]["picard_non_convergent"] = mf.non_convergent
 
@@ -381,7 +392,8 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
     A failing point is recorded (with its exception) and the remaining
     points still run; nothing is written to disk here, see write_result.
     """
-    threads = max(1, int(threads))
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     result = RunResult()
     point_results: dict[int, dict] = {}
     point_errors: dict[int, dict] = {}

@@ -13,13 +13,13 @@ floating point: negating the argument negates every pair sum bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainSpec, KernelRef, DriftRef, SimConfig, _as_integral, torus_displacement, wrap_torus
+from .core import ConfigError, DomainSpec, KernelRef, SimConfig, _as_integral, _as_real, torus_displacement, wrap_torus
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,7 +40,6 @@ class KernelSpec:
     """
 
     kind: str
-    d: int = 2
     truncation_radius: int = 8
     regularization_eps: float = 0.0
     frequency: int = 1
@@ -48,8 +47,6 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("biot_savart_free", "biot_savart_periodic", "smooth_divfree"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.kind.startswith("biot_savart") and self.d != 2:
-            raise ConfigError("biot_savart kernels require d = 2")
         if self.truncation_radius < 1:
             raise ConfigError("truncation_radius must be >= 1")
         if self.regularization_eps < 0:
@@ -238,8 +235,6 @@ class DriftSpec:
     """
 
     name: str
-    torus: bool
-    params: dict[str, Any] = field(default_factory=dict)
     b0_state: Callable[[float, np.ndarray], np.ndarray] | None = None
     pair_state: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     features: Callable[[np.ndarray], Any] | None = None
@@ -310,38 +305,33 @@ def _reject_unknown_params(name: str, params: dict, allowed: tuple[str, ...] = (
 
 def _drift_zero(params: dict, domain: DomainSpec) -> DriftSpec:
     _reject_unknown_params("zero", params)
-    return DriftSpec(name="zero", torus=domain.is_torus, params=dict(params))
+    return DriftSpec(name="zero")
 
 
 def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
     _reject_unknown_params("constant_b0", params, ("c",))
-    c = np.asarray(params.get("c", 1.0), dtype=np.float64)
-    c = np.broadcast_to(np.atleast_1d(c), (domain.dim,)).copy()
+    where = "constant_b0: param 'c'"
+    raw = params.get("c", 1.0)
+    if not isinstance(raw, list):
+        raw = [raw] * domain.dim
+    elif len(raw) != domain.dim:
+        raise ConfigError(f"{where}: expected one number or a list of {domain.dim}, got {raw!r}")
+    c = np.array([_as_real(v, where) for v in raw])
 
     def b0(t: float, x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(c, x.shape).copy()
 
-    return DriftSpec(
-        name="constant_b0",
-        torus=domain.is_torus,
-        params={"c": c.tolist()},
-        b0_state=b0,
-    )
+    return DriftSpec(name="constant_b0", b0_state=b0)
 
 
 def _drift_restoring_b0(params: dict, domain: DomainSpec) -> DriftSpec:
     _reject_unknown_params("restoring_b0", params, ("rate",))
-    rate = float(params.get("rate", 1.0))
+    rate = _as_real(params.get("rate", 1.0), "restoring_b0: param 'rate'")
 
     def b0(t: float, x: np.ndarray) -> np.ndarray:
         return -rate * x
 
-    return DriftSpec(
-        name="restoring_b0",
-        torus=domain.is_torus,
-        params={"rate": rate},
-        b0_state=b0,
-    )
+    return DriftSpec(name="restoring_b0", b0_state=b0)
 
 
 def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
@@ -367,8 +357,6 @@ def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
 
     return DriftSpec(
         name="linear_pair",
-        torus=False,
-        params=dict(params),
         pair_state=pair,
         pair_mean=pair_mean,
         mf_summary=mf_summary,
@@ -398,8 +386,6 @@ def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
 
     return DriftSpec(
         name="attract_pair",
-        torus=False,
-        params=dict(params),
         pair_state=pair,
         pair_mean=pair_mean,
         mf_summary=mf_summary,
@@ -418,12 +404,7 @@ def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
         u = x - y
         return u * (np.sin(u) > 0.0)
 
-    return DriftSpec(
-        name="sign_gated_pair",
-        torus=False,
-        params=dict(params),
-        pair_state=pair,
-    )
+    return DriftSpec(name="sign_gated_pair", pair_state=pair)
 
 
 def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
@@ -466,8 +447,6 @@ def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
 
         return DriftSpec(
             name="kernel:smooth_divfree",
-            torus=True,
-            params={"frequency": spec.frequency},
             pair_state=pair,
             features=features,
             pair_mean=pair_mean,
@@ -477,18 +456,11 @@ def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
 
     # Singular kernels: generic O(n^2) pairwise path with frozen-ball
     # regularization.
-    eps = spec.regularization_eps
-
     def pair_bs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         disp = torus_displacement(x, y) if spec.kind == "biot_savart_periodic" else x - y
         return spec(disp, freeze_inside=True)
 
-    return DriftSpec(
-        name=f"kernel:{spec.kind}",
-        torus=spec.kind == "biot_savart_periodic",
-        params={"truncation_radius": spec.truncation_radius, "eps": eps},
-        pair_state=pair_bs,
-    )
+    return DriftSpec(name=f"kernel:{spec.kind}", pair_state=pair_bs)
 
 
 _DRIFT_BUILTINS: dict[str, Callable[[dict, DomainSpec], DriftSpec]] = {
@@ -507,13 +479,12 @@ def kernel_from_ref(ref: KernelRef, config: SimConfig) -> KernelSpec:
         freq = _as_integral(params.pop("frequency", 1), "smooth_divfree: param 'frequency'")
         if params:
             raise ConfigError(f"smooth_divfree: unknown params {sorted(params)}")
-        return KernelSpec(kind="smooth_divfree", d=config.domain.dim, frequency=freq)
+        return KernelSpec(kind="smooth_divfree", frequency=freq)
     if ref.name in ("biot_savart_free", "biot_savart_periodic"):
         if params:
             raise ConfigError(f"{ref.name}: unknown params {sorted(params)}")
         return KernelSpec(
             kind=ref.name,
-            d=config.domain.dim,
             truncation_radius=config.truncation_radius,
             regularization_eps=config.effective_eps,
         )

@@ -63,7 +63,6 @@ class GirsanovWeight:
     grid: TimeGrid
     log_z: np.ndarray
     n: int
-    hurst: float
     quality_flag: str | None = None
     # per-(replica, particle) int_0^T |delta_b|^2 dt, for beta moment fits
     drift_energy: np.ndarray | None = None  # (replicas, n)
@@ -112,16 +111,10 @@ def log_weights_from_deltas(delta: np.ndarray, dw: np.ndarray, dt: float) -> np.
     return np.concatenate([zeros, np.cumsum(incr, axis=-1)], axis=-1)
 
 
-def girsanov_weight(
-    config: SimConfig,
-    mean_field: MeanFieldLaw,
-    rng: RngStream,
-    n: int | None = None,
-    replicas: int | None = None,
-) -> GirsanovWeight:
-    """Simulate replicas of n independent mean-field copies and accumulate
-    the exponential-martingale log-weight of the interacting system
-    relative to them.
+def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream) -> GirsanovWeight:
+    """Simulate config.replicas replicas of n = config.n_particles
+    independent mean-field copies and accumulate the exponential-martingale
+    log-weight of the interacting system relative to them.
 
     The reference copies evolve with drift b0 + <b(t, x, .), mu_t-hat>;
     the weight integrand is the pairwise interaction evaluated on those
@@ -134,16 +127,12 @@ def girsanov_weight(
     drift = mean_field.drift
     if drift.name != build_drift(config).name:
         raise ValueError("mean_field was built for a different drift")
-    n = config.n_particles if n is None else int(n)
-    r_total = config.replicas if replicas is None else int(replicas)
-    if n < 2:
-        raise ValueError("interacting weight needs n >= 2")
+    n, r_total = config.n_particles, config.replicas
     grid = config.grid
     d = config.domain.dim
     dt = grid.dt
     steps = grid.steps
     fractional = config.noise.kind == "fbm" and config.noise.hurst != 0.5
-    hurst = config.noise.hurst if fractional else 0.5
 
     log_z = np.zeros((r_total, steps + 1))
     energy = np.zeros((r_total, n))
@@ -189,7 +178,7 @@ def girsanov_weight(
             h = np.concatenate(
                 [np.zeros((b, n, d, 1)), np.cumsum(delta_store * dt, axis=-1)], axis=-1
             )
-            dk = volterra_inverse_apply(h, hurst, grid)  # (b, n, d, steps)
+            dk = volterra_inverse_apply(h, config.noise.hurst, grid)  # (b, n, d, steps)
             dwt = driver.transpose(0, 1, 3, 2)  # (b, n, d, steps)
             incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
             log_z[rows, 1:] = np.cumsum(incr, axis=-1)
@@ -204,19 +193,13 @@ def girsanov_weight(
         grid=grid,
         log_z=log_z,
         n=n,
-        hurst=hurst,
         quality_flag=quality,
         drift_energy=energy,
         volterra_energy=k_energy,
     )
 
 
-def entropy_girsanov(
-    weights: GirsanovWeight,
-    k: int,
-    t: float | None = None,
-    step: int | None = None,
-) -> EntropyReport:
+def entropy_girsanov(weights: GirsanovWeight, k: int, step: int | None = None) -> EntropyReport:
     """Importance-weighted entropy estimate E_Q[Z log Z] with the
     (k/n)-scaled subadditivity surrogate for the k-marginal.
 
@@ -233,7 +216,7 @@ def entropy_girsanov(
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if step is None:
-        step = weights.grid.steps if t is None else weights.grid.index_of(t)
+        step = weights.grid.steps
     t_val = float(weights.grid.times()[step])
     r = weights.replicas
     if r < 1000:
@@ -358,7 +341,6 @@ def tv_histogram(
     samples_p: np.ndarray,
     samples_q: np.ndarray,
     bins_per_dim: int = 64,
-    ranges: list[tuple[float, float]] | None = None,
     torus: bool = False,
 ) -> EntropyReport:
     """Half-L1 distance between normalized histograms on shared bins.
@@ -377,7 +359,7 @@ def tv_histogram(
         raise ValueError("need at least 2 bins per dimension")
     if torus:
         ranges = [(-0.5, 0.5)] * dim
-    elif ranges is None:
+    else:
         lo = np.minimum(p.min(axis=0), q.min(axis=0))
         hi = np.maximum(p.max(axis=0), q.max(axis=0))
         pad = 1e-9 * np.maximum(1.0, np.abs(hi))
@@ -463,12 +445,10 @@ def pinsker_and_subadditivity_check(
     report_h: EntropyReport,
     report_tv: EntropyReport,
     h_full: EntropyReport,
-    tolerance: float | None = None,
 ) -> CheckRecord:
     """Assert TV <= sqrt(2 H_k) and H_k <= (k/n) H_full, with margins.
 
-    When tolerance is None, each comparison absorbs 3 standard errors of
-    the quantities involved; an explicit tolerance replaces that slack.
+    Each comparison absorbs 3 standard errors of the quantities involved.
     """
     if (report_h.k, report_h.n) != (report_tv.k, report_tv.n) and report_tv.n != 0:
         raise ValueError("k/n metadata mismatch between entropy and TV reports")
@@ -478,17 +458,11 @@ def pinsker_and_subadditivity_check(
         raise ValueError("time mismatch between entropy and TV reports")
 
     h_k = max(report_h.value, 0.0)
-    if tolerance is None:
-        ceiling = math.sqrt(2.0 * max(h_k + 3.0 * report_h.stderr, 0.0)) + 3.0 * report_tv.stderr
-    else:
-        ceiling = math.sqrt(2.0 * h_k) + tolerance
+    ceiling = math.sqrt(2.0 * max(h_k + 3.0 * report_h.stderr, 0.0)) + 3.0 * report_tv.stderr
     pinsker_margin = ceiling - report_tv.value
 
     frac = report_h.k / report_h.n
-    if tolerance is None:
-        slack = 3.0 * (report_h.stderr + frac * h_full.params.get("stderr_full", h_full.stderr))
-    else:
-        slack = tolerance
+    slack = 3.0 * (report_h.stderr + frac * h_full.params.get("stderr_full", h_full.stderr))
     sub_rhs = frac * h_full.params.get("h_full", h_full.value) + slack
     subadd_margin = sub_rhs - report_h.value
 

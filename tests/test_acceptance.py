@@ -131,7 +131,7 @@ def _constant_shift_weight(c, replicas, steps, dt, seed):
     dw = math.sqrt(dt) * gen.standard_normal((replicas, steps, 1))
     delta = np.full((replicas, steps, 1), c)
     lz = log_weights_from_deltas(delta, dw, dt)
-    return GirsanovWeight(grid=grid, log_z=lz, n=1, hurst=0.5)
+    return GirsanovWeight(grid=grid, log_z=lz, n=1)
 
 
 def test_criterion_3_gaussian_shift_oracles():
@@ -239,7 +239,7 @@ def test_criterion_5_torus_chaos_decay():
     for n in (16, 32, 64, 128):
         cfg = replace(base, n_particles=n)
         rng = RngStream(cfg.seed, counter=n)
-        mf = solve_mckean_vlasov_picard(cfg, rng, m=10_000, iters=3, snapshot_times=(0.25,))
+        mf = solve_mckean_vlasov_picard(cfg, rng, m=10_000, iters=3)
         ens = simulate_particle_system(cfg, rng, snapshot_times=(0.25,))
         refs = sample_reference_marginals(cfg, mf, 10_000, rng, snapshot_times=(0.25,))
         rep = entropy_knn(extract_marginal(ens, 1, 0.25), refs[cfg.grid.steps],
@@ -291,7 +291,7 @@ def test_criterion_6_short_time_entropy_scaling():
         cfg = replace(base, n_particles=n)
         rng = RngStream(cfg.seed, counter=n)
         mf = solve_mckean_vlasov_picard(cfg, rng, m=10_000, iters=3)
-        gw = girsanov_weight(cfg, mf, rng, n=n, replicas=10_000)
+        gw = girsanov_weight(cfg, mf, rng)
         fit = estimate_beta(gw.drift_energy, n, delta=cfg.grid.terminal)
         horizon = short_time_horizon(1.0, fit.beta)
         t_star = min(0.1, horizon.delta_star / 2.0)

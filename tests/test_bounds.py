@@ -219,8 +219,8 @@ class TestBetaFit:
     def test_fractional_exponent(self):
         y = np.array([0.1, 0.2, 0.3, 0.4])
         n, delta, hurst = 10, 0.25, 0.75
-        fit = estimate_beta(y, n, delta, ps=(1, 2), hurst=hurst)
-        for p in (1, 2):
+        fit = estimate_beta(y, n, delta, hurst=hurst)
+        for p in (1, 2, 3):
             mp = float(np.mean(y ** p))
             want = (mp / math.factorial(p)) ** (1.0 / p) * n / delta**0.5
             assert math.isclose(fit.per_p[p], want, rel_tol=1e-12)
@@ -243,5 +243,3 @@ class TestBetaFit:
             estimate_beta(np.array([0.1, -0.2]), 4, 0.5)
         with pytest.raises(ValueError, match="delta"):
             estimate_beta(np.array([0.1, 0.2]), 4, 0.0)
-        with pytest.raises(ValueError, match="orders"):
-            estimate_beta(np.array([0.1, 0.2]), 4, 0.5, ps=(0, 1))

@@ -5,6 +5,7 @@ exit code, the files written under --out, and the messages, so the public
 contract (codes 0/2/3/4/5, CSV schemas, manifest fields) is pinned here.
 """
 
+import argparse
 import csv
 import importlib
 import json
@@ -19,8 +20,8 @@ from chaoslab.cli import (
     EXIT_CONSISTENCY,
     EXIT_OK,
     EXIT_UNRELIABLE,
-    _default_threads,
     _finish_run,
+    build_parser,
     main,
 )
 from chaoslab.experiment import RunResult
@@ -392,6 +393,29 @@ class TestRateFitCommand:
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "key 'k'" in capsys.readouterr().err
 
+    def test_non_finite_t_filter_rejected(self, tmp_path, capsys):
+        data = self.entropy_csv(tmp_path)
+        cfg = write_json(tmp_path, "r.json", {"input": data, "filter": {"t": float("nan")}})
+        assert main(["rate-fit", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "key 't'" in capsys.readouterr().err
+
+    def test_missing_column_named(self, tmp_path, capsys):
+        bounds = tmp_path / "bounds.csv"
+        bounds.write_text("n,k,t,closed_form,cascade,C,gamma,M\n8,1,0.1,0.5,0.1,1.0,1.0,1.0\n")
+        cfg = write_json(tmp_path, "r.json", {"input": str(bounds)})
+        assert main(["rate-fit", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "lacks column(s) ['estimator', 'value']" in capsys.readouterr().err
+
+    def test_unreadable_input_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "r.json", {"input": str(tmp_path)})
+        assert main(["rate-fit", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "input CSV unreadable" in capsys.readouterr().err
+        short = tmp_path / "short.csv"
+        short.write_text("t,n,k,estimator,value\n0.1,8,1,girsanov\n")
+        cfg = write_json(tmp_path, "r2.json", {"input": str(short)})
+        assert main(["rate-fit", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "data row 1" in capsys.readouterr().err
+
     def test_too_few_points_is_config_error(self, tmp_path, capsys):
         data = self.entropy_csv(tmp_path)
         cfg = write_json(tmp_path, "r.json", {
@@ -400,18 +424,6 @@ class TestRateFitCommand:
         assert main(["rate-fit", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "usable points" in capsys.readouterr().err
-
-
-class TestThreadDefaults:
-    def test_env_variable_respected(self, monkeypatch):
-        monkeypatch.setenv("CHAOSLAB_THREADS", "3")
-        assert _default_threads() == 3
-        monkeypatch.setenv("CHAOSLAB_THREADS", "junk")
-        assert _default_threads() == 1
-        monkeypatch.setenv("CHAOSLAB_THREADS", "0")
-        assert _default_threads() == 1
-        monkeypatch.delenv("CHAOSLAB_THREADS")
-        assert _default_threads() == 1
 
 
 class TestPublicSurface:
@@ -425,3 +437,26 @@ class TestPublicSurface:
         with pytest.raises(SystemExit) as exc:
             main(["entropy", "--config", cfg, "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, tmp_path, capsys):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        plain = {"--config", "--out"}
+        assert flags == {
+            "simulate": plain | {"--seed"},
+            "bounds": plain,
+            "noise-check": plain | {"--seed"},
+            "kernel-probe": plain | {"--seed"},
+            "rate-fit": plain,
+            "run": plain | {"--seed", "--threads"},
+        }
+        cfg = write_json(tmp_path, "c.json", sim_config())
+        for argv in (["bounds", "--seed", "1"], ["rate-fit", "--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--config", cfg])
+            assert exc.value.code == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]) == EXIT_CONFIG
+        assert "threads must be >= 1, got 0" in capsys.readouterr().err

@@ -259,6 +259,9 @@ class TestConfigParsing:
             ({"noise": {"kind": "brownian", "hurst": "0.5"}}, "key 'hurst'"),
             ({"eps": float("inf")}, "key 'eps'"),
             ({"kernel": {"name": "smooth_divfree", "params": {}, "extra": 1}}, "kernel: unknown keys"),
+            ({"n_particles": 1}, "n_particles must be >= 2"),
+            ({"domain": {"kind": "torus", "dim": 1}}, "kernel config requires d = 2"),
+            ({"domain": {"kind": "torus", "dim": 3}}, "kernel config requires d = 2"),
         ],
     )
     def test_malformed_values_name_the_key(self, over, message):

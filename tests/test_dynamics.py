@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab.core import RngStream, TimeGrid, config_from_dict
+from chaoslab.core import RngStream, TimeGrid, config_from_dict, sample_initial
 from chaoslab.dynamics import (
     BlowupError,
     MeanFieldLaw,
@@ -20,6 +20,7 @@ from chaoslab.dynamics import (
     simulate_particle_system,
     solve_mckean_vlasov_picard,
 )
+from chaoslab.kernels import build_drift
 
 
 def make_cfg(**over):
@@ -138,16 +139,6 @@ class TestSimulate:
             per_rep = fn(2 * np.pi * term).mean(axis=(1, 2))
             assert abs(zscore(per_rep, 0.0)) < 4.0
 
-    def test_snapshots_match_retained_paths(self):
-        cfg = make_cfg(replicas=50, grid={"t0": 0.0, "dt": 0.01, "steps": 20})
-        ens = simulate_particle_system(
-            cfg, RngStream(root_seed=cfg.seed), snapshot_times=[0.1], retain_paths=True
-        )
-        assert ens.paths.shape == (50, 8, 21, 1)
-        for step in (0, 10, 20):
-            assert np.array_equal(ens.snapshots[step], ens.paths[:, :, step, :])
-            assert np.array_equal(ens.positions_at(step), ens.paths[:, :, step, :])
-
     def test_positions_at_unrecorded_step_raises(self):
         cfg = make_cfg(replicas=10, grid={"t0": 0.0, "dt": 0.01, "steps": 20})
         ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
@@ -171,29 +162,30 @@ class TestSimulate:
     def test_running_sup_gronwall_envelope(self):
         # |x + y| <= 1 + |x| + |y| with beta = 1, so the discrete Gronwall
         # bound gives max_i sup_s |X_i| <= (M_0 + beta T + W*) e^{2 beta T}
-        # pathwise, with W* the worst particle sup of the driving noise
-        cfg = make_cfg(
-            replicas=300,
-            grid={"t0": 0.0, "dt": 0.0025, "steps": 80},
-            seed=99,
-        )
-        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), track_sups=True)
-        t_end = 0.0025 * 80
-        m0 = np.linalg.norm(ens.snapshots[0], axis=-1).max(axis=1)
-        lhs = ens.sup_x.max(axis=1)
-        rhs = (m0 + t_end + ens.sup_w.max(axis=1)) * math.exp(2 * t_end)
-        assert np.all(lhs <= rhs * (1 + 1e-12))
+        # pathwise, with W* the worst particle sup of the driving noise.
+        # The block is stepped with the drift the particle system uses.
+        replicas, steps, dt = 300, 80, 0.0025
+        cfg = make_cfg(replicas=replicas, grid={"t0": 0.0, "dt": dt, "steps": steps}, seed=99)
+        drift = build_drift(cfg)
+        assert drift.b0_state is None  # linear_pair: the pair mean is the whole drift
+        gen = np.random.Generator(np.random.Philox(cfg.seed))
+        states = sample_initial(cfg.initial_law, cfg.domain, (replicas, 8), gen)
+        dws = math.sqrt(dt) * gen.standard_normal((steps, replicas, 8, 1))
+        sup_x = np.linalg.norm(states, axis=-1)
+        m0 = sup_x.max(axis=1)
+        w_cum, sup_w = np.zeros_like(states), np.zeros_like(sup_x)
 
-    def test_track_sups_rejected_on_torus(self):
-        cfg = make_cfg(
-            domain={"kind": "torus", "dim": 2},
-            drift=None,
-            kernel={"name": "smooth_divfree", "params": {"frequency": 1}},
-            initial_law={"name": "uniform", "params": {}},
-            replicas=10,
-        )
-        with pytest.raises(ValueError, match="R\\^d"):
-            simulate_particle_system(cfg, RngStream(root_seed=1), track_sups=True)
+        def observe(s, x, dw):
+            if dw is not None:
+                np.add(w_cum, dw, out=w_cum)
+                np.maximum(sup_x, np.linalg.norm(x, axis=-1), out=sup_x)
+                np.maximum(sup_w, np.linalg.norm(w_cum, axis=-1), out=sup_w)
+
+        integrate_block(states, cfg.grid, False, lambda s, t, x: drift.pair_mean_generic(t, x),
+                        lambda s: dws[s], observe)
+        t_end = dt * steps
+        rhs = (m0 + t_end + sup_w.max(axis=1)) * math.exp(2 * t_end)
+        assert np.all(sup_x.max(axis=1) <= rhs * (1 + 1e-12))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blowup_reports_step_and_particle(self):
@@ -254,17 +246,13 @@ class TestSimulate:
             replicas=16,
             grid={"t0": 0.0, "dt": 0.01, "steps": 8},
         )
-        a = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), retain_paths=True)
-        b = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), retain_paths=True)
-        assert a.paths.shape == (16, 2, 9, 1)
-        assert np.array_equal(a.paths, b.paths)
-        assert a.hurst == 0.3
-
-    def test_retain_paths_memory_budget(self):
-        cfg = make_cfg(replicas=2000, n_particles=50,
-                       grid={"t0": 0.0, "dt": 0.01, "steps": 99})
-        with pytest.raises(MemoryError, match="snapshot_times"):
-            simulate_particle_system(cfg, RngStream(root_seed=1), retain_paths=True)
+        every_step = cfg.grid.times()
+        a = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), snapshot_times=every_step)
+        b = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), snapshot_times=every_step)
+        assert set(a.snapshots) == set(range(9))
+        for step in range(9):
+            assert a.positions_at(step).shape == (16, 2, 1)
+            assert np.array_equal(a.positions_at(step), b.positions_at(step))
 
     def test_determinism_and_seed_sensitivity(self):
         cfg = make_cfg(replicas=40, grid={"t0": 0.0, "dt": 0.01, "steps": 10})
@@ -299,14 +287,17 @@ class TestMeanFieldLaw:
 
     def test_terminal_mean_matches_recursion(self):
         # at the fixed point the ensemble mean follows
-        # m_{s+1} = (1 + 2 dt) m_s exactly
+        # m_{s+1} = (1 + 2 dt) m_s exactly; for linear_pair the stored
+        # summary is that ensemble mean. Each path has the Euler variance
+        # v_{s+1} = (1 + dt)^2 v_s + dt from v_0 = 1.
+        m, dt = 8000, 0.001
         cfg = make_cfg(seed=7)
-        law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=8000, iters=4)
-        term = law.snapshots[100][:, 0]
-        exact = 0.5 * (1.0 + 2 * 0.001) ** 100
-        assert abs(zscore(term, exact)) < 4.0
-        # the stored summary is the mean of exactly these samples
-        assert np.isclose(law.summaries[100, 0], term.mean())
+        law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=m, iters=4)
+        exact = 0.5 * (1.0 + 2 * dt) ** 100
+        v = 1.0
+        for _ in range(100):
+            v = (1.0 + dt) ** 2 * v + dt
+        assert abs(law.summaries[100, 0] - exact) / math.sqrt(v / m) < 4.0
 
     def test_uncoupled_drift_runs_single_iteration(self):
         cfg = make_cfg(drift={"name": "restoring_b0", "params": {"rate": 1.0}})

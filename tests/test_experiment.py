@@ -140,6 +140,11 @@ class TestPlanParsing:
             (lambda d: d["bounds"].__setitem__("C0", 10**400), "bounds: key 'C0'"),
             (lambda d: d["base"]["initial_law"]["params"].__setitem__("sigma", "0.5"), "key 'sigma'"),
             (lambda d: d["base"]["initial_law"]["params"].__setitem__("mean", [0.2, 0.0]), "one entry per dimension"),
+            (lambda d: d["knn"].__setitem__("samples", 99), "knn samples must be >= 100"),
+            (lambda d: d["knn"].__setitem__("neighbors", 0), "knn neighbors must be >= 1"),
+            (lambda d: d["tv"].__setitem__("bins", 1), "tv bins must be >= 2"),
+            (lambda d: d["sweep"].__setitem__("k", []), "sweep_k must not be empty"),
+            (lambda d: d["sweep"].__setitem__("n", [4, 4]), "sweep_n lists a value twice"),
         ],
     )
     def test_fail_closed(self, mutate, message):

@@ -16,6 +16,7 @@ from chaoslab.kernels import (
     build_drift,
     divergence_fd,
     grid_lp_norm,
+    kernel_from_ref,
     smooth_divfree_kernel,
 )
 
@@ -247,6 +248,27 @@ class TestDriftSpecs:
         with pytest.raises(Exception, match="unknown params"):
             build_drift(lin_cfg("linear_pair", {"strength": 2.0}))
 
+    @pytest.mark.parametrize("c,dim", [(-1.5, 2), ([2.0, -1], 2)])
+    def test_constant_b0_takes_one_number_or_d_numbers(self, c, dim):
+        drift = build_drift(lin_cfg("constant_b0", {"c": c}, dim=dim))
+        assert np.array_equal(drift.b0_state(0.0, np.zeros((3, dim))), np.broadcast_to(c, (3, dim)))
+
+    @pytest.mark.parametrize(
+        "name,params,message",
+        [
+            ("restoring_b0", {"rate": "2"}, "param 'rate'"),
+            ("restoring_b0", {"rate": True}, "param 'rate'"),
+            ("restoring_b0", {"rate": float("nan")}, "param 'rate'"),
+            ("constant_b0", {"c": "3"}, "param 'c'"),
+            ("constant_b0", {"c": [True, 2]}, "param 'c'"),
+            ("constant_b0", {"c": [1.0, 2.0, 3.0]}, "param 'c'"),
+            ("constant_b0", {"c": [[1.0], [2.0]]}, "param 'c'"),
+        ],
+    )
+    def test_drift_params_fail_closed(self, name, params, message):
+        with pytest.raises(ConfigError, match=message):
+            build_drift(lin_cfg(name, params, dim=2))
+
     def test_unknown_drift_rejected(self):
         with pytest.raises(Exception, match="unknown drift"):
             build_drift(lin_cfg("warp_pair"))
@@ -342,7 +364,9 @@ class TestKernelRefParsing:
             build_drift(torus_kernel_cfg("smooth_divfree", {"frequency": bad}))
 
     def test_integral_float_frequency_accepted(self):
-        assert build_drift(torus_kernel_cfg("smooth_divfree", {"frequency": 2.0})).params == {"frequency": 2}
+        cfg = torus_kernel_cfg("smooth_divfree", {"frequency": 2.0})
+        freq = kernel_from_ref(cfg.kernel, cfg).frequency
+        assert freq == 2 and type(freq) is int
 
 
 @given(st.integers(min_value=1, max_value=3))
