@@ -184,6 +184,8 @@ class NoiseSpec:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         if self.kind == "fbm" and not (0.0 < self.hurst < 1.0):
             raise ConfigError("fbm requires hurst in (0, 1)")
+        if self.kind == "brownian" and self.hurst != 0.5:
+            raise ConfigError(f"brownian noise has hurst 0.5, got {self.hurst!r}; use kind 'fbm' for another index")
 
 
 @dataclass(frozen=True)
@@ -216,8 +218,8 @@ class InitialLaw:
         if unknown:
             raise ConfigError(f"{self.name}: unknown params {sorted(unknown)}")
         for key in ("sigma", "radius"):
-            if key in self.params:
-                _as_real(self.params[key], f"initial_law.params: key {key!r}")
+            if key in self.params and _as_real(self.params[key], f"initial_law.params: key {key!r}") < 0:
+                raise ConfigError(f"initial_law.params: key {key!r} must be >= 0, got {self.params[key]!r}")
         mean = self.params.get("mean", [])
         if not isinstance(mean, list):
             raise ConfigError(f"initial_law.params: key 'mean' expects a list of numbers, got {mean!r}")

@@ -100,6 +100,10 @@ class ExperimentPlan:
             raise ConfigError("knn samples must be >= 100")
         if not 1 <= self.knn_neighbors < self.knn_samples:
             raise ConfigError("knn neighbors must be >= 1 and below knn samples")
+        # its particle side is the replicas simulated ensembles, one row each
+        knn_replicas = max(100, self.knn_neighbors + 1)
+        if "knn" in self.estimators and self.base.replicas < knn_replicas:
+            raise ConfigError(f"the knn estimator needs replicas >= {knn_replicas}, got {self.base.replicas}")
         if self.tv_bins < 2:
             raise ConfigError("tv bins must be >= 2")
 

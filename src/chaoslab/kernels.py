@@ -393,6 +393,37 @@ def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     )
 
 
+# Phase bounds of sin_positive: below |h| = 1e6 the float error of
+# h = u/2pi is under 4e-10, well inside the 1e-9 margin.
+_INV_TWO_PI = 1.0 / TWO_PI
+_PHASE_MAX = 1e6
+_PHASE_MARGIN = 1e-9
+
+
+def sin_positive(u: np.ndarray) -> np.ndarray:
+    """np.sin(u) > 0.0, the same bool array, evaluating sin only near its zeros.
+
+    With h = u/2pi and d = h - rint(h) in [-1/2, 1/2], sin u > 0 exactly
+    when 0 < d < 1/2. An entry with |d| more than 1e-9 from 0 and from 1/2
+    takes the sign of d; the others, and every entry of a call with a
+    non-finite value or with |h| >= 1e6, are decided by np.sin.
+    """
+    h = u * _INV_TWO_PI
+    # NaN fails both comparisons, inf the bound
+    if not (h.max(initial=-np.inf) < _PHASE_MAX and h.min(initial=np.inf) > -_PHASE_MAX):
+        return np.sin(u) > 0.0
+    d = np.subtract(h, np.rint(h), out=h)
+    mask = d > 0.0
+    # ||d| - 1/4| is 1/4 at the zeros of sin and 0 halfway between them
+    np.abs(d, out=d)
+    d -= 0.25
+    np.abs(d, out=d)
+    edge = d > 0.25 - _PHASE_MARGIN
+    if edge.any():
+        mask[edge] = np.sin(u[edge]) > 0.0
+    return mask
+
+
 def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     # h(u) = u 1{sin u > 0}: satisfies the linear growth condition with
     # K = 1 but is discontinuous in the pair displacement.
@@ -402,7 +433,7 @@ def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
 
     def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         u = x - y
-        return u * (np.sin(u) > 0.0)
+        return u * sin_positive(u)
 
     return DriftSpec(name="sign_gated_pair", pair_state=pair)
 

@@ -92,6 +92,19 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert f"key {key!r} expects dict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("as_plan", [False, True])
+    def test_knn_replica_floor_fails_at_parse_time(self, tmp_path, capsys, as_plan):
+        # a bare config and a plan that names no estimators both run knn,
+        # whose particle side is the 50 replicas
+        data = sim_config(replicas=50)
+        if as_plan:
+            data = {"base": data, "sweep": {"n": [4]}, "picard": {"m": 100}, "knn": {"samples": 100}}
+        cfg = write_json(tmp_path, "c.json", data)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "knn estimator needs replicas >= 100, got 50" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blowup(self, tmp_path, capsys):
         cfg = write_json(

@@ -238,6 +238,9 @@ class TestConfigParsing:
             ({"name": "gaussian", "params": {"mean": [0.0, "1"]}}, "key 'mean'"),
             ({"name": "gaussian", "params": {"mean": [0.0, float("nan")]}}, "finite"),
             ({"name": "uniform_ball", "params": {"radius": "2"}}, "key 'radius'"),
+            ({"name": "gaussian", "params": {"sigma": -2}}, "key 'sigma' must be >= 0"),
+            ({"name": "uniform_ball", "params": {"radius": -1}}, "key 'radius' must be >= 0"),
+            ({"name": "uniform_ball", "params": {"radius": -1e-300}}, "key 'radius' must be >= 0"),
             ({"name": "gaussian", "params": None}, "key 'params' expects dict"),
         ],
     )
@@ -249,6 +252,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=message):
             config_from_dict(raw)
 
+    def test_zero_widths_and_brownian_hurst_half_parse(self):
+        euclid = {"domain": {"kind": "euclidean", "dim": 2}, "kernel": None, "drift": {"name": "linear_pair", "params": {}}}
+        for law in ({"name": "gaussian", "params": {"sigma": 0}}, {"name": "uniform_ball", "params": {"radius": 0.0}}):
+            assert config_from_dict(make_config_dict(**euclid, initial_law=law)).initial_law == InitialLaw(**law)
+        cfg = config_from_dict(make_config_dict(noise={"kind": "brownian", "hurst": 0.5}))
+        assert (cfg.noise.kind, cfg.noise.hurst) == ("brownian", 0.5)
+
     @pytest.mark.parametrize(
         "over,message",
         [
@@ -257,6 +267,7 @@ class TestConfigParsing:
             ({"grid": {"dt": 0.01, "steps": 10**400}}, "must be finite"),
             ({"grid": {"dt": 10**400, "steps": 10}}, "key 'dt'"),
             ({"noise": {"kind": "brownian", "hurst": "0.5"}}, "key 'hurst'"),
+            ({"noise": {"kind": "brownian", "hurst": 0.3}}, "brownian noise has hurst 0.5, got 0.3"),
             ({"eps": float("inf")}, "key 'eps'"),
             ({"kernel": {"name": "smooth_divfree", "params": {}, "extra": 1}}, "kernel: unknown keys"),
             ({"n_particles": 1}, "n_particles must be >= 2"),

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,11 @@ class TestPlanParsing:
             (lambda d: d["tv"].__setitem__("bins", 1), "tv bins must be >= 2"),
             (lambda d: d["sweep"].__setitem__("k", []), "sweep_k must not be empty"),
             (lambda d: d["sweep"].__setitem__("n", [4, 4]), "sweep_n lists a value twice"),
+            (lambda d: d["base"].__setitem__("replicas", 50), "knn estimator needs replicas >= 100, got 50"),
+            (
+                lambda d: (d["knn"].__setitem__("neighbors", 150), d["base"].__setitem__("replicas", 120)),
+                "knn estimator needs replicas >= 151, got 120",
+            ),
         ],
     )
     def test_fail_closed(self, mutate, message):
@@ -152,6 +158,15 @@ class TestPlanParsing:
         mutate(data)
         with pytest.raises(ConfigError, match=message):
             plan_from_dict(data)
+
+    def test_knn_replica_floor_only_binds_the_knn_estimator(self):
+        data = make_plan_dict()
+        data["base"]["replicas"] = 50
+        data["estimators"] = ["girsanov", "histogram_tv"]
+        plan = plan_from_dict(data)
+        assert plan.base.replicas == 50
+        with pytest.raises(ConfigError, match="needs replicas >= 100"):
+            replace(plan, estimators=("girsanov", "knn"))
 
     @pytest.mark.parametrize(
         "section,key,value",

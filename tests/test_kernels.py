@@ -17,6 +17,7 @@ from chaoslab.kernels import (
     divergence_fd,
     grid_lp_norm,
     kernel_from_ref,
+    sin_positive,
     smooth_divfree_kernel,
 )
 
@@ -279,6 +280,60 @@ class TestDriftSpecs:
         summary = np.array([0.5])
         out = drift.mean_field_drift(0.0, x, None, summary)
         assert np.allclose(out, x + 0.5)
+
+
+def _sign_gate_inputs():
+    """Arrays on which a sin-free sign test is hardest to get right."""
+    k = np.arange(-(10**6), 10**6 + 1, dtype=np.float64)
+    for zeros in (k * np.pi, k * (np.pi / 2)):
+        yield zeros
+        yield np.nextafter(zeros, -np.inf)
+        yield np.nextafter(zeros, np.inf)
+    yield np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300])
+    # |u|/2pi on either side of 1e6, where the gate hands a whole call to
+    # np.sin, alone and among ordinary values
+    edge = [1e6 * 2.0 * np.pi]
+    for _ in range(3):
+        edge = [np.nextafter(edge[0], 0.0)] + edge + [np.nextafter(edge[-1], np.inf)]
+    edge = np.array(edge + [(1e6 - 1.0) * 2.0 * np.pi])
+    yield np.concatenate([edge, -edge])
+    gen = np.random.default_rng(20261018)
+    ordinary = 3.0 * gen.standard_normal(1000)
+    for v in [*edge, *-edge, 1e300, -1e300, np.inf, -np.inf, np.nan]:
+        yield np.append(ordinary, v)
+    for scale in (3.0, 1e5):
+        yield scale * gen.standard_normal(10**6)
+    # far above the guard the float error of u/2pi can carry it across a
+    # zero of sin
+    yield 1e16 * gen.standard_normal(10**4)
+    yield gen.standard_normal((3, 5, 5, 1))
+
+
+class TestSignGate:
+    """sign_gated_pair decides sin(u) > 0 without sin away from the zeros of
+    sin; the mask and the drift must still equal the sin-based ones bit for
+    bit, -0.0 and NaN included."""
+
+    def test_mask_and_pair_match_sin_bit_for_bit(self):
+        pair = build_drift(lin_cfg("sign_gated_pair")).pair_state
+        with np.errstate(invalid="ignore"):
+            for u in _sign_gate_inputs():
+                want = np.sin(u) > 0.0
+                kept = u.copy()
+                got = sin_positive(u)
+                assert got.dtype == np.bool_ and got.shape == u.shape
+                assert np.array_equal(got, want)
+                assert np.array_equal(u.view(np.int64), kept.view(np.int64))
+                # u - 0.0 is u bit for bit, -0.0 included
+                out = pair(0.0, u, 0.0)
+                assert np.array_equal(out.view(np.int64), (u * want).view(np.int64))
+
+    def test_sin_decides_at_the_zeros(self):
+        # pi / 2pi rounds to 1/2 exactly while sin(pi) > 0 in float64: only
+        # the fallback gets the zeros of sin right
+        u = np.array([np.pi, -np.pi, 2.0 * np.pi])
+        assert u[0] * (1.0 / (2.0 * np.pi)) == 0.5
+        assert sin_positive(u).tolist() == (np.sin(u) > 0.0).tolist() == [True, False, False]
 
 
 def _state_formulas(drift_name, w=2.0 * math.pi):
