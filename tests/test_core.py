@@ -238,10 +238,10 @@ class TestConfigParsing:
             ({"name": "gaussian", "params": {"mean": [0.0, "1"]}}, "key 'mean'"),
             ({"name": "gaussian", "params": {"mean": [0.0, float("nan")]}}, "finite"),
             ({"name": "uniform_ball", "params": {"radius": "2"}}, "key 'radius'"),
+            ({"name": "gaussian", "params": None}, "key 'params' expects dict"),
             ({"name": "gaussian", "params": {"sigma": -2}}, "key 'sigma' must be >= 0"),
             ({"name": "uniform_ball", "params": {"radius": -1}}, "key 'radius' must be >= 0"),
             ({"name": "uniform_ball", "params": {"radius": -1e-300}}, "key 'radius' must be >= 0"),
-            ({"name": "gaussian", "params": None}, "key 'params' expects dict"),
         ],
     )
     def test_initial_law_values_checked_at_parse_time(self, law, message):
@@ -267,12 +267,12 @@ class TestConfigParsing:
             ({"grid": {"dt": 0.01, "steps": 10**400}}, "must be finite"),
             ({"grid": {"dt": 10**400, "steps": 10}}, "key 'dt'"),
             ({"noise": {"kind": "brownian", "hurst": "0.5"}}, "key 'hurst'"),
-            ({"noise": {"kind": "brownian", "hurst": 0.3}}, "brownian noise has hurst 0.5, got 0.3"),
             ({"eps": float("inf")}, "key 'eps'"),
             ({"kernel": {"name": "smooth_divfree", "params": {}, "extra": 1}}, "kernel: unknown keys"),
             ({"n_particles": 1}, "n_particles must be >= 2"),
             ({"domain": {"kind": "torus", "dim": 1}}, "kernel config requires d = 2"),
             ({"domain": {"kind": "torus", "dim": 3}}, "kernel config requires d = 2"),
+            ({"noise": {"kind": "brownian", "hurst": 0.3}}, "brownian noise has hurst 0.5, got 0.3"),
         ],
     )
     def test_malformed_values_name_the_key(self, over, message):
