@@ -111,11 +111,11 @@ def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int]
     increment per step, in step order. Fractional increments are pre-drawn
     with sample_fbm from the fBm stream; each caller passes the
     sample_fbm_batch its own module imports, so patching that name reaches
-    its draws. Returns (states, increment(s), driver, fell_back):
-    driver holds the coupled Brownian driver increments, shape size +
-    (steps, d), when with_driver is set on fractional noise, else None.
-    The fBm is sampled by circulant embedding, or by the causal Cholesky
-    route when the driver is wanted.
+    its draws. Returns (states, increment(s), driver): driver holds the
+    coupled Brownian driver increments, shape size + (steps, d), when
+    with_driver is set on fractional noise, else None. The fBm is sampled
+    by circulant embedding, or by the causal Cholesky route when the driver
+    is wanted.
     """
     grid, d = config.grid, config.domain.dim
     gen = stream.for_particle(purposes[0]).generator()
@@ -126,16 +126,17 @@ def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int]
     else:
         states = initial.copy()
     if config.noise.kind == "fbm" and config.noise.hurst != 0.5:
-        vals, w_paths, fell_back = sample_fbm(
+        vals, w_paths, _ = sample_fbm(
             grid, config.noise.hurst, d, math.prod(size), stream.for_particle(purposes[1]),
             method="cholesky" if with_driver else "circulant", with_driver=with_driver,
         )
         shape = size + (grid.steps, d)
         incr = np.diff(vals, axis=1).reshape(shape)
+        del vals
         driver = np.diff(w_paths, axis=1).reshape(shape) if with_driver else None
-        return states, lambda s: incr[..., s, :], driver, fell_back
+        return states, lambda s: incr[..., s, :], driver
     sqrt_dt, shape = math.sqrt(grid.dt), size + (d,)
-    return states, lambda s: sqrt_dt * gen.standard_normal(shape), None, False
+    return states, lambda s: sqrt_dt * gen.standard_normal(shape), None
 
 
 def integrate_block(states: np.ndarray, grid: TimeGrid, torus: bool, drift_at, increment, observe) -> np.ndarray:
@@ -190,7 +191,7 @@ def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=N
     for block_idx, lo in enumerate(range(0, r_total, BLOCK_REPLICAS)):
         b = min(BLOCK_REPLICAS, r_total - lo)
         rows = slice(lo, lo + b)
-        states, increment, _, _ = _block_start(
+        states, increment, _ = _block_start(
             config, rng.for_replica(block_idx), (_P_SIM, _P_SIM_FBM), (b, n), sample_fbm_batch
         )
 
@@ -199,6 +200,7 @@ def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=N
                 ens.snapshots[s][rows] = x
 
         integrate_block(states, grid, config.domain.is_torus, drift_at, increment, observe)
+        del increment  # the next block's noise never coexists with this one's
     return ens
 
 
@@ -323,7 +325,7 @@ def solve_mckean_vlasov_picard(
         for block_idx, lo in enumerate(range(0, m, PATH_BLOCK)):
             b = min(PATH_BLOCK, m - lo)
             rows = slice(lo, lo + b)
-            states, increment, _, _ = _block_start(
+            states, increment, _ = _block_start(
                 config, rng.for_replica(block_idx), (_P_PICARD_BASE + it, _P_PICARD_FBM_BASE + it), (b,),
                 sample_fbm_batch, initial=init_states[rows],
             )
@@ -337,6 +339,7 @@ def solve_mckean_vlasov_picard(
                     summary_acc[s] += b * drift.mf_summary(feats)
 
             terminal[rows] = integrate_block(states, grid, torus, drift_at, increment, observe)
+            del increment
 
         if prev_terminal is not None:
             residuals.append(_w1_marginal(prev_terminal, terminal))
@@ -369,7 +372,7 @@ def sample_reference_marginals(
     for block_idx, lo in enumerate(range(0, count, PATH_BLOCK)):
         b = min(PATH_BLOCK, count - lo)
         rows = slice(lo, lo + b)
-        states, increment, _, _ = _block_start(
+        states, increment, _ = _block_start(
             config, rng.for_replica(block_idx), (_P_REF, _P_REF_FBM), (b,), sample_fbm_batch
         )
 
@@ -378,4 +381,5 @@ def sample_reference_marginals(
                 out[s][rows] = x
 
         integrate_block(states, grid, config.domain.is_torus, mean_field.reference_drift_at, increment, observe)
+        del increment
     return out

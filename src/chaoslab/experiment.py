@@ -14,12 +14,14 @@ import csv
 import json
 import math
 import os
+import platform
 import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bounds import constant_C, estimate_beta, hierarchy_ode_solve, short_time_horizon, theorem_bound
@@ -461,6 +463,13 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
         },
         "grid": {"t0": plan.base.grid.t0, "dt": plan.base.grid.dt, "steps": plan.base.grid.steps},
         "noise": {"kind": plan.base.noise.kind, "hurst": plan.base.noise.hurst},
+        # the fBm bytes depend on numpy's FFT, so record what made them
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
         "points": provenance,
         "errors": result.errors,
         "row_counts": {

@@ -37,7 +37,7 @@ from .dynamics import (
     integrate_block,
 )
 from .kernels import build_drift
-from .noise import sample_fbm_batch, volterra_inverse_apply
+from .noise import CHUNK_SERIES, sample_fbm_batch, volterra_inverse_apply
 
 __all__ = [
     "GirsanovWeight",
@@ -144,12 +144,10 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream)
     for block_idx, lo in enumerate(range(0, r_total, BLOCK_REPLICAS)):
         b = min(BLOCK_REPLICAS, r_total - lo)
         rows = slice(lo, lo + b)
-        states, increment, driver, fell_back = _block_start(
+        states, increment, driver = _block_start(
             config, rng.for_replica(block_idx), (_P_WEIGHT, _P_WEIGHT_FBM), (b, n), sample_fbm_batch,
             with_driver=fractional,
         )
-        if fell_back:
-            quality = "fractional weight: circulant embedding not PSD, dense factor used"
         delta_store = np.empty((b, n, d, steps)) if fractional else None
 
         def drift_at(s, t, x):
@@ -172,18 +170,26 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream)
             energy[rows] += dt * np.sum(dd, axis=2)
 
         integrate_block(states, grid, config.domain.is_torus, drift_at, increment, observe)
+        del increment  # the next block's noise never coexists with this one's
 
         if fractional:
-            # running integral of delta_b, then the inverse Volterra map
-            h = np.concatenate(
-                [np.zeros((b, n, d, 1)), np.cumsum(delta_store * dt, axis=-1)], axis=-1
-            )
-            dk = volterra_inverse_apply(h, config.noise.hurst, grid)  # (b, n, d, steps)
-            dwt = driver.transpose(0, 1, 3, 2)  # (b, n, d, steps)
-            incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
-            log_z[rows, 1:] = np.cumsum(incr, axis=-1)
-            energy[rows] = dt * np.sum(delta_store * delta_store, axis=(2, 3))
-            k_energy[rows] = dt * np.sum(dk * dk, axis=(2, 3))
+            # running integral of delta_b, then the inverse Volterra map, a
+            # chunk of replicas at a time; every sum below is per replica
+            chunk = max(1, CHUNK_SERIES // (n * d))
+            for c_lo in range(0, b, chunk):
+                c = slice(c_lo, min(c_lo + chunk, b))
+                ds = delta_store[c]
+                h = np.concatenate(
+                    [np.zeros(ds.shape[:-1] + (1,)), np.cumsum(ds * dt, axis=-1)], axis=-1
+                )
+                dk = volterra_inverse_apply(h, config.noise.hurst, grid)  # (chunk, n, d, steps)
+                dwt = driver[c].transpose(0, 1, 3, 2)  # (chunk, n, d, steps)
+                incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
+                out_rows = slice(lo + c.start, lo + c.stop)
+                log_z[out_rows, 1:] = np.cumsum(incr, axis=-1)
+                energy[out_rows] = dt * np.sum(ds * ds, axis=(2, 3))
+                k_energy[out_rows] = dt * np.sum(dk * dk, axis=(2, 3))
+            del driver, delta_store
 
         if not np.all(np.isfinite(log_z[rows])):
             row, step = np.argwhere(~np.isfinite(log_z[rows]))[0]

@@ -14,6 +14,11 @@ constant integrands used here). For H != 1/2 it is discretized through the
 representation s^{H-1/2} D^{H-1/2}(r^{1/2-H} u(r))(s) with a
 Grunwald-Letnikov difference for the fractional derivative/integral; first
 order in dt on smooth inputs, degrading near the r = 0 endpoint singularity.
+
+Both FFT kernels transform each series on its own, so they run over
+CHUNK_SERIES rows at a time: beyond its output and the normals it draws up
+front, a call holds O(CHUNK_SERIES) working memory whatever its batch, and
+the chunking never changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from .core import RngStream, TimeGrid
+
+# Series per FFT chunk in the circulant sampler and the Volterra inverse.
+CHUNK_SERIES = 512
 
 
 def fbm_covariance(t, s, hurst: float):
@@ -47,37 +55,54 @@ def fgn_autocovariance(hurst: float, lags) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _dh_eigenvalues(hurst: float, n: int) -> tuple:
+def _dh_eigenvalues(hurst: float, n: int) -> np.ndarray:
+    """Eigenvalues of the length-2n circulant embedding; shared, read-only."""
     rho = fgn_autocovariance(hurst, np.arange(n + 1))
     circ = np.concatenate([rho, rho[-2:0:-1]])  # length 2n
-    lam = np.fft.fft(circ).real
-    return tuple(lam)
+    lam = np.fft.fft(circ).real.copy()
+    lam.flags.writeable = False
+    return lam
 
 
 @lru_cache(maxsize=64)
 def _fgn_cholesky(hurst: float, n: int) -> np.ndarray:
+    """Lower Cholesky factor of the (n, n) fGn covariance; shared, read-only."""
     idx = np.arange(n)
     sigma = fgn_autocovariance(hurst, idx[:, None] - idx[None, :])
-    return np.linalg.cholesky(sigma)
+    ell = np.linalg.cholesky(sigma)
+    ell.flags.writeable = False
+    return ell
 
 
 def _sample_fgn_circulant(hurst: float, n: int, batch: int, gen: np.random.Generator) -> np.ndarray | None:
-    """Exact unit-spacing fGn, (batch, n); None if the embedding fails."""
-    lam = np.asarray(_dh_eigenvalues(hurst, n))
+    """Exact unit-spacing fGn, (batch, n); None if the embedding fails.
+
+    All normals are drawn first (the z_0 column, the z_n column, then the
+    real and the imaginary parts of z_1..z_{n-1}); the spectra are then
+    built and inverted CHUNK_SERIES rows at a time.
+    """
+    lam = _dh_eigenvalues(hurst, n)
     if lam.min() < -1e-10 * lam.max():
         return None
-    lam = np.clip(lam, 0.0, None)
+    sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
     m = 2 * n
-    z = np.empty((batch, m), dtype=np.complex128)
-    z[:, 0] = gen.standard_normal(batch)
-    z[:, n] = gen.standard_normal(batch)
+    z0 = gen.standard_normal(batch)
+    zn = gen.standard_normal(batch)
     if n > 1:
         re = gen.standard_normal((batch, n - 1))
         im = gen.standard_normal((batch, n - 1))
-        z[:, 1:n] = (re + 1j * im) / math.sqrt(2.0)
-        z[:, n + 1 :] = np.conj(z[:, n - 1 : 0 : -1])
-    spec = np.sqrt(lam)[None, :] * z
-    return math.sqrt(m) * np.fft.ifft(spec, axis=1).real[:, :n]
+    out = np.empty((batch, n))
+    for lo in range(0, batch, CHUNK_SERIES):
+        rows = slice(lo, min(lo + CHUNK_SERIES, batch))
+        z = np.empty((rows.stop - lo, m), dtype=np.complex128)
+        z[:, 0] = z0[rows]
+        z[:, n] = zn[rows]
+        if n > 1:
+            z[:, 1:n] = (re[rows] + 1j * im[rows]) / math.sqrt(2.0)
+            z[:, n + 1 :] = np.conj(z[:, n - 1 : 0 : -1])
+        spec = sqrt_lam[None, :] * z
+        out[rows] = math.sqrt(m) * np.fft.ifft(spec, axis=1).real[:, :n]
+    return out
 
 
 def sample_fbm_batch(
@@ -116,20 +141,19 @@ def sample_fbm_batch(
             method = "cholesky"
     if method == "cholesky":
         z = gen.standard_normal(shape)
-        if hurst == 0.5:
-            fgn = z
-        else:
-            ell = _fgn_cholesky(hurst, n)
-            fgn = z @ ell.T
+        fgn = z if hurst == 0.5 else z @ _fgn_cholesky(hurst, n).T
 
     incr = dt**hurst * fgn.reshape(n_paths, d, n)
+    del fgn
     values = np.zeros((n_paths, n + 1, d))
     np.cumsum(incr, axis=2, out=incr)
     values[:, 1:, :] = np.swapaxes(incr, 1, 2)
+    del incr
 
     w = None
     if with_driver:
         dw = math.sqrt(dt) * z.reshape(n_paths, d, n)
+        del z
         w = np.zeros((n_paths, n + 1, d))
         np.cumsum(dw, axis=2, out=dw)
         w[:, 1:, :] = np.swapaxes(dw, 1, 2)
@@ -176,18 +200,6 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     return w
 
 
-def _causal_convolve(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """out[..., i] = sum_{j <= i} w[j] v[..., i-j] via FFT, deterministic."""
-    n = v.shape[-1]
-    size = 1
-    while size < 2 * n - 1:
-        size *= 2
-    fv = np.fft.rfft(v, n=size, axis=-1)
-    fw = np.fft.rfft(w, n=size)
-    out = np.fft.irfft(fv * fw, n=size, axis=-1)
-    return out[..., :n]
-
-
 def volterra_inverse_apply(h: np.ndarray, hurst: float, grid: TimeGrid) -> np.ndarray:
     """Samples of K_H^{-1} h at the left grid points, for h the running
     integral of a piecewise-constant integrand with h(0) = 0.
@@ -197,7 +209,8 @@ def volterra_inverse_apply(h: np.ndarray, hurst: float, grid: TimeGrid) -> np.nd
     through s^{H-1/2} D^{H-1/2}(r^{1/2-H} u)(s) (fractional integral for
     H < 1/2), with the radial prefactors evaluated at interval midpoints to
     avoid the r = 0 endpoint. Consistency is first order in dt for smooth
-    u away from 0; the H = 1/2 branch is exact.
+    u away from 0; the H = 1/2 branch is exact. The series along the last
+    axis are processed CHUNK_SERIES at a time.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
@@ -206,15 +219,26 @@ def volterra_inverse_apply(h: np.ndarray, hurst: float, grid: TimeGrid) -> np.nd
         raise ValueError("h must be sampled on the full grid")
     if np.any(h[..., 0] != 0.0):
         raise ValueError("volterra transform requires h(0) = 0")
-    dt = grid.dt
-    u = np.diff(h, axis=-1) / dt
-    if hurst == 0.5:
-        return u
-    if grid.t0 != 0.0:
+    fractional = hurst != 0.5
+    if fractional and grid.t0 != 0.0:
         raise ValueError("fractional transform is anchored at t0 = 0")
-    alpha = hurst - 0.5
-    s_mid = (np.arange(grid.steps) + 0.5) * dt
-    v = s_mid ** (0.5 - hurst) * u
-    w = gl_weights(alpha, grid.steps)
-    out = _causal_convolve(v, w) * dt ** (-alpha)
-    return out * s_mid**alpha
+    dt, n = grid.dt, grid.steps
+    if fractional:
+        alpha = hurst - 0.5
+        s_mid = (np.arange(n) + 0.5) * dt
+        pre, post, gain = s_mid ** (0.5 - hurst), s_mid**alpha, dt ** (-alpha)
+        # causal convolution with the GL weights through a zero-padded FFT
+        size = 1
+        while size < 2 * n - 1:
+            size *= 2
+        fw = np.fft.rfft(gl_weights(alpha, n), n=size)
+    series = h.reshape(-1, n + 1)
+    out = np.empty((series.shape[0], n))
+    for lo in range(0, series.shape[0], CHUNK_SERIES):
+        rows = slice(lo, lo + CHUNK_SERIES)
+        u = np.diff(series[rows], axis=-1) / dt
+        if fractional:
+            fv = np.fft.rfft(pre * u, n=size, axis=-1)
+            u = np.fft.irfft(fv * fw, n=size, axis=-1)[:, :n] * gain * post
+        out[rows] = u
+    return out.reshape(h.shape[:-1] + (n,))

@@ -10,9 +10,11 @@ import csv
 import importlib
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from chaoslab.cli import (
     EXIT_BLOWUP,
@@ -177,6 +179,18 @@ class TestEntropyAndRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
         rows = read_rows(out / "entropy.csv")
         assert {r["estimator"] for r in rows} == {"girsanov"}
+
+    def test_manifest_records_environment(self, tmp_path):
+        cfg = write_json(tmp_path, "c.json", sim_config())
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        }
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg = write_json(tmp_path, "p.json", self.plan_dict())

@@ -12,6 +12,9 @@ from scipy.stats import kstest
 
 from chaoslab.core import RngStream, TimeGrid
 from chaoslab.noise import (
+    CHUNK_SERIES,
+    _dh_eigenvalues,
+    _fgn_cholesky,
     empirical_covariance_table,
     fbm_covariance,
     fgn_autocovariance,
@@ -180,6 +183,122 @@ class TestVolterraInverse:
         grid = TimeGrid(t0=0.0, dt=0.1, steps=4)
         with pytest.raises(ValueError, match="full grid"):
             volterra_inverse_apply(np.zeros((1, 3)), 0.3, grid)
+
+
+# ---------------------------------------------------------------------------
+# Chunked kernels against the whole-batch formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+# series counts around the chunk boundaries
+CHUNK_SIZES = (1, CHUNK_SERIES - 1, CHUNK_SERIES, CHUNK_SERIES + 1, 3 * CHUNK_SERIES + 5)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def whole_batch_fbm(grid, hurst, d, n_paths, rng, method):
+    """sample_fbm_batch as one whole-batch formula: one spectrum, one ifft."""
+    n, dt = grid.steps, grid.dt
+    gen = rng.generator()
+    batch = n_paths * d
+    if method == "circulant":
+        rho = fgn_autocovariance(hurst, np.arange(n + 1))
+        lam = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+        z = np.empty((batch, 2 * n), dtype=np.complex128)
+        z[:, 0] = gen.standard_normal(batch)
+        z[:, n] = gen.standard_normal(batch)
+        if n > 1:
+            re = gen.standard_normal((batch, n - 1))
+            im = gen.standard_normal((batch, n - 1))
+            z[:, 1:n] = (re + 1j * im) / math.sqrt(2.0)
+            z[:, n + 1 :] = np.conj(z[:, n - 1 : 0 : -1])
+        spec = np.sqrt(np.clip(lam, 0.0, None))[None, :] * z
+        fgn = math.sqrt(2 * n) * np.fft.ifft(spec, axis=1).real[:, :n]
+    else:
+        z = gen.standard_normal((batch, n))
+        idx = np.arange(n)
+        ell = np.linalg.cholesky(fgn_autocovariance(hurst, idx[:, None] - idx[None, :]))
+        fgn = z if hurst == 0.5 else z @ ell.T
+
+    def path(incr):
+        out = np.zeros((n_paths, n + 1, d))
+        out[:, 1:, :] = np.swapaxes(np.cumsum(incr.reshape(n_paths, d, n), axis=2), 1, 2)
+        return out
+
+    w = path(math.sqrt(dt) * z) if method == "cholesky" else None
+    return path(dt**hurst * fgn), w
+
+
+def whole_batch_volterra(h, hurst, grid):
+    """volterra_inverse_apply as one whole-batch FFT convolution."""
+    dt, n = grid.dt, grid.steps
+    u = np.diff(h, axis=-1) / dt
+    if hurst == 0.5:
+        return u
+    alpha = hurst - 0.5
+    s_mid = (np.arange(n) + 0.5) * dt
+    v = s_mid ** (0.5 - hurst) * u
+    size = 1
+    while size < 2 * n - 1:
+        size *= 2
+    fv = np.fft.rfft(v, n=size, axis=-1)
+    fw = np.fft.rfft(gl_weights(alpha, n), n=size)
+    conv = np.fft.irfft(fv * fw, n=size, axis=-1)[..., :n]
+    return conv * dt ** (-alpha) * s_mid**alpha
+
+
+class TestChunkInvariance:
+    @pytest.mark.parametrize("steps", [1, 64])
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.75])
+    @pytest.mark.parametrize("method", ["circulant", "cholesky"])
+    def test_fbm_matches_whole_batch(self, method, hurst, steps):
+        grid = TimeGrid(t0=0.0, dt=1.0 / 64, steps=steps)
+        driver = method == "cholesky"
+        for d in (1, 2):
+            for size in CHUNK_SIZES:
+                n_paths = -(-size // d)  # d = 2 pairs the series up
+                rng = RngStream(31, counter=size)
+                vals, w, fallback = sample_fbm_batch(
+                    grid, hurst, d, n_paths, rng, method=method, with_driver=driver
+                )
+                ref_vals, ref_w = whole_batch_fbm(grid, hurst, d, n_paths, rng, method)
+                assert fallback is False
+                assert same_bits(vals, ref_vals), (d, size)
+                if driver:
+                    assert same_bits(w, ref_w), (d, size)
+                else:
+                    assert w is None
+
+    @pytest.mark.parametrize("steps", [1, 64])
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.75])
+    def test_volterra_matches_whole_batch(self, hurst, steps):
+        grid = TimeGrid(t0=0.0, dt=1.0 / 64, steps=steps)
+        gen = np.random.default_rng(7)
+        for d in (1, 2):
+            for size in CHUNK_SIZES:
+                rows = -(-size // d)
+                # a running integral shaped (replicas, particles=1, d, steps+1),
+                # as the Girsanov weights pass it
+                incr = gen.standard_normal((rows, 1, d, steps)) * grid.dt
+                h = np.concatenate([np.zeros((rows, 1, d, 1)), np.cumsum(incr, axis=-1)], axis=-1)
+                out = volterra_inverse_apply(h, hurst, grid)
+                assert same_bits(out, whole_batch_volterra(h, hurst, grid)), (d, size)
+
+
+class TestReadOnlyCaches:
+    def test_circulant_eigenvalues_are_read_only(self):
+        lam = _dh_eigenvalues(0.3, 16)
+        assert isinstance(lam, np.ndarray) and lam.shape == (32,)
+        with pytest.raises(ValueError, match="read-only"):
+            lam[0] = 0.0
+        assert _dh_eigenvalues(0.3, 16) is lam
+
+    def test_cholesky_factor_is_read_only(self):
+        ell = _fgn_cholesky(0.75, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            ell[0, 0] = 0.0
+        assert _fgn_cholesky(0.75, 16) is ell
 
 
 @settings(max_examples=20)
