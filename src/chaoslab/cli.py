@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -31,8 +30,10 @@ from .core import ConfigError, RngStream, config_from_dict, load_json, _as_integ
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
     _ESTIMATORS,
+    BOUNDS_COLUMNS,
     ExperimentPlan,
     _write_csv,
+    _write_json,
     bound_rows,
     fit_rate,
     plan_from_dict,
@@ -47,13 +48,6 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_UNRELIABLE = 4
 EXIT_CONSISTENCY = 5
-
-
-def _write_manifest(out_dir: str, payload: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _cmd_simulate(args) -> int:
@@ -75,8 +69,8 @@ def _cmd_simulate(args) -> int:
     cols = ["t", "replica", "particle"] + [f"x{c}" for c in range(cfg.domain.dim)]
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "positions.csv"), rows, cols)
-    _write_manifest(
-        args.out,
+    _write_json(
+        os.path.join(args.out, "manifest.json"),
         {
             "command": "simulate",
             "version": __version__,
@@ -192,18 +186,14 @@ def _cmd_bounds(args) -> int:
             }
         )
     os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, "bounds.csv"),
-        rows,
-        ["n", "k", "t", "closed_form", "cascade", "C", "gamma", "M"],
-    )
+    _write_csv(os.path.join(args.out, "bounds.csv"), rows, BOUNDS_COLUMNS)
     _write_csv(
         os.path.join(args.out, "horizons.csv"),
         horizon_rows,
         ["kappa", "beta", "hurst", "regime", "delta_star"],
     )
-    _write_manifest(
-        args.out,
+    _write_json(
+        os.path.join(args.out, "manifest.json"),
         {
             "command": "bounds",
             "version": __version__,
@@ -249,8 +239,8 @@ def _cmd_noise_check(args) -> int:
         rows,
         ["t", "s", "hurst", "empirical", "exact", "stderr", "z"],
     )
-    _write_manifest(
-        args.out,
+    _write_json(
+        os.path.join(args.out, "manifest.json"),
         {
             "command": "noise-check",
             "version": __version__,
@@ -311,8 +301,8 @@ def _cmd_kernel_probe(args) -> int:
                     }
                 )
         _write_csv(os.path.join(args.out, "kernel_lp.csv"), lp_rows, ["p", "cells_per_axis", "lp_norm"])
-    _write_manifest(
-        args.out,
+    _write_json(
+        os.path.join(args.out, "manifest.json"),
         {
             "command": "kernel-probe",
             "version": __version__,
@@ -386,9 +376,7 @@ def _cmd_rate_fit(args) -> int:
         "no_trend": fit.no_trend,
         "residuals": [float(r) for r in fit.residuals],
     }
-    with open(os.path.join(args.out, "rate_fit.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "rate_fit.json"), payload)
     print(
         f"slope = {fit.slope:.4f}, intercept = {fit.intercept:.4f}, R^2 = {fit.r_squared:.4f} "
         f"({fit.n_points} points, {fit.n_excluded} excluded)"

@@ -405,11 +405,6 @@ def load_json(path: str | Path) -> dict:
     return data
 
 
-def load_config(path: str | Path) -> SimConfig:
-    """Read a SimConfig from a JSON file, rejecting unknown keys."""
-    return config_from_dict(load_json(path))
-
-
 def sample_initial(law: InitialLaw, domain: DomainSpec, size: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. initial positions with shape size + (d,)."""
     d = domain.dim

@@ -12,12 +12,13 @@ through one integrator, integrate_block. A caller supplies its drift as
 drift_at(s, t, x) and records what it needs through observe(s, x, dw);
 _block_start draws a block's initial states and builds its noise.
 
-Interacting drifts go through DriftSpec.pair_mean_generic: built-ins with
-separable structure (linear, trigonometric kernels) use exact O(n)
-rearrangements of the pairwise sum; everything else takes the O(n^2) path.
-The separable fast paths read per-particle features (DriftSpec.feature_map);
-a loop that needs more than one fast path per step computes the features
-once per step and passes them to each.
+Interacting drifts go through DriftSpec.pair_mean_generic and
+DriftSpec.mean_field_drift. A separable drift declares one form,
+b(x, y) = own(x) + sum_r a_r(x) g_r(y), through its per-particle features
+(DriftSpec.feature_map), and its pair mean, ensemble summary and mean-field
+drift are exact O(n) rearrangements derived from them; everything else
+takes the O(n^2) path. A loop that needs more than one fast path per step
+computes the features once per step and passes them to each.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ _P_WEIGHT = 8
 _P_WEIGHT_FBM = 9
 _P_PICARD_BASE = 100  # + iterate index
 _P_PICARD_FBM_BASE = 200  # + iterate index
+# iterates 1..MAX_PICARD_ITERS keep their purposes below the next base
+MAX_PICARD_ITERS = _P_PICARD_FBM_BASE - _P_PICARD_BASE - 1
 
 
 class BlowupError(RuntimeError):
@@ -297,7 +300,7 @@ def solve_mckean_vlasov_picard(
         init_states = wrap_torus_unchecked(init_states)
 
     effective_iters = max(1, iters) if coupled else 1
-    if effective_iters >= _P_PICARD_FBM_BASE - _P_PICARD_BASE:
+    if effective_iters > MAX_PICARD_ITERS:
         raise ValueError("iteration count exceeds the stream-keying budget")
 
     residuals: list[float] = []

@@ -28,6 +28,7 @@ from .bounds import constant_C, estimate_beta, hierarchy_ode_solve, short_time_h
 from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json
 from .core import _as_integral, _as_real, _pop_key, _pop_object
 from .dynamics import (
+    MAX_PICARD_ITERS,
     BlowupError,
     extract_marginal,
     sample_reference_marginals,
@@ -96,6 +97,8 @@ class ExperimentPlan:
             raise ConfigError("picard_m must be >= 100")
         if self.picard_iters < 1:
             raise ConfigError("picard_iters must be >= 1")
+        if self.picard_iters > MAX_PICARD_ITERS:
+            raise ConfigError(f"picard_iters must be <= {MAX_PICARD_ITERS}, the stream-keying budget")
         # the kNN estimator needs 100 reference samples and fewer neighbors
         # than samples; a histogram needs two bins per dimension
         if self.knn_samples < 100:
@@ -501,13 +504,22 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([_fmt(row.get(c, "")) for c in columns])
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+BOUNDS_COLUMNS = ["n", "k", "t", "closed_form", "cascade", "C", "gamma", "M"]
+
+
 def write_result(result: RunResult, out_dir: str) -> dict[str, str]:
     """Write entropy/bounds/horizons/checks CSVs and manifest.json."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     spec = {
         "entropy.csv": (result.entropy_rows, ["t", "n", "k", "estimator", "value", "stderr", "ess", "eps", "dt", "seed"]),
-        "bounds.csv": (result.bound_rows, ["n", "k", "t", "closed_form", "cascade", "C", "gamma", "M"]),
+        "bounds.csv": (result.bound_rows, BOUNDS_COLUMNS),
         "horizons.csv": (result.horizon_rows, ["n", "regime", "kappa", "beta", "hurst", "delta_star", "fit_residual"]),
         "checks.csv": (result.check_rows, ["n", "k", "t", "check", "passed", "margin", "value", "threshold"]),
     }
@@ -515,11 +527,8 @@ def write_result(result: RunResult, out_dir: str) -> dict[str, str]:
         path = os.path.join(out_dir, name)
         _write_csv(path, rows, cols)
         paths[name] = path
-    mpath = os.path.join(out_dir, "manifest.json")
-    with open(mpath, "w", encoding="utf-8") as fh:
-        json.dump(result.manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths["manifest.json"] = mpath
+    paths["manifest.json"] = os.path.join(out_dir, "manifest.json")
+    _write_json(paths["manifest.json"], result.manifest)
     return paths
 
 

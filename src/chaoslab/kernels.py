@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Any, Callable
 
 import numpy as np
@@ -222,16 +223,16 @@ class DriftSpec:
     Built-ins are state drifts: they read the states at the current time
     only, which keeps the integrator O(1) in memory.
 
-    pair_mean, mf_summary and mf_drift are optional algebraic fast paths
-    built from per-particle features: features(x) computes what they read
-    from the states (sin and cos of the trigonometric kernel; None means
-    the states themselves), so an integrator computes the features once per
-    step and hands the same features to every fast path of that step.
-    pair_mean(t, f) computes (n-1)^{-1} sum_{j != i} b(t, X^i, X^j) for all
-    i without forming the pairwise tensor; mf_summary(f) reduces an
-    ensemble to a small summary, and mf_drift(t, f, summary) evaluates the
-    drift averaged against that ensemble. All are exact rearrangements of
-    the pairwise sums, not approximations.
+    pair_mean, mf_summary and mf_drift are optional O(n) fast paths that
+    _separable derives from one declaration, features(x): for each block of
+    output columns, b(x, y) = own(x) + sum_r a_r(x) g_r(y). An integrator
+    computes the features once per step and hands them to every fast path
+    of that step. pair_mean(t, f) computes (n-1)^{-1} sum_{j != i}
+    b(t, X^i, X^j) for all i without forming the pairwise tensor;
+    mf_summary(f) reduces an ensemble to the means of its g_r, and
+    mf_drift(t, f, summary) evaluates the drift averaged against that
+    ensemble. All are exact rearrangements of the pairwise sums, not
+    approximations.
     """
 
     name: str
@@ -243,7 +244,8 @@ class DriftSpec:
     mf_drift: Callable[[float, Any, np.ndarray], np.ndarray] | None = None
 
     def feature_map(self, x: np.ndarray) -> Any:
-        """Features of the states x that the fast paths read."""
+        """Features of the states x that the fast paths read (x itself for a
+        drift without fast paths)."""
         return x if self.features is None else self.features(x)
 
     def pair_mean_generic(self, t: float, states: np.ndarray, feats: Any = None) -> np.ndarray:
@@ -334,6 +336,80 @@ def _drift_restoring_b0(params: dict, domain: DomainSpec) -> DriftSpec:
     return DriftSpec(name="restoring_b0", b0_state=b0)
 
 
+# A separable drift declares b(x, y) = own(x) + sum_r a_r(x) g_r(y) for each
+# block of output columns: features(x) returns ((own, ((a_1, g_1), ...)), ...),
+# own None when absent. Every array has shape (..., particles, block width)
+# and is reduced on its own; stacking blocks into one wider array would change
+# numpy's summation order for n >= 9. The only factor that is not an array is
+# the constant 1, kept as the Python float 1.0: it sums to n exactly, adds
+# nothing to the summary and is never multiplied out (1.0 * v is v). Sums of
+# terms start from the first term, as a start at 0 would turn -0.0 into +0.0.
+
+
+def _times(a: Any, b: Any) -> Any:
+    """a * b, where a factor that is not an array is the constant 1."""
+    if not isinstance(a, np.ndarray):
+        return b
+    return a if not isinstance(b, np.ndarray) else a * b
+
+
+def _times_particle_sum(a: Any, g: Any, n: int) -> Any:
+    """a(x_i) sum_j g(x_j); the constant 1 sums to n."""
+    return _times(a, np.add.reduce(g, axis=-2, keepdims=True)) if isinstance(g, np.ndarray) else a * n
+
+
+def _columns(blocks: list[np.ndarray]) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+
+
+def _separable_pair_mean(t: float, feats: tuple) -> np.ndarray:
+    """(n-1)^{-1} sum_{j != i} b(X^i, X^j): the full sum over j minus the
+    i = j term, which is exactly 0.0 when the a_r g_r cancel."""
+    blocks = []
+    for own, terms in feats:
+        n = next(g for _, g in terms if isinstance(g, np.ndarray)).shape[-2]
+        full = reduce(add, [_times_particle_sum(a, g, n) for a, g in terms])
+        part = full - reduce(add, [_times(a, g) for a, g in terms])
+        # in place on the fresh difference: fewer block-sized temporaries
+        part /= n - 1
+        if own is not None:
+            part += own
+        blocks.append(part)
+    return _columns(blocks)
+
+
+def _separable_summary(feats: tuple) -> np.ndarray:
+    """Ensemble means of the array features g_r, in declaration order; the
+    ensemble axis is the first."""
+    return np.concatenate([np.mean(g, axis=0) for _, terms in feats for _, g in terms if isinstance(g, np.ndarray)])
+
+
+def _separable_mf_drift(t: float, feats: tuple, summary: np.ndarray) -> np.ndarray:
+    """own(x) + sum_r a_r(x) <g_r, mu>, the means read from summary."""
+    blocks, k = [], 0
+    for own, terms in feats:
+        parts = [] if own is None else [own]
+        for a, g in terms:
+            if isinstance(g, np.ndarray):
+                width = g.shape[-1]
+                g, k = summary[k : k + width], k + width
+            parts.append(_times(a, g))
+        blocks.append(reduce(add, parts))
+    return _columns(blocks)
+
+
+def _separable(name: str, pair: Callable, features: Callable[[np.ndarray], tuple]) -> DriftSpec:
+    """DriftSpec whose fast paths all derive from one feature declaration."""
+    return DriftSpec(
+        name=name,
+        pair_state=pair,
+        features=features,
+        pair_mean=_separable_pair_mean,
+        mf_summary=_separable_summary,
+        mf_drift=_separable_mf_drift,
+    )
+
+
 def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     _reject_unknown_params("linear_pair", params)
     if domain.is_torus:
@@ -342,26 +418,7 @@ def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x + y
 
-    # The features are the states themselves.
-    def pair_mean(t: float, states: np.ndarray) -> np.ndarray:
-        # sum_{j != i}(x_i + x_j) = (n-1) x_i + (S - x_i)
-        n = states.shape[-2]
-        total = np.add.reduce(states, axis=-2, keepdims=True)
-        return states + (total - states) / (n - 1)
-
-    def mf_summary(states: np.ndarray) -> np.ndarray:
-        return np.mean(states, axis=0)
-
-    def mf_drift(t: float, x: np.ndarray, summary: np.ndarray) -> np.ndarray:
-        return x + summary
-
-    return DriftSpec(
-        name="linear_pair",
-        pair_state=pair,
-        pair_mean=pair_mean,
-        mf_summary=mf_summary,
-        mf_drift=mf_drift,
-    )
+    return _separable("linear_pair", pair, lambda x: ((x, ((1.0, x),)),))
 
 
 def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
@@ -372,25 +429,7 @@ def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return y - x
 
-    # The features are the states themselves.
-    def pair_mean(t: float, states: np.ndarray) -> np.ndarray:
-        n = states.shape[-2]
-        total = np.add.reduce(states, axis=-2, keepdims=True)
-        return (total - n * states) / (n - 1)
-
-    def mf_summary(states: np.ndarray) -> np.ndarray:
-        return np.mean(states, axis=0)
-
-    def mf_drift(t: float, x: np.ndarray, summary: np.ndarray) -> np.ndarray:
-        return summary - x
-
-    return DriftSpec(
-        name="attract_pair",
-        pair_state=pair,
-        pair_mean=pair_mean,
-        mf_summary=mf_summary,
-        mf_drift=mf_drift,
-    )
+    return _separable("attract_pair", pair, lambda x: ((None, ((1.0, x), (-x, 1.0))),))
 
 
 # Phase bounds of sin_positive: below |h| = 1e6 the float error of
@@ -445,44 +484,13 @@ def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
         def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             return smooth_divfree_kernel(torus_displacement(x, y), spec.frequency)
 
-        def features(x: np.ndarray) -> tuple[np.ndarray, ...]:
-            a2 = w * x[..., 1]
-            a1 = w * x[..., 0]
-            return np.sin(a2), np.cos(a2), np.sin(a1), np.cos(a1)
+        def column(wu: np.ndarray) -> tuple:
+            # sin(wu_i - wu_j) = sin(wu_i) cos(wu_j) - cos(wu_i) sin(wu_j)
+            s, c = np.sin(wu), np.cos(wu)
+            return None, ((s, c), (-c, s))
 
-        def pair_mean(t: float, feats: tuple[np.ndarray, ...]) -> np.ndarray:
-            # sum_{j != i} sin(w (a_i - a_j)) = sin(a_i) C - cos(a_i) S with
-            # C = sum cos(a_j), S = sum sin(a_j); the i = j term vanishes.
-            s2, c2, s1, c1 = feats
-            n = s2.shape[-1]
-            C2 = np.add.reduce(c2, axis=-1, keepdims=True)
-            S2 = np.add.reduce(s2, axis=-1, keepdims=True)
-            C1 = np.add.reduce(c1, axis=-1, keepdims=True)
-            S1 = np.add.reduce(s1, axis=-1, keepdims=True)
-            out = np.empty(s2.shape + (2,))
-            out[..., 0] = (s2 * C2 - c2 * S2) / (n - 1)
-            out[..., 1] = (s1 * C1 - c1 * S1) / (n - 1)
-            return out
-
-        def mf_summary(feats: tuple[np.ndarray, ...]) -> np.ndarray:
-            s2, c2, s1, c1 = feats
-            return np.array([np.mean(c2), np.mean(s2), np.mean(c1), np.mean(s1)])
-
-        def mf_drift(t: float, feats: tuple[np.ndarray, ...], summary: np.ndarray) -> np.ndarray:
-            c2m, s2m, c1m, s1m = summary
-            s2, c2, s1, c1 = feats
-            out = np.empty(s2.shape + (2,))
-            out[..., 0] = s2 * c2m - c2 * s2m
-            out[..., 1] = s1 * c1m - c1 * s1m
-            return out
-
-        return DriftSpec(
-            name="kernel:smooth_divfree",
-            pair_state=pair,
-            features=features,
-            pair_mean=pair_mean,
-            mf_summary=mf_summary,
-            mf_drift=mf_drift,
+        return _separable(
+            "kernel:smooth_divfree", pair, lambda x: (column(w * x[..., 1:]), column(w * x[..., :1]))
         )
 
     # Singular kernels: generic O(n^2) pairwise path with frozen-ball

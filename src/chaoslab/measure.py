@@ -299,19 +299,11 @@ def entropy_knn(
 
     jittered = False
     for _ in range(2):
-        if torus:
-            boxsize = 1.0
-            p_t = np.mod(p + 0.5, 1.0)
-            q_t = np.mod(q + 0.5, 1.0)
-            tree_p = cKDTree(p_t, boxsize=boxsize)
-            tree_q = cKDTree(q_t, boxsize=boxsize)
-            rho = _knn_distances(tree_p, p_t, neighbors, exclude_self=True)
-            nu = _knn_distances(tree_q, p_t, neighbors, exclude_self=False)
-        else:
-            tree_p = cKDTree(p)
-            tree_q = cKDTree(q)
-            rho = _knn_distances(tree_p, p, neighbors, exclude_self=True)
-            nu = _knn_distances(tree_q, p, neighbors, exclude_self=False)
+        # torus samples move into the periodic box [0, 1)
+        p_t, q_t = (np.mod(p + 0.5, 1.0), np.mod(q + 0.5, 1.0)) if torus else (p, q)
+        boxsize = 1.0 if torus else None
+        rho = _knn_distances(cKDTree(p_t, boxsize=boxsize), p_t, neighbors, exclude_self=True)
+        nu = _knn_distances(cKDTree(q_t, boxsize=boxsize), p_t, neighbors, exclude_self=False)
         if np.all(rho > 0) and np.all(nu > 0):
             break
         gen = np.random.Generator(np.random.Philox(_JITTER_SEED))

@@ -107,6 +107,14 @@ class TestExitCodes:
         assert "knn estimator needs replicas >= 100, got 50" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_picard_iters_beyond_the_stream_budget_fail_at_parse_time(self, tmp_path, capsys):
+        # iterates past the Picard stream-key budget must not start a run
+        data = {"base": sim_config(), "sweep": {"n": [4]}, "picard": {"m": 100, "iters": 100}}
+        cfg = write_json(tmp_path, "p.json", data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "picard_iters must be <= 99" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blowup(self, tmp_path, capsys):
         cfg = write_json(

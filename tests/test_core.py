@@ -15,7 +15,7 @@ from chaoslab.core import (
     RngStream,
     TimeGrid,
     config_from_dict,
-    load_config,
+    load_json,
     sample_initial,
     torus_displacement,
     wrap_torus,
@@ -210,22 +210,22 @@ class TestConfigParsing:
         cfg2 = config_from_dict(make_config_dict(eps=0.03))
         assert cfg2.effective_eps == 0.03
 
-    def test_load_config(self, tmp_path):
+    def test_load_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(make_config_dict()))
-        cfg = load_config(str(path))
-        assert cfg.seed == 7
+        assert load_json(str(path)) == make_config_dict()
+        assert config_from_dict(load_json(str(path))).seed == 7
 
-    def test_load_config_bad_json(self, tmp_path):
+    def test_load_json_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(str(path))
+            load_json(str(path))
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="must be a JSON object"):
-            load_config(str(path))
+            load_json(str(path))
         with pytest.raises(ConfigError, match="config not found"):
-            load_config(str(tmp_path / "missing.json"))
+            load_json(str(tmp_path / "missing.json"))
 
     @pytest.mark.parametrize(
         "law,message",

@@ -151,6 +151,7 @@ class TestPlanParsing:
                 lambda d: (d["knn"].__setitem__("neighbors", 150), d["base"].__setitem__("replicas", 120)),
                 "knn estimator needs replicas >= 151, got 120",
             ),
+            (lambda d: d["picard"].__setitem__("iters", 100), "picard_iters must be <= 99"),
         ],
     )
     def test_fail_closed(self, mutate, message):

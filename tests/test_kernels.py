@@ -190,13 +190,29 @@ def torus_kernel_cfg(name, params=None):
 
 
 class TestDriftSpecs:
-    @pytest.mark.parametrize("name", ["linear_pair", "attract_pair"])
-    def test_pair_mean_fast_path_matches_generic(self, name):
-        drift = build_drift(lin_cfg(name))
-        states = RNG.normal(size=(7, 5, 1))
-        fast = drift.pair_mean(0.3, states)
-        generic = drift.pair_mean_generic(0.3, states)
-        assert np.allclose(fast, generic, atol=1e-12)
+    @pytest.mark.parametrize(
+        "name,dim", [("linear_pair", 1), ("linear_pair", 2), ("attract_pair", 1), ("attract_pair", 2), ("smooth_divfree", 2)]
+    )
+    def test_fast_paths_match_the_pairwise_definition(self, name, dim):
+        # the separable rearrangements against pair_state summed directly,
+        # with n past numpy's 8-way unrolled summation
+        if name == "smooth_divfree":
+            drift = build_drift(torus_kernel_cfg(name, {"frequency": 2}))
+            states, ens = RNG.uniform(-0.5, 0.5, size=(4, 11, 2)), RNG.uniform(-0.5, 0.5, size=(30, 2))
+        else:
+            drift = build_drift(lin_cfg(name, dim=dim))
+            states, ens = RNG.normal(size=(4, 11, dim)), RNG.normal(size=(30, dim))
+        n = states.shape[1]
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+        vals = drift.pair_state(0.3, states[:, :, None, :], states[:, None, :, :])  # (R, i, j, d)
+        off_diagonal = ~np.eye(n, dtype=bool)[:, :, None]
+        close(drift.pair_mean(0.3, drift.feature_map(states)), np.sum(vals * off_diagonal, axis=2) / (n - 1))
+        summary = drift.mf_summary(drift.feature_map(ens))
+        want = np.mean(drift.pair_state(0.3, states[:, :, None, :], ens), axis=2)
+        close(drift.mf_drift(0.3, drift.feature_map(states), summary), want)
 
     def test_smooth_kernel_pair_mean_matches_double_loop(self):
         drift = build_drift(torus_kernel_cfg("smooth_divfree", {"frequency": 1}))
