@@ -5,13 +5,15 @@ Every subcommand takes --config <path> and --out <dir>, and only the flags
 it reads besides: --seed overrides the config seed on the four that draw
 random numbers (simulate, noise-check, kernel-probe, run), and --threads
 sets run's worker count. Outputs are plain CSV files and a JSON manifest in
-the --out directory. run takes a plan or a bare simulation config and runs
-every estimator unless the plan names its own ("estimators": ["girsanov",
-"knn"] is the entropy-only pipeline).
+the --out directory. run takes a plan or a bare simulation config (parsed
+as a one-point plan) and runs every estimator unless the plan names its own
+("estimators": ["girsanov", "knn"] is the entropy-only pipeline).
 
 Exit codes: 0 success, 2 config error, 3 simulation blow-up,
 4 estimator unreliable (effective-sample-size guard), 5 consistency-check
-failure.
+failure. run reads its status from what it wrote: a point error of kind
+blowup gives 3, a check row with passed false gives 5, the ESS guard gives 4
+and any other point error gives 2, in that order.
 """
 
 from __future__ import annotations
@@ -26,18 +28,18 @@ import numpy as np
 
 from . import __version__
 from .bounds import short_time_horizon
-from .core import ConfigError, RngStream, config_from_dict, load_json, _as_integral, _as_real, _pop_key
+from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json, _as_integral, _as_real, _pop_key
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
     _ESTIMATORS,
     BOUNDS_COLUMNS,
     ExperimentPlan,
-    _write_csv,
     _write_json,
     bound_rows,
     fit_rate,
     plan_from_dict,
     run_experiment,
+    write_outputs,
     write_result,
 )
 from .kernels import divergence_fd, grid_lp_norm, kernel_from_ref
@@ -50,10 +52,14 @@ EXIT_UNRELIABLE = 4
 EXIT_CONSISTENCY = 5
 
 
-def _cmd_simulate(args) -> int:
+def _seeded_config(args) -> SimConfig:
+    """The --config simulation config, with --seed applied."""
     cfg = config_from_dict(load_json(args.config))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _seeded_config(args)
     ens = simulate_particle_system(cfg, RngStream(cfg.seed))
     times = cfg.grid.times()
     rows = []
@@ -67,10 +73,9 @@ def _cmd_simulate(args) -> int:
                     row[f"x{c}"] = float(pos[r, i, c])
                 rows.append(row)
     cols = ["t", "replica", "particle"] + [f"x{c}" for c in range(cfg.domain.dim)]
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "positions.csv"), rows, cols)
-    _write_json(
-        os.path.join(args.out, "manifest.json"),
+    write_outputs(
+        args.out,
+        {"positions.csv": (rows, cols)},
         {
             "command": "simulate",
             "version": __version__,
@@ -89,21 +94,16 @@ def _cmd_simulate(args) -> int:
 
 def _plan_from_config(data: dict) -> ExperimentPlan:
     """Accept either a full plan (has "sweep") or a bare simulation config,
-    which becomes a single-point plan at the terminal time.
+    parsed as the plan that sweeps its own n_particles alone (k = 1 at the
+    terminal time). plan_from_dict parses the base first, so a malformed
+    bare config reports its own error.
 
     Every estimator runs unless the plan names its own.
     """
-    if "sweep" in data:
-        plan = plan_from_dict(data)
-        return plan if "estimators" in data else replace(plan, estimators=_ESTIMATORS)
-    cfg = config_from_dict(data)
-    return ExperimentPlan(
-        base=cfg,
-        sweep_n=(cfg.n_particles,),
-        sweep_k=(1,),
-        sweep_t=(cfg.grid.terminal,),
-        estimators=_ESTIMATORS,
-    )
+    if "sweep" not in data:
+        data = {"base": data, "sweep": {"n": [data.get("n_particles")]}}
+    plan = plan_from_dict(data)
+    return plan if "estimators" in data else replace(plan, estimators=_ESTIMATORS)
 
 
 def _finish_run(result, out_dir: str) -> int:
@@ -120,9 +120,9 @@ def _finish_run(result, out_dir: str) -> int:
         f"rows: entropy={len(result.entropy_rows)} bounds={len(result.bound_rows)} "
         f"checks={len(result.check_rows)} horizons={len(result.horizon_rows)} -> {out_dir}"
     )
-    if result.any_blowup:
+    if any(err["kind"] == "blowup" for err in result.errors):
         return EXIT_BLOWUP
-    if result.any_check_failed or checks_failed:
+    if checks_failed:
         return EXIT_CONSISTENCY
     if result.any_unreliable:
         return EXIT_UNRELIABLE
@@ -185,15 +185,12 @@ def _cmd_bounds(args) -> int:
                 "delta_star": hz.delta_star,
             }
         )
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "bounds.csv"), rows, BOUNDS_COLUMNS)
-    _write_csv(
-        os.path.join(args.out, "horizons.csv"),
-        horizon_rows,
-        ["kappa", "beta", "hurst", "regime", "delta_star"],
-    )
-    _write_json(
-        os.path.join(args.out, "manifest.json"),
+    write_outputs(
+        args.out,
+        {
+            "bounds.csv": (rows, BOUNDS_COLUMNS),
+            "horizons.csv": (horizon_rows, ["kappa", "beta", "hurst", "regime", "delta_star"]),
+        },
         {
             "command": "bounds",
             "version": __version__,
@@ -209,9 +206,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_noise_check(args) -> int:
-    cfg = config_from_dict(load_json(args.config))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _seeded_config(args)
     if cfg.noise.kind != "fbm":
         hurst = 0.5
     else:
@@ -233,14 +228,9 @@ def _cmd_noise_check(args) -> int:
             }
         )
     worst = max(abs(r["z"]) for r in rows)
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, "noise_covariance.csv"),
-        rows,
-        ["t", "s", "hurst", "empirical", "exact", "stderr", "z"],
-    )
-    _write_json(
-        os.path.join(args.out, "manifest.json"),
+    write_outputs(
+        args.out,
+        {"noise_covariance.csv": (rows, ["t", "s", "hurst", "empirical", "exact", "stderr", "z"])},
         {
             "command": "noise-check",
             "version": __version__,
@@ -256,9 +246,7 @@ def _cmd_noise_check(args) -> int:
 
 
 def _cmd_kernel_probe(args) -> int:
-    cfg = config_from_dict(load_json(args.config))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _seeded_config(args)
     if cfg.kernel is None:
         raise ConfigError("kernel-probe needs a config with a kernel")
     kern = kernel_from_ref(cfg.kernel, cfg)
@@ -287,22 +275,17 @@ def _cmd_kernel_probe(args) -> int:
         row["divergence"] = float(div[i])
         rows.append(row)
     cols = [f"x{c}" for c in range(d)] + [f"K{c}" for c in range(vals.shape[1])] + ["divergence"]
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "kernel_probe.csv"), rows, cols)
-    lp_rows = []
+    tables = {"kernel_probe.csv": (rows, cols)}
     if kern.kind == "biot_savart_periodic":
-        for p in (1.5, 2.0):
-            for cells in (32, 64, 128, 256):
-                lp_rows.append(
-                    {
-                        "p": p,
-                        "cells_per_axis": cells,
-                        "lp_norm": grid_lp_norm(p, cells, truncation_radius=kern.truncation_radius),
-                    }
-                )
-        _write_csv(os.path.join(args.out, "kernel_lp.csv"), lp_rows, ["p", "cells_per_axis", "lp_norm"])
-    _write_json(
-        os.path.join(args.out, "manifest.json"),
+        lp_rows = [
+            {"p": p, "cells_per_axis": c, "lp_norm": grid_lp_norm(p, c, truncation_radius=kern.truncation_radius)}
+            for p in (1.5, 2.0)
+            for c in (32, 64, 128, 256)
+        ]
+        tables["kernel_lp.csv"] = (lp_rows, ["p", "cells_per_axis", "lp_norm"])
+    write_outputs(
+        args.out,
+        tables,
         {
             "command": "kernel-probe",
             "version": __version__,
@@ -361,7 +344,6 @@ def _cmd_rate_fit(args) -> int:
         fit = fit_rate(pts, axis=axis)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    os.makedirs(args.out, exist_ok=True)
     payload = {
         "command": "rate-fit",
         "version": __version__,
@@ -420,13 +402,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except BlowupError as exc:
         print(f"simulation blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -51,21 +51,24 @@ _HORIZON_C = 16.0
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A validated sweep plan; build it with plan_from_dict, which holds
+    every default."""
+
     base: SimConfig
     sweep_n: tuple[int, ...]
     sweep_k: tuple[int, ...]
     sweep_t: tuple[float, ...]
-    estimators: tuple[str, ...] = ("girsanov",)
-    picard_m: int = 10_000
-    picard_iters: int = 3
-    knn_neighbors: int = 4
-    knn_samples: int = 10_000
-    tv_bins: int = 32
-    bound_c0: float = 0.05
-    bound_gamma: float = 1.0
-    bound_m: float = 1.0
-    kappa: float = 1.0
-    label: str = "run"
+    estimators: tuple[str, ...]
+    picard_m: int
+    picard_iters: int
+    knn_neighbors: int
+    knn_samples: int
+    tv_bins: int
+    bound_c0: float
+    bound_gamma: float
+    bound_m: float
+    kappa: float
+    label: str
 
     def __post_init__(self):
         for est in self.estimators:
@@ -181,9 +184,7 @@ class RunResult:
     check_rows: list[dict] = field(default_factory=list)
     manifest: dict = field(default_factory=dict)
     errors: list[dict] = field(default_factory=list)
-    any_blowup: bool = False
-    any_unreliable: bool = False
-    any_check_failed: bool = False
+    any_unreliable: bool = False  # the ESS guard, which no row records
 
 
 def _point_rows(plan: ExperimentPlan, n: int) -> dict:
@@ -202,7 +203,6 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
         "horizons": [],
         "checks": [],
         "unreliable": False,
-        "check_failed": False,
         "provenance": {
             "n": n,
             "seed": cfg.seed,
@@ -221,21 +221,13 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     out["provenance"]["picard_residuals"] = [float(r) for r in mf.residuals]
     out["provenance"]["picard_non_convergent"] = mf.non_convergent
 
+    # rows are keyed by the columns their CSV is written with
     def entropy_row(t, k, estimator, value, stderr, ess):
-        out["entropy"].append(
-            {
-                "t": t,
-                "n": n,
-                "k": k,
-                "estimator": estimator,
-                "value": value,
-                "stderr": stderr,
-                "ess": ess,
-                "eps": cfg.effective_eps,
-                "dt": grid.dt,
-                "seed": cfg.seed,
-            }
-        )
+        values = (t, n, k, estimator, value, stderr, ess, cfg.effective_eps, grid.dt, cfg.seed)
+        out["entropy"].append(dict(zip(ENTROPY_COLUMNS, values)))
+
+    def check_row(k, t, check, passed, margin, value, threshold):
+        out["checks"].append(dict(zip(CHECK_COLUMNS, (n, k, t, check, passed, margin, value, threshold))))
 
     gw = None
     full_reports = {}
@@ -244,21 +236,7 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
         for step in t_steps:
             t = float(times[step])
             mean_z, se_z, z_score = gw.martingale_check(step)
-            ok = abs(z_score) <= 3.0
-            out["checks"].append(
-                {
-                    "n": n,
-                    "k": n,
-                    "t": t,
-                    "check": "martingale",
-                    "passed": ok,
-                    "margin": 3.0 - abs(z_score),
-                    "value": mean_z,
-                    "threshold": 1.0,
-                }
-            )
-            if not ok:
-                out["check_failed"] = True
+            check_row(n, t, "martingale", abs(z_score) <= 3.0, 3.0 - abs(z_score), mean_z, 1.0)
             full = entropy_girsanov(gw, k=n, step=step)
             full_reports[step] = full
             if full.unreliable:
@@ -330,32 +308,9 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
             if bins_total * 10 > min(cfg.replicas, plan.knn_samples):
                 continue
             rec = pinsker_and_subadditivity_check(rep_h, rep_tv, full)
-            out["checks"].append(
-                {
-                    "n": n,
-                    "k": k,
-                    "t": t,
-                    "check": "pinsker",
-                    "passed": rec.pinsker_margin >= 0,
-                    "margin": rec.pinsker_margin,
-                    "value": rec.details["tv"],
-                    "threshold": rec.details["pinsker_ceiling"],
-                }
-            )
-            out["checks"].append(
-                {
-                    "n": n,
-                    "k": k,
-                    "t": t,
-                    "check": "subadditivity",
-                    "passed": rec.subadditivity_margin >= 0,
-                    "margin": rec.subadditivity_margin,
-                    "value": rec.details["h_k"],
-                    "threshold": rec.details["subadditivity_rhs"],
-                }
-            )
-            if not rec.passed:
-                out["check_failed"] = True
+            pinsker, sub = rec.pinsker_margin, rec.subadditivity_margin
+            check_row(k, t, "pinsker", pinsker >= 0, pinsker, rec.details["tv"], rec.details["pinsker_ceiling"])
+            check_row(k, t, "subadditivity", sub >= 0, sub, rec.details["h_k"], rec.details["subadditivity_rhs"])
 
     # closed-form and cascade envelopes on the same (k, t) lattice
     out["bounds"] = bound_rows(n, ks, plan.sweep_t, plan.bound_c0, plan.bound_gamma, plan.bound_m, grid.dt)
@@ -404,8 +359,6 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     result = RunResult()
-    point_results: dict[int, dict] = {}
-    point_errors: dict[int, dict] = {}
 
     def _safe(n: int):
         try:
@@ -425,26 +378,18 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_safe, plan.sweep_n))
+
+    # outcomes are in plan order whatever the thread count
+    provenance = {}
     for n, rows, err in outcomes:
         if err is not None:
-            point_errors[n] = err
-        else:
-            point_results[n] = rows
-
-    provenance = {}
-    for n in plan.sweep_n:
-        if n in point_errors:
-            result.errors.append(point_errors[n])
-            if point_errors[n]["kind"] == "blowup":
-                result.any_blowup = True
+            result.errors.append(err)
             continue
-        rows = point_results[n]
         result.entropy_rows.extend(rows["entropy"])
         result.bound_rows.extend(rows["bounds"])
         result.horizon_rows.extend(rows["horizons"])
         result.check_rows.extend(rows["checks"])
         result.any_unreliable |= rows["unreliable"]
-        result.any_check_failed |= rows["check_failed"]
         provenance[str(n)] = rows["provenance"]
 
     result.entropy_rows.sort(key=lambda r: (r["t"], r["n"], r["k"], r["estimator"]))
@@ -496,8 +441,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _open_output(path: str):
+    """Open an output file for writing, creating its directory first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -505,31 +456,35 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def write_outputs(out_dir: str, tables: dict, manifest: dict) -> dict[str, str]:
+    """Write each table, file name -> (rows, columns), as a CSV in out_dir,
+    then manifest.json last; returns the written paths by file name."""
+    paths = {name: os.path.join(out_dir, name) for name in (*tables, "manifest.json")}
+    for name, (rows, columns) in tables.items():
+        _write_csv(paths[name], rows, columns)
+    _write_json(paths["manifest.json"], manifest)
+    return paths
+
+
+ENTROPY_COLUMNS = ["t", "n", "k", "estimator", "value", "stderr", "ess", "eps", "dt", "seed"]
+CHECK_COLUMNS = ["n", "k", "t", "check", "passed", "margin", "value", "threshold"]
 BOUNDS_COLUMNS = ["n", "k", "t", "closed_form", "cascade", "C", "gamma", "M"]
 
 
 def write_result(result: RunResult, out_dir: str) -> dict[str, str]:
     """Write entropy/bounds/horizons/checks CSVs and manifest.json."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    spec = {
-        "entropy.csv": (result.entropy_rows, ["t", "n", "k", "estimator", "value", "stderr", "ess", "eps", "dt", "seed"]),
+    tables = {
+        "entropy.csv": (result.entropy_rows, ENTROPY_COLUMNS),
         "bounds.csv": (result.bound_rows, BOUNDS_COLUMNS),
         "horizons.csv": (result.horizon_rows, ["n", "regime", "kappa", "beta", "hurst", "delta_star", "fit_residual"]),
-        "checks.csv": (result.check_rows, ["n", "k", "t", "check", "passed", "margin", "value", "threshold"]),
+        "checks.csv": (result.check_rows, CHECK_COLUMNS),
     }
-    for name, (rows, cols) in spec.items():
-        path = os.path.join(out_dir, name)
-        _write_csv(path, rows, cols)
-        paths[name] = path
-    paths["manifest.json"] = os.path.join(out_dir, "manifest.json")
-    _write_json(paths["manifest.json"], result.manifest)
-    return paths
+    return write_outputs(out_dir, tables, result.manifest)
 
 
 @dataclass(frozen=True)

@@ -135,25 +135,27 @@ def biot_savart_periodic(
 ) -> np.ndarray:
     """Periodic Biot-Savart kernel on T^2: free term plus the lattice sum
     over images 0 < |k|_inf <= truncation_radius, accumulated in symmetric
-    shells. The input is reduced to its minimal image first, so the result
-    is a function of the torus point only.
+    shells, minus x_perp / 2. The input is reduced to its minimal image
+    first, so the result is a function of the torus point only.
+
+    Summed over squares, the images tend to K_per(x) + x_perp / 2 with
+    x_perp = (x2, -x1), not to K_per: in complex form the square sum of
+    1/(z - w) is the Weierstrass zeta of the square lattice, for which
+    zeta(z + 1) = zeta(z) + pi. Subtracting x_perp / 2 leaves an error of
+    order truncation_radius^-2 and keeps the field continuous across the
+    cell edge; the kernel stays exactly odd.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != 2:
         raise ValueError("biot_savart_periodic expects 2-vectors")
-    if truncation_radius < 0:
-        raise ValueError("truncation_radius must be >= 0")
+    if truncation_radius < 1:
+        raise ValueError("truncation_radius must be >= 1")
     x = wrap_torus(x)
     x = _apply_eps(x, eps, freeze_inside)
 
     lead = x.shape[:-1]
     flat = x.reshape(-1, 2)
     out = np.empty_like(flat)
-    if truncation_radius == 0:
-        out[:] = _perp_over_r2(flat)
-        out /= TWO_PI
-        return out.reshape(lead + (2,))
-
     kp, km = _lattice_pairs(truncation_radius)
     for lo in range(0, flat.shape[0], _CHUNK):
         blk = flat[lo : lo + _CHUNK]
@@ -162,7 +164,10 @@ def biot_savart_periodic(
         tm = _perp_over_r2(blk[:, None, :] - km[None, :, :])
         pair_sums = tp + tm
         lattice = np.add.reduce(pair_sums, axis=1)
-        out[lo : lo + _CHUNK] = (free + lattice) / TWO_PI
+        field = (free + lattice) / TWO_PI
+        field[:, 0] -= 0.5 * blk[:, 1]
+        field[:, 1] += 0.5 * blk[:, 0]
+        out[lo : lo + _CHUNK] = field
     return out.reshape(lead + (2,))
 
 

@@ -74,8 +74,12 @@ def _fgn_cholesky(hurst: float, n: int) -> np.ndarray:
     return ell
 
 
-def _sample_fgn_circulant(hurst: float, n: int, batch: int, gen: np.random.Generator) -> np.ndarray | None:
-    """Exact unit-spacing fGn, (batch, n); None if the embedding fails.
+def _sample_fgn_circulant(hurst: float, n: int, batch: int, gen: np.random.Generator) -> np.ndarray:
+    """Exact unit-spacing fGn, (batch, n).
+
+    The minimal circulant embedding of fGn is nonnegative definite for
+    every H (Craigmile, J. Time Ser. Anal. 2003), so a negative eigenvalue
+    is an error, not a case to fall back from.
 
     All normals are drawn first (the z_0 column, the z_n column, then the
     real and the imaginary parts of z_1..z_{n-1}); the spectra are then
@@ -83,7 +87,7 @@ def _sample_fgn_circulant(hurst: float, n: int, batch: int, gen: np.random.Gener
     """
     lam = _dh_eigenvalues(hurst, n)
     if lam.min() < -1e-10 * lam.max():
-        return None
+        raise ValueError(f"circulant embedding of fGn (H = {hurst}, n = {n}) has a negative eigenvalue")
     sqrt_lam = np.sqrt(np.clip(lam, 0.0, None))
     m = 2 * n
     z0 = gen.standard_normal(batch)
@@ -116,11 +120,12 @@ def sample_fbm_batch(
 ):
     """Batch of fBm paths on the grid, each coordinate independent.
 
-    Returns (values, w, cholesky_fallback): values is (n_paths, steps+1, d)
-    with values[:, 0] = 0; w is the coupled driver Brownian path of the same
+    Returns (values, w, False): values is (n_paths, steps+1, d) with
+    values[:, 0] = 0; w is the coupled driver Brownian path of the same
     shape (only for the cholesky route, which is the causal factorization),
-    else None. Draw order is fixed, so results are reproducible for a given
-    stream regardless of scheduling.
+    else None. The circulant route has no Cholesky fallback, so the last
+    entry is always False. Draw order is fixed, so results are reproducible
+    for a given stream regardless of scheduling.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
@@ -131,15 +136,11 @@ def sample_fbm_batch(
     n = grid.steps
     dt = grid.dt
     gen = rng.generator()
-    fallback = False
 
     shape = (n_paths * d, n)
     if method == "circulant":
         fgn = _sample_fgn_circulant(hurst, n, shape[0], gen)
-        if fgn is None:
-            fallback = True
-            method = "cholesky"
-    if method == "cholesky":
+    else:
         z = gen.standard_normal(shape)
         fgn = z if hurst == 0.5 else z @ _fgn_cholesky(hurst, n).T
 
@@ -157,7 +158,7 @@ def sample_fbm_batch(
         w = np.zeros((n_paths, n + 1, d))
         np.cumsum(dw, axis=2, out=dw)
         w[:, 1:, :] = np.swapaxes(dw, 1, 2)
-    return values, w, fallback
+    return values, w, False
 
 
 def empirical_covariance_table(

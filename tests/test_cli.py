@@ -209,26 +209,41 @@ class TestEntropyAndRun:
                       "horizons.csv", "manifest.json"):
             assert (tmp_path / "t1" / fname).read_bytes() == (tmp_path / "t2" / fname).read_bytes()
 
+    def test_bare_config_writes_the_bytes_of_its_one_point_plan(self, tmp_path):
+        base = sim_config()
+        configs = {
+            "bare": base,
+            "plan": {"base": base, "sweep": {"n": [base["n_particles"]]}},
+        }
+        for name, data in configs.items():
+            cfg = write_json(tmp_path, f"{name}.json", data)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        for fname in ("entropy.csv", "bounds.csv", "checks.csv",
+                      "horizons.csv", "manifest.json"):
+            assert (tmp_path / "bare" / fname).read_bytes() == (tmp_path / "plan" / fname).read_bytes()
+
 
 class TestFinishRunPriority:
+    """run's status comes from its error list, its check rows and the ESS
+    flag; each case is built from those alone."""
+
     def result(self, **over):
-        res = RunResult()
-        res.manifest = {"label": "x"}
-        for key, val in over.items():
-            setattr(res, key, val)
-        return res
+        return RunResult(manifest={"label": "x"}, **over)
+
+    FAILED_CHECK = {"n": 4, "k": 1, "t": 0.1, "check": "pinsker", "passed": False,
+                    "margin": -0.2, "value": 1.0, "threshold": 0.8}
 
     def test_blowup_beats_everything(self, tmp_path, capsys):
-        res = self.result(any_blowup=True, any_check_failed=True,
-                          any_unreliable=True,
-                          errors=[{"n": 4, "kind": "blowup", "error": "boom"}])
+        res = self.result(check_rows=[self.FAILED_CHECK], any_unreliable=True,
+                          errors=[{"n": 4, "kind": "config", "error": "bad"},
+                                  {"n": 6, "kind": "blowup", "error": "boom"}])
         assert _finish_run(res, str(tmp_path / "o")) == EXIT_BLOWUP
-        assert "failed (blowup)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "failed (blowup)" in err and "check failed: pinsker" in err
 
     def test_failed_check_row_returns_consistency(self, tmp_path, capsys):
-        row = {"n": 4, "k": 1, "t": 0.1, "check": "pinsker", "passed": False,
-               "margin": -0.2, "value": 1.0, "threshold": 0.8}
-        res = self.result(check_rows=[row], any_unreliable=True)
+        res = self.result(check_rows=[self.FAILED_CHECK], any_unreliable=True,
+                          errors=[{"n": 6, "kind": "runtime", "error": "bad"}])
         assert _finish_run(res, str(tmp_path / "o")) == EXIT_CONSISTENCY
         assert "check failed: pinsker" in capsys.readouterr().err
 
@@ -242,7 +257,8 @@ class TestFinishRunPriority:
         assert _finish_run(res, str(tmp_path / "o")) == EXIT_CONFIG
 
     def test_clean_result(self, tmp_path, capsys):
-        assert _finish_run(self.result(), str(tmp_path / "o")) == EXIT_OK
+        passed = dict(self.FAILED_CHECK, passed=True, margin=0.2)
+        assert _finish_run(self.result(check_rows=[passed]), str(tmp_path / "o")) == EXIT_OK
         assert "rows:" in capsys.readouterr().out
 
 

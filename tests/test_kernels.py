@@ -59,7 +59,47 @@ class TestBiotSavartFree:
         assert np.linalg.norm(k_eps) <= 1.0 / (2.0 * math.pi * 0.01) + 1e-9
 
 
+def ewald_periodic_kernel(x, tau=0.02, images=4, modes=30):
+    """K_per = (-d2 G, d1 G) for the torus Green function, -Laplace G = delta - 1,
+    by the Ewald split at tau: a Gaussian-screened image sum plus the
+    heat-damped Fourier series. The default truncation is exact to ~1e-15."""
+    r = np.arange(-images, images + 1, dtype=float)
+    n = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
+    u = x[:, None, :] - n[None]
+    r2 = np.sum(u * u, axis=-1)
+    grad = -np.sum(u * (np.exp(-r2 / (4 * tau)) / (2 * np.pi * r2))[..., None], axis=1)
+    q = np.arange(-modes, modes + 1, dtype=float)
+    k = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
+    k = k[np.any(k != 0, axis=1)]
+    k2 = np.sum(k * k, axis=-1)
+    weight = np.exp(-4 * np.pi**2 * k2 * tau) / (2 * np.pi * k2)
+    grad -= (np.sin(2 * np.pi * x @ k.T) * weight) @ k
+    return np.stack([-grad[:, 1], grad[:, 0]], axis=-1)
+
+
 class TestBiotSavartPeriodic:
+    def test_oracle_splits_agree(self):
+        x = torus_probes(50, min_dist=0.05, seed=7)
+        assert np.max(np.abs(ewald_periodic_kernel(x) - ewald_periodic_kernel(x, 0.01, 5, 40))) < 1e-12
+
+    @pytest.mark.parametrize("radius", [8, 32])
+    def test_matches_the_ewald_oracle(self, radius):
+        # the truncated square sum converges at rate radius^-2
+        x = torus_probes(200, min_dist=0.05, seed=7)
+        err = np.max(np.abs(biot_savart_periodic(x, truncation_radius=radius) - ewald_periodic_kernel(x)))
+        assert err < 0.05 / radius**2
+
+    @pytest.mark.parametrize("radius", [8, 32])
+    def test_continuous_across_the_cell_edge(self, radius):
+        # x1 = 0.5 + 1e-9 wraps to the far side of the minimal-image cell
+        inside = biot_savart_periodic(np.array([[0.5 - 1e-9, 0.2]]), truncation_radius=radius)
+        across = biot_savart_periodic(np.array([[0.5 + 1e-9, 0.2]]), truncation_radius=radius)
+        assert np.max(np.abs(inside - across)) < 0.05 / radius**2
+
+    def test_rejects_a_radius_below_one(self):
+        with pytest.raises(ValueError, match="truncation_radius"):
+            biot_savart_periodic(np.array([[0.2, 0.1]]), truncation_radius=0)
+
     def test_antisymmetric_exact(self):
         x = torus_probes(100, min_dist=0.02, seed=3)
         k1 = biot_savart_periodic(x, truncation_radius=8)

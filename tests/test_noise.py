@@ -70,6 +70,16 @@ class TestSampling:
         b, _, _ = sample_fbm_batch(grid, 0.7, 1, 10, RngStream(9))
         assert np.array_equal(a, b)
 
+    def test_negative_circulant_eigenvalue_raises(self, monkeypatch):
+        # the embedding is nonnegative definite for every H, so there is no
+        # Cholesky fallback: a negative eigenvalue is an error
+        lam = np.ones(16)
+        lam[3] = -1.0
+        monkeypatch.setattr("chaoslab.noise._dh_eigenvalues", lambda hurst, n: lam)
+        grid = TimeGrid(t0=0.0, dt=0.1, steps=8)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            sample_fbm_batch(grid, 0.3, 1, 10, RngStream(9))
+
     @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8])
     def test_circulant_covariance(self, hurst):
         grid = TimeGrid(t0=0.0, dt=0.125, steps=8)

@@ -3,9 +3,10 @@
 The tracer wraps chaoslab names from outside and derives exact work counts
 from call shapes. A refactor that routes a non-separable evaluation around
 DriftSpec.pair_mean_generic or DriftSpec.mean_field_drift would silently
-falsify kernels.generic.pair_evals; this test pins the count to its closed
-form on a tiny generic-drift plan. The tracer patches modules in place, so
-it runs in a fresh interpreter.
+falsify kernels.generic.pair_evals; these tests pin that count on a tiny
+generic-drift plan, and the fBm normal count on a tiny fractional plan, to
+their closed forms. The tracer patches modules in place, so each run is in
+a fresh interpreter.
 """
 
 import json
@@ -25,6 +26,27 @@ from chaoslab.cli import main
 code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(json.dumps({"code": code, "counts": dict(tracer.counts)}))
 """
+
+
+def traced_run(tmp_path, plan):
+    """Run the plan under the tracer in a fresh interpreter; its exit code
+    and the tracer's counts."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    env["PYTHONWARNINGS"] = "ignore"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(path), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] in (0, 4, 5), proc.stderr  # ran; tiny sizes may flag estimates
+    return result
 
 
 def test_generic_pair_evals_match_closed_form(tmp_path):
@@ -47,21 +69,7 @@ def test_generic_pair_evals_match_closed_form(tmp_path):
         "knn": {"neighbors": 2, "samples": samples},
         "tv": {"bins": 4},
     }
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps(plan))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
-    env["PYTHONWARNINGS"] = "ignore"
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(path), str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["code"] in (0, 4, 5), proc.stderr  # ran; tiny sizes may flag estimates
+    result = traced_run(tmp_path, plan)
 
     want = 0
     for n in sweep_n:
@@ -73,3 +81,35 @@ def test_generic_pair_evals_match_closed_form(tmp_path):
     assert result["counts"]["dynamics.particle_steps"] == sum(
         iters * m * steps + 2 * replicas * n * steps + samples * max(sweep_k) * steps for n in sweep_n
     )
+
+
+def test_fbm_normals_match_closed_form(tmp_path):
+    # the tracer reads sample_fbm_batch's bound method and its third result
+    steps, replicas, m, iters, samples = 4, 100, 100, 2, 100
+    sweep_n, sweep_k = [3, 4], [1, 2]
+    plan = {
+        "label": "trace_contract_fbm",
+        "base": {
+            "domain": {"kind": "euclidean", "dim": 1},
+            "n_particles": 3,
+            "grid": {"t0": 0.0, "dt": 0.01, "steps": steps},
+            "noise": {"kind": "fbm", "hurst": 0.3},
+            "initial_law": {"name": "gaussian", "params": {"mean": [0.0], "sigma": 1.0}},
+            "seed": 3,
+            "replicas": replicas,
+            "drift": {"name": "linear_pair", "params": {}},
+        },
+        "sweep": {"n": sweep_n, "k": sweep_k, "t": [steps * 0.01]},
+        "picard": {"m": m, "iters": iters},
+        "knn": {"neighbors": 2, "samples": samples},
+        "tv": {"bins": 4},
+    }
+    result = traced_run(tmp_path, plan)
+
+    # the circulant route (Picard, simulation, reference marginals) draws two
+    # normals per step, the weights' causal Cholesky route one
+    want = sum(
+        steps * (2 * iters * m + 2 * replicas * n + 2 * samples * max(sweep_k) + replicas * n) for n in sweep_n
+    )
+    assert result["counts"]["noise.fbm.normals"] == want
+    assert result["counts"]["noise.fbm.cholesky_fallbacks"] == 0
