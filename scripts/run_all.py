@@ -2,13 +2,16 @@
 """Run the full pipeline over every shipped config.
 
 Each config lands in <out>/<label>/ with entropy.csv, bounds.csv,
-checks.csv, horizons.csv and manifest.json. The exit status is the worst
-per-config exit code, so CI can gate on this script alone.
+checks.csv, horizons.csv and manifest.json. After each config the wall
+time and the peak resident memory of its run are printed. The exit status
+is the worst per-config exit code, so CI can gate on this script alone.
 """
 
 import argparse
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
@@ -36,7 +39,12 @@ def main() -> int:
         if args.seed is not None:
             cmd += ["--seed", str(args.seed)]
         print(f"== {cfg.stem} -> {dest}", flush=True)
-        code = subprocess.run(cmd).returncode
+        start = time.perf_counter()
+        child = subprocess.Popen(cmd)
+        # wait4 reaps the child with its own resource usage; ru_maxrss is in KiB
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = code = os.waitstatus_to_exitcode(status)
+        print(f"   wall {time.perf_counter() - start:.2f} s, peak RSS {usage.ru_maxrss / 1024:.1f} MB", flush=True)
         if code != 0:
             print(f"   exit code {code}", file=sys.stderr)
         worst = max(worst, code)

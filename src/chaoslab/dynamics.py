@@ -75,7 +75,7 @@ class ParticleEnsemble:
     grid: TimeGrid
     n: int
     replicas: int
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # step -> (R, n, d)
+    snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # step -> (R, recorded particles, d)
 
     def positions_at(self, step: int) -> np.ndarray:
         if step in self.snapshots:
@@ -87,13 +87,15 @@ def extract_marginal(ensemble: ParticleEnsemble, k: int, t: float) -> np.ndarray
     """Positions of the first k particles at time t, one row per replica.
 
     Shape (replicas, k*d); exchangeability makes the choice of the first k
-    representative.
+    representative. k may not exceed the particles the snapshot recorded.
     """
     if not 1 <= k <= ensemble.n:
         raise ValueError("need 1 <= k <= n")
     idx = ensemble.grid.index_of(t)
     pos = ensemble.positions_at(idx)
-    r = pos.shape[0]
+    r, recorded = pos.shape[:2]
+    if k > recorded:
+        raise ValueError(f"k = {k} exceeds the {recorded} particles recorded; request them via particles")
     return pos[:, :k, :].reshape(r, -1).copy()
 
 
@@ -166,9 +168,13 @@ def integrate_block(states: np.ndarray, grid: TimeGrid, torus: bool, drift_at, i
     return states
 
 
-def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=None) -> ParticleEnsemble:
+def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=None,
+                             particles: int | None = None) -> ParticleEnsemble:
     """Integrate the interacting n-particle system over all replicas and
     record the positions at the requested grid times, the start and the end.
+
+    Each snapshot holds the first `particles` particles of every replica
+    (all n when None); the paths do not depend on how many are kept.
 
     Initial positions are i.i.d. from the configured initial law. The drift
     is b0 plus the (n-1)^{-1}-normalized pairwise interaction; torus states
@@ -180,10 +186,13 @@ def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=N
     n, d = config.n_particles, config.domain.dim
     r_total = config.replicas
     snap_steps = _snapshot_steps(grid, snapshot_times)
+    kept = n if particles is None else particles
+    if not 1 <= kept <= n:
+        raise ValueError(f"particles must lie in 1..{n}, got {particles}")
 
     ens = ParticleEnsemble(grid=grid, n=n, replicas=r_total)
     for s in snap_steps:
-        ens.snapshots[s] = np.empty((r_total, n, d))
+        ens.snapshots[s] = np.empty((r_total, kept, d))
 
     def drift_at(s, t, x):
         total = drift.pair_mean_generic(t, x) if drift.pair_state is not None else np.zeros_like(x)
@@ -200,7 +209,7 @@ def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=N
 
         def observe(s, x, dw):
             if s in snap_steps:
-                ens.snapshots[s][rows] = x
+                ens.snapshots[s][rows] = x[:, :kept]
 
         integrate_block(states, grid, config.domain.is_torus, drift_at, increment, observe)
         del increment  # the next block's noise never coexists with this one's

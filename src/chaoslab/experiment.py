@@ -74,21 +74,21 @@ class ExperimentPlan:
         for est in self.estimators:
             if est not in _ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}; valid: {_ESTIMATORS}")
-        if self.sweep_n and not self.sweep_t:
-            raise ConfigError("sweep_t must not be empty when sweep_n is nonempty")
-        if self.sweep_n and not self.sweep_k:
-            raise ConfigError("sweep_k must not be empty when sweep_n is nonempty")
+        # a plan without a sweep point would run nothing and write empty tables
+        for axis, values in (("n", self.sweep_n), ("t", self.sweep_t), ("k", self.sweep_k)):
+            if not values:
+                raise ConfigError(f"sweep_{axis} must not be empty")
         for axis, values in (("n", self.sweep_n), ("k", self.sweep_k), ("t", self.sweep_t)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"sweep_{axis} lists a value twice: {list(values)}")
         for n in self.sweep_n:
             if n < 2:
                 raise ConfigError("swept n must be >= 2")
-        kmax = min(self.sweep_n) if self.sweep_n else None
+        kmax = min(self.sweep_n)
         for k in self.sweep_k:
             if k < 1:
                 raise ConfigError("swept k must be >= 1")
-            if kmax is not None and k > kmax:
+            if k > kmax:
                 raise ConfigError(f"swept k = {k} exceeds the smallest swept n = {kmax}")
         grid = self.base.grid
         for t in self.sweep_t:
@@ -232,7 +232,7 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     gw = None
     full_reports = {}
     if "girsanov" in plan.estimators:
-        gw = girsanov_weight(cfg, mf, rng)
+        gw = girsanov_weight(cfg, mf, rng, snapshot_times=plan.sweep_t)
         for step in t_steps:
             t = float(times[step])
             mean_z, se_z, z_score = gw.martingale_check(step)
@@ -265,8 +265,8 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     knn_reports = {}
     tv_reports = {}
     if "knn" in plan.estimators or "histogram_tv" in plan.estimators:
-        ens = simulate_particle_system(cfg, rng, snapshot_times=plan.sweep_t)
         max_k = max(ks)
+        ens = simulate_particle_system(cfg, rng, snapshot_times=plan.sweep_t, particles=max_k)
         refs = sample_reference_marginals(
             cfg, mf, plan.knn_samples * max_k, rng, snapshot_times=plan.sweep_t
         )

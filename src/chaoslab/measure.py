@@ -34,6 +34,7 @@ from .dynamics import (
     _P_WEIGHT,
     _P_WEIGHT_FBM,
     _block_start,
+    _snapshot_steps,
     integrate_block,
 )
 from .kernels import build_drift
@@ -58,7 +59,11 @@ _ESS_FLOOR = 0.05
 
 @dataclass
 class GirsanovWeight:
-    """Per-replica log-weights log Z_t on the grid (replicas, steps+1)."""
+    """Per-replica log-weights log Z_t at the recorded grid steps.
+
+    log_z[:, j] holds step steps[j]; steps None means every step, so
+    log_z is (replicas, grid.steps + 1) and column j is step j.
+    """
 
     grid: TimeGrid
     log_z: np.ndarray
@@ -68,13 +73,22 @@ class GirsanovWeight:
     drift_energy: np.ndarray | None = None  # (replicas, n)
     # fractional only: same integral for the transformed integrand delta_K
     volterra_energy: np.ndarray | None = None  # (replicas, n)
+    steps: tuple[int, ...] | None = None  # recorded grid steps, ascending
 
     @property
     def replicas(self) -> int:
         return self.log_z.shape[0]
 
+    def log_z_at(self, step: int) -> np.ndarray:
+        """log Z at one grid step for every replica."""
+        if self.steps is None:
+            return self.log_z[:, step]
+        if step not in self.steps:
+            raise KeyError(f"step {step} was not recorded; request it via snapshot_times")
+        return self.log_z[:, self.steps.index(step)]
+
     def weights_at(self, step: int) -> np.ndarray:
-        return np.exp(self.log_z[:, step])
+        return np.exp(self.log_z_at(step))
 
     def martingale_check(self, step: int | None = None) -> tuple[float, float, float]:
         """(mean Z, stderr, z-score of the deviation from 1)."""
@@ -111,7 +125,8 @@ def log_weights_from_deltas(delta: np.ndarray, dw: np.ndarray, dt: float) -> np.
     return np.concatenate([zeros, np.cumsum(incr, axis=-1)], axis=-1)
 
 
-def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream) -> GirsanovWeight:
+def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
+                    snapshot_times=None) -> GirsanovWeight:
     """Simulate config.replicas replicas of n = config.n_particles
     independent mean-field copies and accumulate the exponential-martingale
     log-weight of the interacting system relative to them.
@@ -123,6 +138,13 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream)
     for all its fast paths. Fractional noise
     retains the underlying Brownian driver and pushes the running drift
     integral through the inverse Volterra transform first.
+
+    log Z is recorded at the grid steps of snapshot_times, the start and
+    the end (as for simulate_particle_system), or at every step when
+    snapshot_times is None; the recorded values do not depend on that
+    choice. Every step is checked: a non-finite log-weight raises
+    BlowupError naming the lowest such replica of its block at its first
+    non-finite step.
     """
     drift = mean_field.drift
     if drift.name != build_drift(config).name:
@@ -133,8 +155,10 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream)
     dt = grid.dt
     steps = grid.steps
     fractional = config.noise.kind == "fbm" and config.noise.hurst != 0.5
+    record = list(range(steps + 1)) if snapshot_times is None else sorted(_snapshot_steps(grid, snapshot_times))
+    column = {s: j for j, s in enumerate(record)}
 
-    log_z = np.zeros((r_total, steps + 1))
+    log_z = np.zeros((r_total, len(record)))
     energy = np.zeros((r_total, n))
     k_energy = np.empty((r_total, n)) if fractional else None
     quality = "fractional weight: inverse Volterra transform carries O(dt) quadrature error" if fractional else None
@@ -149,6 +173,8 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream)
             with_driver=fractional,
         )
         delta_store = np.empty((b, n, d, steps)) if fractional else None
+        log_z_now = np.zeros(b)  # log Z of the block at the current step
+        first_bad = np.zeros(b, dtype=int)  # first non-finite step per replica, 0 for none
 
         def drift_at(s, t, x):
             nonlocal delta
@@ -164,10 +190,13 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream)
                 return
             # left-point Ito sums: delta is from step s - 1, dw drives it
             dd = delta * delta
-            log_z[rows, s] = log_z[rows, s - 1] + (
-                np.sum(delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
-            )
+            log_z_now[:] += np.sum(delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
             energy[rows] += dt * np.sum(dd, axis=2)
+            bad = ~np.isfinite(log_z_now)
+            if bad.any():
+                first_bad[bad & (first_bad == 0)] = s
+            if s in column:
+                log_z[rows, column[s]] = log_z_now
 
         integrate_block(states, grid, config.domain.is_torus, drift_at, increment, observe)
         del increment  # the next block's noise never coexists with this one's
@@ -176,6 +205,7 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream)
             # running integral of delta_b, then the inverse Volterra map, a
             # chunk of replicas at a time; every sum below is per replica
             chunk = max(1, CHUNK_SERIES // (n * d))
+            later = [s - 1 for s in record[1:]]  # recorded steps > 0, as cumsum columns
             for c_lo in range(0, b, chunk):
                 c = slice(c_lo, min(c_lo + chunk, b))
                 ds = delta_store[c]
@@ -186,14 +216,18 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream)
                 dwt = driver[c].transpose(0, 1, 3, 2)  # (chunk, n, d, steps)
                 incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
                 out_rows = slice(lo + c.start, lo + c.stop)
-                log_z[out_rows, 1:] = np.cumsum(incr, axis=-1)
+                running = np.cumsum(incr, axis=-1)
+                bad = ~np.isfinite(running)
+                first_bad[c] = np.where(bad.any(axis=-1), np.argmax(bad, axis=-1) + 1, 0)
+                log_z[out_rows, 1:] = running[:, later]
                 energy[out_rows] = dt * np.sum(ds * ds, axis=(2, 3))
                 k_energy[out_rows] = dt * np.sum(dk * dk, axis=(2, 3))
             del driver, delta_store
 
-        if not np.all(np.isfinite(log_z[rows])):
-            row, step = np.argwhere(~np.isfinite(log_z[rows]))[0]
-            raise BlowupError(int(step), replica=lo + int(row))
+        bad_rows = np.flatnonzero(first_bad)
+        if bad_rows.size:
+            row = int(bad_rows[0])
+            raise BlowupError(int(first_bad[row]), replica=lo + row)
 
     return GirsanovWeight(
         grid=grid,
@@ -202,6 +236,7 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream)
         quality_flag=quality,
         drift_energy=energy,
         volterra_energy=k_energy,
+        steps=None if snapshot_times is None else tuple(record),
     )
 
 
@@ -227,7 +262,7 @@ def entropy_girsanov(weights: GirsanovWeight, k: int, step: int | None = None) -
     r = weights.replicas
     if r < 1000:
         warnings.warn(f"only {r} replicas; the estimator is designed for >= 1000", stacklevel=2)
-    lz = weights.log_z[:, step]
+    lz = weights.log_z_at(step)
     z = np.exp(lz)
     y = z * lz
     raw_h = float(np.mean(y))

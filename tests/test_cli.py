@@ -115,6 +115,14 @@ class TestExitCodes:
         assert "picard_iters must be <= 99" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_sweep_fails_at_parse_time(self, tmp_path, capsys):
+        # a plan with no sweep point runs nothing, so it is refused
+        data = {"base": sim_config(), "sweep": {"n": []}, "picard": {"m": 100}}
+        cfg = write_json(tmp_path, "p.json", data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "sweep_n must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blowup(self, tmp_path, capsys):
         cfg = write_json(

@@ -159,6 +159,23 @@ class TestSimulate:
             with pytest.raises(ValueError):
                 extract_marginal(ens, bad, 0.1)
 
+    def test_snapshots_of_the_first_particles_equal_the_full_prefix(self):
+        cfg = make_cfg(domain={"kind": "euclidean", "dim": 2},
+                       initial_law={"name": "gaussian", "params": {"sigma": 1.0}},
+                       replicas=30, grid={"t0": 0.0, "dt": 0.01, "steps": 10})
+        full = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), snapshot_times=(0.05,))
+        part = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), snapshot_times=(0.05,), particles=3)
+        assert set(part.snapshots) == set(full.snapshots) == {0, 5, 10}
+        for step, pos in part.snapshots.items():
+            assert pos.shape == (30, 3, 2)
+            assert np.array_equal(pos, full.snapshots[step][:, :3])
+        assert np.array_equal(extract_marginal(part, 3, 0.05), extract_marginal(full, 3, 0.05))
+        with pytest.raises(ValueError, match="3 particles recorded"):
+            extract_marginal(part, 4, 0.05)
+        for bad in (0, 9):
+            with pytest.raises(ValueError, match="particles must lie in 1..8"):
+                simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), particles=bad)
+
     def test_running_sup_gronwall_envelope(self):
         # |x + y| <= 1 + |x| + |y| with beta = 1, so the discrete Gronwall
         # bound gives max_i sup_s |X_i| <= (M_0 + beta T + W*) e^{2 beta T}

@@ -152,6 +152,7 @@ class TestPlanParsing:
                 "knn estimator needs replicas >= 151, got 120",
             ),
             (lambda d: d["picard"].__setitem__("iters", 100), "picard_iters must be <= 99"),
+            (lambda d: d["sweep"].__setitem__("n", []), "sweep_n must not be empty"),
         ],
     )
     def test_fail_closed(self, mutate, message):

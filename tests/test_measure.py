@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from chaoslab.core import RngStream, TimeGrid, config_from_dict
 from chaoslab.dynamics import BLOCK_REPLICAS, BlowupError, solve_mckean_vlasov_picard
+from chaoslab.experiment import _point_rows, plan_from_dict
 from chaoslab.kernels import DriftSpec
 from chaoslab.measure import (
     CheckRecord,
@@ -224,6 +225,68 @@ class TestGirsanovWeight:
         with pytest.raises(BlowupError, match=message) as exc:
             girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
         assert (exc.value.step, exc.value.replica, exc.value.particle) == (1, BLOCK_REPLICAS + 3, None)
+
+
+    @pytest.mark.parametrize("noise", [{"kind": "brownian"}, {"kind": "fbm", "hurst": 0.3}], ids=["brownian", "fbm"])
+    def test_recorded_subset_equals_the_full_record(self, noise):
+        # recording a few steps keeps their values bit for bit
+        cfg = make_cfg(noise=noise, replicas=BLOCK_REPLICAS + 6)
+        law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=300, iters=2)
+        full = girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
+        sub = girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1), snapshot_times=(0.125, 0.0625))
+        assert sub.steps == (0, 4, 8, 16)
+        assert sub.log_z.shape == (BLOCK_REPLICAS + 6, 4)
+        for step in sub.steps:
+            assert np.array_equal(sub.log_z_at(step), full.log_z[:, step])
+            assert np.array_equal(sub.weights_at(step), full.weights_at(step))
+        assert np.array_equal(sub.drift_energy, full.drift_energy)
+        if full.volterra_energy is not None:
+            assert np.array_equal(sub.volterra_energy, full.volterra_energy)
+        assert entropy_girsanov(sub, 2, step=8).value == entropy_girsanov(full, 2, step=8).value
+        with pytest.raises(KeyError, match="snapshot_times"):
+            sub.weights_at(5)
+        with pytest.raises(KeyError, match="snapshot_times"):
+            entropy_girsanov(sub, 1, step=5)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_blowup_names_the_lowest_replica_at_its_first_step(self, monkeypatch):
+        # replica 3 goes bad at a later step than replica 5; the lowest bad
+        # replica is reported, at its first non-finite step, whichever
+        # steps are recorded (step 3 is not recorded by the plan below)
+        cfg = make_cfg(n_particles=2, replicas=8, grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 4})
+        law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=100, iters=1)
+        pair_mean = DriftSpec.pair_mean_generic
+
+        def poisoned(self, t, states, feats=None):
+            out = pair_mean(self, t, states, feats)
+            step = round(t * 64)  # delta at step s enters log Z at step s + 1
+            if step == 2:
+                out[3] = np.inf
+            if step == 0:
+                out[5] = np.nan
+            return out
+
+        monkeypatch.setattr(DriftSpec, "pair_mean_generic", poisoned)
+        with pytest.raises(BlowupError, match="non-finite log-weight at step 3, replica 3") as exc:
+            girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
+        assert (exc.value.step, exc.value.replica) == (3, 3)
+
+        plan = plan_from_dict({
+            "base": {
+                "domain": {"kind": "euclidean", "dim": 1},
+                "drift": {"name": "linear_pair", "params": {}},
+                "n_particles": 2,
+                "grid": {"t0": 0.0, "dt": 1.0 / 64, "steps": 4},
+                "noise": {"kind": "brownian"},
+                "initial_law": {"name": "gaussian", "params": {"mean": [0.0], "sigma": 0.5}},
+                "seed": 52,
+                "replicas": 8,
+            },
+            "sweep": {"n": [2], "t": [1.0 / 32, 1.0 / 16]},
+            "picard": {"m": 100, "iters": 1},
+        })
+        with pytest.raises(BlowupError, match="non-finite log-weight at step 3, replica 3"):
+            _point_rows(plan, 2)
 
 
 class TestEntropyGirsanov:
