@@ -4,7 +4,8 @@
 Each config lands in <out>/<label>/ with entropy.csv, bounds.csv,
 checks.csv, horizons.csv and manifest.json. After each config the wall
 time and the peak resident memory of its run are printed. The exit status
-is the worst per-config exit code, so CI can gate on this script alone.
+is the worst per-config exit code, a run killed by signal s counting as
+128 + s, so CI can gate on this script alone.
 """
 
 import argparse
@@ -45,6 +46,10 @@ def main() -> int:
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = code = os.waitstatus_to_exitcode(status)
         print(f"   wall {time.perf_counter() - start:.2f} s, peak RSS {usage.ru_maxrss / 1024:.1f} MB", flush=True)
+        if code < 0:
+            # killed by signal -code; report it as a shell does, 128 + signum
+            print(f"   killed by signal {-code}", file=sys.stderr)
+            code = 128 - code
         if code != 0:
             print(f"   exit code {code}", file=sys.stderr)
         worst = max(worst, code)

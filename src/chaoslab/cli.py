@@ -32,6 +32,7 @@ from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
     _ESTIMATORS,
+    _HORIZON_C,
     BOUNDS_COLUMNS,
     ExperimentPlan,
     _write_json,
@@ -42,7 +43,7 @@ from .experiment import (
     write_outputs,
     write_result,
 )
-from .kernels import divergence_fd, grid_lp_norm, kernel_from_ref
+from .kernels import build_drift, divergence_fd, grid_lp_norm, kernel_from_ref
 from .noise import empirical_covariance_table
 
 EXIT_OK = 0
@@ -53,8 +54,10 @@ EXIT_CONSISTENCY = 5
 
 
 def _seeded_config(args) -> SimConfig:
-    """The --config simulation config, with --seed applied."""
+    """The --config simulation config, with --seed applied; its kernel or
+    drift is resolved once, so a malformed one fails before any output."""
     cfg = config_from_dict(load_json(args.config))
+    build_drift(cfg)
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
@@ -172,7 +175,7 @@ def _cmd_bounds(args) -> int:
         regime = _pop_key(spec, "regime", str, "brownian", where)
         hurst = _pop_key(spec, "hurst", None, None, where)
         hurst = None if hurst is None else _as_real(hurst, f"{where}: key 'hurst'")
-        c_h = _as_real(_pop_key(spec, "C", None, 16.0, where), f"{where}: key 'C'")
+        c_h = _as_real(_pop_key(spec, "C", None, _HORIZON_C, where), f"{where}: key 'C'")
         if spec:
             raise ConfigError(f"unknown horizon keys: {sorted(spec)}")
         hz = short_time_horizon(kappa, beta, regime=regime, hurst=hurst, C=c_h)
@@ -207,10 +210,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_noise_check(args) -> int:
     cfg = _seeded_config(args)
-    if cfg.noise.kind != "fbm":
-        hurst = 0.5
-    else:
-        hurst = cfg.noise.hurst
+    hurst = cfg.noise.hurst
     rng = RngStream(cfg.seed, counter=1)
     table = empirical_covariance_table(cfg.grid, hurst, cfg.replicas, rng)
     rows = []
@@ -253,7 +253,8 @@ def _cmd_kernel_probe(args) -> int:
     gen = RngStream(cfg.seed, counter=2).generator()
     d = cfg.domain.dim
     candidates = gen.uniform(-0.5, 0.5, size=(1000, d))
-    if kern.kind in ("biot_savart_free", "biot_savart_periodic"):
+    kind = cfg.kernel.name
+    if kind in ("biot_savart_free", "biot_savart_periodic"):
         # keep probes off the singularity so the divergence stencil is valid
         r = np.linalg.norm(candidates, axis=1)
         candidates = candidates[r >= 0.1]
@@ -276,9 +277,9 @@ def _cmd_kernel_probe(args) -> int:
         rows.append(row)
     cols = [f"x{c}" for c in range(d)] + [f"K{c}" for c in range(vals.shape[1])] + ["divergence"]
     tables = {"kernel_probe.csv": (rows, cols)}
-    if kern.kind == "biot_savart_periodic":
+    if kind == "biot_savart_periodic":
         lp_rows = [
-            {"p": p, "cells_per_axis": c, "lp_norm": grid_lp_norm(p, c, truncation_radius=kern.truncation_radius)}
+            {"p": p, "cells_per_axis": c, "lp_norm": grid_lp_norm(p, c, truncation_radius=cfg.truncation_radius)}
             for p in (1.5, 2.0)
             for c in (32, 64, 128, 256)
         ]
@@ -289,13 +290,13 @@ def _cmd_kernel_probe(args) -> int:
         {
             "command": "kernel-probe",
             "version": __version__,
-            "kernel": kern.kind,
+            "kernel": kind,
             "probes": probes.shape[0],
             "antisymmetry_exact": anti_exact,
             "max_abs_divergence": max_div,
         },
     )
-    print(f"kernel {kern.kind}: antisymmetry_exact={anti_exact}, max |div| = {max_div:.2e}")
+    print(f"kernel {kind}: antisymmetry_exact={anti_exact}, max |div| = {max_div:.2e}")
     return EXIT_OK if anti_exact and max_div < 1e-3 else EXIT_CONSISTENCY
 
 

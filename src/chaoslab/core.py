@@ -187,15 +187,17 @@ class NoiseSpec:
         if self.kind == "brownian" and self.hurst != 0.5:
             raise ConfigError(f"brownian noise has hurst 0.5, got {self.hurst!r}; use kind 'fbm' for another index")
 
+    @property
+    def fractional(self) -> bool:
+        """True when the noise is not Brownian motion (fBm with H != 1/2)."""
+        return self.hurst != 0.5
+
 
 @dataclass(frozen=True)
-class KernelRef:
-    name: str
-    params: dict[str, Any] = field(default_factory=dict)
+class InteractionRef:
+    """A kernel or drift declaration: a built-in's name and its parameters,
+    resolved and checked by kernels.build_drift."""
 
-
-@dataclass(frozen=True)
-class DriftRef:
     name: str
     params: dict[str, Any] = field(default_factory=dict)
 
@@ -236,8 +238,8 @@ class SimConfig:
     initial_law: InitialLaw
     seed: int
     replicas: int
-    kernel: KernelRef | None = None
-    drift: DriftRef | None = None
+    kernel: InteractionRef | None = None
+    drift: InteractionRef | None = None
     eps: float | None = None  # kernel regularization radius; None -> sqrt(dt)/10
     truncation_radius: int = 8
 
@@ -364,10 +366,10 @@ def config_from_dict(raw: dict[str, Any]) -> SimConfig:
     _reject_unknown(il, "initial_law")
 
     refs = {}
-    for key, ref_type in (("kernel", KernelRef), ("drift", DriftRef)):
+    for key in ("kernel", "drift"):
         ref = _pop_object(top, key, "config", default=None)
         if ref is not None:
-            refs[key] = ref_type(
+            refs[key] = InteractionRef(
                 name=_pop_key(ref, "name", str, where=key), params=_pop_object(ref, "params", key, default={})
             )
             _reject_unknown(ref, key)

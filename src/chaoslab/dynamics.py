@@ -130,7 +130,7 @@ def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int]
             states = wrap_torus_unchecked(states)
     else:
         states = initial.copy()
-    if config.noise.kind == "fbm" and config.noise.hurst != 0.5:
+    if config.noise.fractional:
         vals, w_paths, _ = sample_fbm(
             grid, config.noise.hurst, d, math.prod(size), stream.for_particle(purposes[1]),
             method="cholesky" if with_driver else "circulant", with_driver=with_driver,

@@ -2,8 +2,9 @@
 
 Two families: singular Biot-Savart kernels on R^2 / T^2 (free-space and
 periodic lattice sum) and bounded smooth test kernels, plus named drift
-built-ins. Drifts are declared by name and parameter map in the config; no
-runtime-loaded code.
+built-ins. Kernels and drifts are declared by name and parameter map in the
+config and resolved here by build_drift; a kernel is its function with the
+parameters bound (kernel_from_ref). No runtime-loaded code.
 
 The periodic lattice sum is truncated to |k|_inf <= R and accumulated in
 +k/-k pairs inside complete shells. Pairing makes antisymmetry exact in
@@ -14,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import add
 from typing import Any, Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainSpec, KernelRef, SimConfig, _as_integral, _as_real, torus_displacement, wrap_torus
+from .core import ConfigError, DomainSpec, InteractionRef, SimConfig, _as_integral, _as_real, torus_displacement, wrap_torus
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,41 +32,6 @@ _CHUNK = 4096
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Declarative kernel description.
-
-    kind: biot_savart_free | biot_savart_periodic | smooth_divfree
-    """
-
-    kind: str
-    truncation_radius: int = 8
-    regularization_eps: float = 0.0
-    frequency: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("biot_savart_free", "biot_savart_periodic", "smooth_divfree"):
-            raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.truncation_radius < 1:
-            raise ConfigError("truncation_radius must be >= 1")
-        if self.regularization_eps < 0:
-            raise ConfigError("regularization_eps must be >= 0")
-        if self.kind == "smooth_divfree" and self.frequency < 1:
-            raise ConfigError("smooth_divfree requires frequency >= 1")
-
-    def __call__(self, x: np.ndarray, freeze_inside: bool = False) -> np.ndarray:
-        if self.kind == "biot_savart_free":
-            return biot_savart_free(x, eps=self.regularization_eps, freeze_inside=freeze_inside)
-        if self.kind == "biot_savart_periodic":
-            return biot_savart_periodic(
-                x,
-                truncation_radius=self.truncation_radius,
-                eps=self.regularization_eps,
-                freeze_inside=freeze_inside,
-            )
-        return smooth_divfree_kernel(x, self.frequency)
 
 
 def _perp_over_r2(u: np.ndarray) -> np.ndarray:
@@ -482,12 +448,14 @@ def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     return DriftSpec(name="sign_gated_pair", pair_state=pair)
 
 
-def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
-    if spec.kind == "smooth_divfree":
-        w = TWO_PI * spec.frequency
+def _drift_from_kernel(name: str, kernel: Callable[..., np.ndarray]) -> DriftSpec:
+    """Pair drift b(x, y) = K(x - y) of the kernel named name, as
+    kernel_from_ref resolved it."""
+    if name == "smooth_divfree":
+        w = TWO_PI * kernel.keywords["frequency"]
 
         def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return smooth_divfree_kernel(torus_displacement(x, y), spec.frequency)
+            return kernel(torus_displacement(x, y))
 
         def column(wu: np.ndarray) -> tuple:
             # sin(wu_i - wu_j) = sin(wu_i) cos(wu_j) - cos(wu_i) sin(wu_j)
@@ -501,10 +469,10 @@ def _drift_from_kernel(spec: KernelSpec) -> DriftSpec:
     # Singular kernels: generic O(n^2) pairwise path with frozen-ball
     # regularization.
     def pair_bs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        disp = torus_displacement(x, y) if spec.kind == "biot_savart_periodic" else x - y
-        return spec(disp, freeze_inside=True)
+        disp = torus_displacement(x, y) if name == "biot_savart_periodic" else x - y
+        return kernel(disp, freeze_inside=True)
 
-    return DriftSpec(name=f"kernel:{spec.kind}", pair_state=pair_bs)
+    return DriftSpec(name=f"kernel:{name}", pair_state=pair_bs)
 
 
 _DRIFT_BUILTINS: dict[str, Callable[[dict, DomainSpec], DriftSpec]] = {
@@ -517,21 +485,21 @@ _DRIFT_BUILTINS: dict[str, Callable[[dict, DomainSpec], DriftSpec]] = {
 }
 
 
-def kernel_from_ref(ref: KernelRef, config: SimConfig) -> KernelSpec:
-    params = dict(ref.params)
+def kernel_from_ref(ref: InteractionRef, config: SimConfig) -> Callable[..., np.ndarray]:
+    """The kernel the config names, as its function with the parameters
+    bound: K(x), and K(x, freeze_inside=True) for the singular kernels."""
     if ref.name == "smooth_divfree":
-        freq = _as_integral(params.pop("frequency", 1), "smooth_divfree: param 'frequency'")
-        if params:
-            raise ConfigError(f"smooth_divfree: unknown params {sorted(params)}")
-        return KernelSpec(kind="smooth_divfree", frequency=freq)
-    if ref.name in ("biot_savart_free", "biot_savart_periodic"):
-        if params:
-            raise ConfigError(f"{ref.name}: unknown params {sorted(params)}")
-        return KernelSpec(
-            kind=ref.name,
-            truncation_radius=config.truncation_radius,
-            regularization_eps=config.effective_eps,
-        )
+        frequency = _as_integral(ref.params.get("frequency", 1), "smooth_divfree: param 'frequency'")
+        _reject_unknown_params(ref.name, ref.params, ("frequency",))
+        if frequency < 1:
+            raise ConfigError("smooth_divfree requires frequency >= 1")
+        return partial(smooth_divfree_kernel, frequency=frequency)
+    if ref.name == "biot_savart_free":
+        _reject_unknown_params(ref.name, ref.params)
+        return partial(biot_savart_free, eps=config.effective_eps)
+    if ref.name == "biot_savart_periodic":
+        _reject_unknown_params(ref.name, ref.params)
+        return partial(biot_savart_periodic, truncation_radius=config.truncation_radius, eps=config.effective_eps)
     raise ConfigError(f"unknown kernel {ref.name!r}")
 
 
@@ -540,7 +508,7 @@ def build_drift(config: SimConfig) -> DriftSpec:
     if config.kernel is not None:
         if not config.domain.is_torus:
             raise ConfigError("kernel interactions are defined on the torus")
-        return _drift_from_kernel(kernel_from_ref(config.kernel, config))
+        return _drift_from_kernel(config.kernel.name, kernel_from_ref(config.kernel, config))
     assert config.drift is not None
     factory = _DRIFT_BUILTINS.get(config.drift.name)
     if factory is None:

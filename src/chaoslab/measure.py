@@ -154,7 +154,7 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     d = config.domain.dim
     dt = grid.dt
     steps = grid.steps
-    fractional = config.noise.kind == "fbm" and config.noise.hurst != 0.5
+    fractional = config.noise.fractional
     record = list(range(steps + 1)) if snapshot_times is None else sorted(_snapshot_steps(grid, snapshot_times))
     column = {s: j for j, s in enumerate(record)}
 

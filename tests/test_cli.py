@@ -8,9 +8,13 @@ contract (codes 0/2/3/4/5, CSV schemas, manifest fields) is pinned here.
 import argparse
 import csv
 import importlib
+import importlib.util
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from chaoslab.cli import (
     main,
 )
 from chaoslab.experiment import RunResult
+from chaoslab.kernels import biot_savart_periodic
 
 
 def sim_config(**over):
@@ -121,6 +126,52 @@ class TestExitCodes:
         cfg = write_json(tmp_path, "p.json", data)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "sweep_n must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate", "noise-check"])
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"drift": {"name": "nope"}}, "unknown drift 'nope'"),
+            ({"drift": {"name": "linear_pair", "params": {"strength": 2}}}, "linear_pair: unknown params ['strength']"),
+            (
+                {
+                    "domain": {"kind": "euclidean", "dim": 2},
+                    "initial_law": {"name": "gaussian", "params": {"mean": [0.2, 0.2]}},
+                    "drift": {"name": "sign_gated_pair"},
+                },
+                "sign_gated_pair drift lives on R^1",
+            ),
+            (
+                {
+                    "domain": {"kind": "torus", "dim": 2},
+                    "initial_law": {"name": "uniform"},
+                    "drift": None,
+                    "kernel": {"name": "smooth_divfree", "params": {"frequency": 0}},
+                },
+                "smooth_divfree requires frequency >= 1",
+            ),
+            (
+                {
+                    "domain": {"kind": "euclidean", "dim": 2},
+                    "initial_law": {"name": "gaussian", "params": {"mean": [0.2, 0.2]}},
+                    "drift": None,
+                    "kernel": {"name": "biot_savart_free"},
+                },
+                "kernel interactions are defined on the torus",
+            ),
+        ],
+        ids=["unknown-drift", "unknown-param", "sign-gated-on-r2", "frequency-0", "kernel-on-rd"],
+    )
+    def test_malformed_interaction_fails_at_parse_time(self, tmp_path, capsys, command, over, message):
+        # the kernel or drift is resolved when the config is parsed, so a
+        # malformed one writes nothing instead of failing every sweep point
+        data = sim_config(**over)
+        if command == "run":
+            data = {"base": data, "sweep": {"n": [4]}, "picard": {"m": 100}}
+        cfg = write_json(tmp_path, "c.json", data)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -394,11 +445,42 @@ class TestKernelProbeCommand:
         # the lattice-sum L^p table only applies to the singular kernel
         assert not (out / "kernel_lp.csv").exists()
 
+    def test_periodic_biot_savart_probe(self, tmp_path, capsys):
+        cfg_d = self.torus_config()
+        cfg_d.update(kernel={"name": "biot_savart_periodic"}, truncation_radius=1, eps=0)
+        cfg = write_json(tmp_path, "c.json", cfg_d)
+        out = tmp_path / "out"
+        assert main(["kernel-probe", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = read_rows(out / "kernel_probe.csv")
+        probes = np.array([[float(r["x0"]), float(r["x1"])] for r in rows])
+        vals = np.array([[float(r["K0"]), float(r["K1"])] for r in rows])
+        # the probe evaluates the configured kernel, radius and eps bound
+        assert np.array_equal(vals, biot_savart_periodic(probes, truncation_radius=1, eps=0.0))
+        assert len(read_rows(out / "kernel_lp.csv")) == 8
+        assert json.loads((out / "manifest.json").read_text())["kernel"] == "biot_savart_periodic"
+
     def test_requires_kernel_config(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", sim_config())
         assert main(["kernel-probe", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "needs a config with a kernel" in capsys.readouterr().err
+
+
+class TestRunAllScript:
+    def test_killed_run_is_a_failure(self, tmp_path, monkeypatch, capsys):
+        # a run killed by signal 9 counts as exit 128 + 9, as in a shell
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
+        spec = importlib.util.spec_from_file_location("run_all", path)
+        run_all = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_all)
+        (tmp_path / "c.json").write_text("{}")
+        monkeypatch.setattr(run_all, "CONFIG_DIR", tmp_path)
+        monkeypatch.setattr(sys, "argv", ["run_all.py", "--out", str(tmp_path / "out")])
+        popen = subprocess.Popen
+        suicide = [sys.executable, "-c", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)"]
+        monkeypatch.setattr(subprocess, "Popen", lambda cmd: popen(suicide))
+        assert run_all.main() == 137
+        assert "killed by signal 9" in capsys.readouterr().err
 
 
 class TestRateFitCommand:

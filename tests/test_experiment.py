@@ -210,6 +210,15 @@ class TestPlanParsing:
         with pytest.raises(ConfigError, match="config not found"):
             load_plan(str(tmp_path / "missing.json"))
 
+    def test_load_plan_resolves_the_drift(self, tmp_path):
+        # a malformed drift fails when the plan is loaded, before any point runs
+        data = make_plan_dict()
+        data["base"]["drift"] = {"name": "linear_pair", "params": {"strength": 2}}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"linear_pair: unknown params \['strength'\]"):
+            load_plan(str(path))
+
 
 SHIPPED_PLANS = [
     json.loads(path.read_text())

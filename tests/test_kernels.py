@@ -476,8 +476,10 @@ class TestKernelRefParsing:
 
     def test_integral_float_frequency_accepted(self):
         cfg = torus_kernel_cfg("smooth_divfree", {"frequency": 2.0})
-        freq = kernel_from_ref(cfg.kernel, cfg).frequency
-        assert freq == 2 and type(freq) is int
+        kernel = kernel_from_ref(cfg.kernel, cfg)
+        x = np.random.default_rng(2).uniform(-0.5, 0.5, size=(20, 2))
+        assert np.array_equal(kernel(x), smooth_divfree_kernel(x, 2))
+        assert type(kernel.keywords["frequency"]) is int
 
 
 @given(st.integers(min_value=1, max_value=3))
