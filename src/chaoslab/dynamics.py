@@ -274,6 +274,14 @@ def _w1_marginal(a: np.ndarray, b: np.ndarray) -> float:
     return out
 
 
+def ensemble_too_large(drift: DriftSpec, m: int, steps: int, d: int) -> bool:
+    """Whether a Picard solve of m members would keep more than
+    MAX_ENSEMBLE_ELEMENTS path values: only a generic (non-separable)
+    mean field keeps the whole ensemble, (m, steps + 1, d)."""
+    generic = drift.pair_state is not None and drift.mf_summary is None
+    return generic and m * (steps + 1) * d > MAX_ENSEMBLE_ELEMENTS
+
+
 def solve_mckean_vlasov_picard(
     config: SimConfig,
     rng: RngStream,
@@ -298,7 +306,7 @@ def solve_mckean_vlasov_picard(
     coupled = drift.pair_state is not None
     separable = coupled and drift.mf_summary is not None
     keep_paths = coupled and not separable
-    if keep_paths and m * (grid.steps + 1) * d > MAX_ENSEMBLE_ELEMENTS:
+    if ensemble_too_large(drift, m, grid.steps, d):
         raise MemoryError("generic mean-field drift retains the full ensemble; reduce m or steps")
 
     # The same initial draws seed every iterate, so only the interaction

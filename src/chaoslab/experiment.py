@@ -28,8 +28,10 @@ from .bounds import constant_C, estimate_beta, hierarchy_ode_solve, short_time_h
 from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json
 from .core import _as_integral, _as_real, _pop_key, _pop_object
 from .dynamics import (
+    MAX_ENSEMBLE_ELEMENTS,
     MAX_PICARD_ITERS,
     BlowupError,
+    ensemble_too_large,
     extract_marginal,
     sample_reference_marginals,
     simulate_particle_system,
@@ -73,7 +75,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         # every sweep point resolves the same kernel or drift: check it once here
-        build_drift(self.base)
+        drift = build_drift(self.base)
         for est in self.estimators:
             if est not in _ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}; valid: {_ESTIMATORS}")
@@ -105,6 +107,12 @@ class ExperimentPlan:
             raise ConfigError("picard_iters must be >= 1")
         if self.picard_iters > MAX_PICARD_ITERS:
             raise ConfigError(f"picard_iters must be <= {MAX_PICARD_ITERS}, the stream-keying budget")
+        # the Picard solve's own memory guard, moved ahead of every point
+        if ensemble_too_large(drift, self.picard_m, self.base.grid.steps, self.base.domain.dim):
+            raise ConfigError(
+                f"picard m = {self.picard_m}: a generic mean-field drift keeps m * (steps + 1) * d"
+                f" > {MAX_ENSEMBLE_ELEMENTS} ensemble values; reduce m or steps"
+            )
         # the kNN estimator needs 100 reference samples and fewer neighbors
         # than samples; a histogram needs two bins per dimension
         if self.knn_samples < 100:

@@ -21,12 +21,16 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainSpec, InteractionRef, SimConfig, _as_integral, _as_real, torus_displacement, wrap_torus
+from .core import ConfigError, DomainSpec, InteractionRef, SimConfig, _as_integral, _as_real
+from .core import sum_last_axis, torus_displacement, wrap_torus
 
 TWO_PI = 2.0 * math.pi
 
-# Evaluation block size for lattice sums over large probe batches.
+# Evaluation block size for lattice sums over large probe batches, and the
+# member chunk of the generic mean field (it fixes that sum's order).
 _CHUNK = 4096
+# Values per pair_state call on the generic paths (see DriftSpec).
+_BATCH = 4 * _CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +55,7 @@ def _apply_eps(x: np.ndarray, eps: float, freeze_inside: bool) -> np.ndarray:
     """Singularity policy around 0: reject inside the eps-ball (at r = 0 when
     eps = 0), or project onto the eps-sphere (freeze) for simulation use.
     r = 0 freezes to the zero vector, where the kernel is 0 by oddness."""
-    r = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+    r = np.sqrt(sum_last_axis(x * x))[..., None]
     inside = (r < eps) | (r == 0.0)
     if not np.any(inside):
         return x
@@ -204,6 +208,13 @@ class DriftSpec:
     mf_drift(t, f, summary) evaluates the drift averaged against that
     ensemble. All are exact rearrangements of the pairwise sums, not
     approximations.
+
+    Without them, pair_mean_generic and mean_field_drift evaluate pair_state
+    on batches of about _BATCH = 16,384 values (128 KiB of float64), many
+    replicas or ensemble members per call; batches of 65,536 values were
+    slower than one call per member, as each call faulted its 512 KiB
+    temporaries in afresh. The batch size never moves a bit: the mean field
+    adds the members in fixed chunks of _CHUNK / |lead| in member order.
     """
 
     name: str
@@ -223,19 +234,27 @@ class DriftSpec:
         """(n-1)^{-1} sum_{j != i} b(t, X^i, X^j), O(n^2) fallback.
 
         feats, when given, is feature_map(states) already computed this step.
+        The pair tensor is evaluated for about _BATCH / (n^2 d) replicas at a
+        time; each (replica, i) row's sum over j does not depend on how many
+        replicas share the call.
         """
         if self.pair_state is None:
             return np.zeros_like(states)
-        n = states.shape[-2]
+        n, d = states.shape[-2:]
         if n < 2:
             raise ValueError("pairwise drift needs n >= 2")
         if self.pair_mean is not None:
             return self.pair_mean(t, self.feature_map(states) if feats is None else feats)
-        vals = self.pair_state(t, states[..., :, None, :], states[..., None, :, :])
-        # remove the diagonal i = j before averaging; np.diagonal puts it last
-        diag = np.moveaxis(np.diagonal(vals, axis1=-3, axis2=-2), -1, -2)
-        total = np.add.reduce(vals, axis=-2) - diag
-        return total / (n - 1)
+        flat = states.reshape((-1, n, d))
+        out = np.empty_like(flat)
+        rows = max(1, _BATCH // (n * n * d))
+        for lo in range(0, flat.shape[0], rows):
+            blk = flat[lo : lo + rows]
+            vals = self.pair_state(t, blk[:, :, None, :], blk[:, None, :, :])
+            # remove the diagonal i = j before averaging; np.diagonal puts it last
+            diag = np.moveaxis(np.diagonal(vals, axis1=-3, axis2=-2), -1, -2)
+            out[lo : lo + rows] = (np.add.reduce(vals, axis=-2) - diag) / (n - 1)
+        return out.reshape(states.shape)
 
     def mean_field_drift(
         self,
@@ -248,6 +267,11 @@ class DriftSpec:
         """Drift of x averaged against an ensemble: (1/m) sum_l b(t, x, Y_l).
 
         feats, when given, is feature_map(x) already computed this step.
+        The generic path sums the members in chunks of step = _CHUNK / |lead|
+        (lead = x.shape[:-1]), each chunk reduced on its own and added to a
+        zero accumulator in member order; step alone sets the bits. One
+        pair_state call evaluates as many whole chunks as fit _BATCH values,
+        with the chunks leading.
         """
         if self.pair_state is None:
             return np.zeros_like(x)
@@ -255,13 +279,28 @@ class DriftSpec:
             return self.mf_drift(t, self.feature_map(x) if feats is None else feats, summary)
         if ensemble_states is None:
             raise ValueError("generic mean-field drift needs ensemble states")
-        m = ensemble_states.shape[0]
+        m, d = ensemble_states.shape
+        lead = x.shape[:-1]
+        size = max(1, math.prod(lead))
         acc = np.zeros_like(x)
-        step = max(1, _CHUNK // max(1, int(np.prod(x.shape[:-1]))))
-        for lo in range(0, m, step):
-            blk = ensemble_states[lo : lo + step]
-            vals = self.pair_state(t, x[..., None, :], blk)
-            acc += np.add.reduce(vals, axis=-2)
+        step = max(1, _CHUNK // size)
+        per_call = step * max(1, _BATCH // (step * size * d))
+        x_lead = x[None, ..., None, :]  # (1, lead..., 1, d)
+        full = m - m % step
+        # whole chunks per_call members at a time, then the partial last chunk
+        calls = [(lo, min(lo + per_call, full), step) for lo in range(0, full, per_call)]
+        if full < m:
+            calls.append((full, m, m - full))
+        for lo, hi, width in calls:
+            blk = ensemble_states[lo:hi].reshape((-1,) + (1,) * len(lead) + (width, d))
+            vals = self.pair_state(t, x_lead, blk)  # (chunks, lead..., width, d)
+            for chunk in vals:
+                # A one-member reduce is 0.0 + v, which turns -0.0 into +0.0;
+                # adding v itself gives the same bits, because acc starts at
+                # +0.0 and a round-to-nearest sum from +0.0 never reaches
+                # -0.0, while acc + (-0.0) == acc + (+0.0) for acc != -0.0.
+                # sign_gated_pair returns -0.0 wherever u < 0 is gated off.
+                acc += chunk[..., 0, :] if width == 1 else np.add.reduce(chunk, axis=-2)
         return acc / m
 
 

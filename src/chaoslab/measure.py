@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import RngStream, SimConfig, TimeGrid
+from .core import RngStream, SimConfig, TimeGrid, sum_last_axis
 from .dynamics import (
     BLOCK_REPLICAS,
     BlowupError,
@@ -191,7 +191,7 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
             # left-point Ito sums: delta is from step s - 1, dw drives it
             dd = delta * delta
             log_z_now[:] += np.sum(delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
-            energy[rows] += dt * np.sum(dd, axis=2)
+            energy[rows] += dt * sum_last_axis(dd)
             bad = ~np.isfinite(log_z_now)
             if bad.any():
                 first_bad[bad & (first_bad == 0)] = s

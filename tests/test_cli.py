@@ -120,6 +120,16 @@ class TestExitCodes:
         assert "picard_iters must be <= 99" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_generic_picard_ensemble_fails_at_parse_time(self, tmp_path, capsys):
+        # 200000 members x 41 steps of a generic drift would exhaust memory
+        # inside the run; it is refused before the output directory exists
+        base = sim_config(drift={"name": "sign_gated_pair", "params": {}}, grid={"dt": 0.0025, "steps": 40})
+        data = {"base": base, "sweep": {"n": [4]}, "picard": {"m": 200_000}}
+        cfg = write_json(tmp_path, "p.json", data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "picard m = 200000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_sweep_fails_at_parse_time(self, tmp_path, capsys):
         # a plan with no sweep point runs nothing, so it is refused
         data = {"base": sim_config(), "sweep": {"n": []}, "picard": {"m": 100}}

@@ -17,6 +17,7 @@ from chaoslab.core import (
     config_from_dict,
     load_json,
     sample_initial,
+    sum_last_axis,
     torus_displacement,
     wrap_torus,
 )
@@ -61,6 +62,22 @@ class TestWrap:
     def test_shape_preserved(self):
         x = np.arange(12, dtype=float).reshape(3, 4) / 7.0
         assert wrap_torus(x).shape == (3, 4)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_sum_last_axis_matches_the_reduction_bit_for_bit(d):
+    # signed zeros, a large term that absorbs small ones in order (numpy sums
+    # pairwise from 8 terms on), and a strided view
+    gen = np.random.default_rng(d)
+    a = gen.normal(size=(64, 5, d)) * 10.0 ** gen.integers(-8, 9, size=(64, 5, d))
+    a[gen.random(a.shape) < 0.3] = -0.0
+    a[gen.random(a.shape) < 0.1] = 0.0
+    a[0, 0] = -0.0
+    a[0, 1] = 1.0
+    a[0, 1, 0] = 1e16
+    for arr in (a, a[::2, :, ::-1], a[0, 0]):
+        want = np.add.reduce(arr, axis=-1)
+        assert np.array_equal(np.asarray(sum_last_axis(arr)).view(np.int64), np.asarray(want).view(np.int64))
 
 
 class TestDisplacement:

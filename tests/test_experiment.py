@@ -219,6 +219,25 @@ class TestPlanParsing:
         with pytest.raises(ConfigError, match=r"linear_pair: unknown params \['strength'\]"):
             load_plan(str(path))
 
+    def test_oversized_generic_picard_ensemble_fails_at_load(self, tmp_path):
+        # a generic mean field keeps m * (steps + 1) * d path values; past
+        # MAX_ENSEMBLE_ELEMENTS the plan is refused before any point runs
+        data = make_plan_dict()
+        data["base"]["drift"] = {"name": "sign_gated_pair", "params": {}}
+        data["base"]["grid"] = {"t0": 0.0, "dt": 0.0025, "steps": 40}
+        data["sweep"]["t"] = [0.05]
+        data["picard"]["m"] = 200_000
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="picard m = 200000.*reduce m or steps"):
+            load_plan(str(path))
+        # at exactly the limit, or with a separable drift, the plan parses
+        data["base"]["grid"]["steps"] = 39
+        assert plan_from_dict(data).picard_m == 200_000
+        data["base"]["grid"]["steps"] = 40
+        data["base"]["drift"] = {"name": "linear_pair", "params": {}}
+        assert plan_from_dict(data).picard_m == 200_000
+
 
 SHIPPED_PLANS = [
     json.loads(path.read_text())

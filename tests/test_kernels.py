@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from chaoslab.core import ConfigError, DomainSpec, RngStream, config_from_dict
 from chaoslab.kernels import (
+    _BATCH,
+    _CHUNK,
     DriftSpec,
     biot_savart_free,
     biot_savart_periodic,
@@ -458,6 +460,93 @@ class TestFeatureFastPaths:
         assert np.array_equal(drift.pair_mean_generic(0.1, states, feats), pair_mean(states))
         assert np.array_equal(drift.pair_mean_generic(0.1, states), pair_mean(states))
         assert np.array_equal(drift.mean_field_drift(0.1, states, None, got_summary), mf_drift(states, got_summary))
+
+
+def documented_mean_field(drift, t, x, ens):
+    """The generic mean field's documented order: chunks of step members,
+    each reduced over axis -2 and added to a zero accumulator in member order."""
+    step = max(1, _CHUNK // max(1, math.prod(x.shape[:-1])))
+    acc = np.zeros_like(x)
+    for lo in range(0, ens.shape[0], step):
+        acc += np.add.reduce(drift.pair_state(t, x[..., None, :], ens[lo : lo + step]), axis=-2)
+    return acc / ens.shape[0]
+
+
+def documented_pair_mean(drift, t, states):
+    """The generic pair mean from the whole n x n tensor in one evaluation."""
+    n = states.shape[-2]
+    vals = drift.pair_state(t, states[..., :, None, :], states[..., None, :, :])
+    diag = np.moveaxis(np.diagonal(vals, axis1=-3, axis2=-2), -1, -2)
+    return (np.add.reduce(vals, axis=-2) - diag) / (n - 1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _generic_drift_and_draw(name):
+    """A generic drift and a sampler of (shape) states for it: sign_gated_pair
+    on R^1, or biot_savart_free on the 2-D torus, whose eps-ball (0.01 here)
+    the draws reach through coincident and near points."""
+    gen = np.random.default_rng(15)
+    if name == "sign_gated_pair":
+        return build_drift(lin_cfg(name)), lambda shape: gen.normal(size=shape + (1,))
+    return build_drift(torus_kernel_cfg(name)), lambda shape: gen.uniform(-0.5, 0.5, size=shape + (2,))
+
+
+class TestGenericBatching:
+    """The generic paths evaluate many members or replicas per kernel call and
+    keep every sum's order, so their bits equal the documented order."""
+
+    @pytest.mark.parametrize("name", ["sign_gated_pair", "biot_savart_free"])
+    @pytest.mark.parametrize(
+        "lead,m", [((1024, 8), 200), ((4000,), 200), ((200,), 200), ((203,), 777), ((1024, 4), 33), ((7,), 5000)]
+    )
+    def test_mean_field_keeps_its_bits(self, name, lead, m):
+        drift, draw = _generic_drift_and_draw(name)
+        x, ens = draw(lead), draw((m,))
+        flat = x.reshape(-1, x.shape[-1])
+        k = min(5, m, flat.shape[0])
+        ens[:k] = flat[:k]  # zero displacements
+        ens[k : 2 * k] = flat[:k] + 0.003  # inside the eps-ball on the torus
+        got = drift.mean_field_drift(0.3, x, ens, None)
+        assert same_bits(got, documented_mean_field(drift, 0.3, x, ens))
+
+    def test_sign_gate_negative_zeros_keep_their_bits(self):
+        # u < 0 gated off gives -0.0; one-member chunks add it as it is
+        drift, draw = _generic_drift_and_draw("sign_gated_pair")
+        x = -np.abs(draw((1024, 8))) - 0.1
+        ens = np.abs(draw((50,)))
+        vals = drift.pair_state(0.0, x[..., None, :], ens)
+        assert np.any((vals == 0.0) & np.signbit(vals))
+        got = drift.mean_field_drift(0.0, x, ens, None)
+        assert same_bits(got, documented_mean_field(drift, 0.0, x, ens))
+        assert not np.any(np.signbit(got) & (got == 0.0))
+
+    @pytest.mark.parametrize("name", ["sign_gated_pair", "biot_savart_free"])
+    @pytest.mark.parametrize("lead,n", [((1024,), 8), ((1024,), 32), ((1024,), 4), ((3, 5), 9), ((), 12), ((257,), 64)])
+    def test_pair_mean_keeps_its_bits(self, name, lead, n):
+        drift, draw = _generic_drift_and_draw(name)
+        states = draw(lead + (n,))
+        flat = states.reshape((-1,) + states.shape[-2:])
+        flat[0, 1] = flat[0, 0]
+        got = drift.pair_mean_generic(0.3, states)
+        assert same_bits(got, documented_pair_mean(drift, 0.3, states))
+
+    def test_calls_stay_within_the_budget(self):
+        drift, draw = _generic_drift_and_draw("sign_gated_pair")
+        pair, sizes = drift.pair_state, []
+
+        def counted(t, x, y):
+            sizes.append(math.prod(np.broadcast_shapes(x.shape, y.shape)))
+            return pair(t, x, y)
+
+        drift.pair_state = counted
+        drift.mean_field_drift(0.0, draw((1024, 8)), draw((200,)), None)
+        assert sizes == [_BATCH] * 100
+        sizes.clear()
+        drift.pair_mean_generic(0.0, draw((1024, 8)))
+        assert sizes == [_BATCH] * 4
 
 
 class TestKernelRefParsing:

@@ -4,11 +4,13 @@ The fBm sampler and the Volterra weights run in fixed row chunks, so each
 stage holds a few block-sized arrays, not one per temporary of the whole
 batch. P is one block's (replicas, n, d, steps) float64 array; tracemalloc
 sees numpy's data buffers. A sweep point keeps log-weights only at its
-swept steps and snapshots only of its first max-k particles.
+swept steps and snapshots only of its first max-k particles. The generic
+interaction paths evaluate a fixed number of pair values per kernel call.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from chaoslab import experiment
@@ -19,6 +21,7 @@ from chaoslab.dynamics import (
     simulate_particle_system,
     solve_mckean_vlasov_picard,
 )
+from chaoslab.kernels import _BATCH, build_drift
 from chaoslab.measure import girsanov_weight
 
 STEPS = 256
@@ -107,3 +110,28 @@ def test_sweep_point_keeps_only_what_its_rows_read(monkeypatch):
     assert set(ens.snapshots) == set(recorded)
     for pos in ens.snapshots.values():
         assert pos.nbytes == replicas * k * d * f64
+
+
+def test_generic_paths_stay_within_their_evaluation_budget(traced):
+    # the full (1024 x 8) x 2000 pair tensor would take 131 MB; the generic
+    # mean field and pair mean evaluate _BATCH values (128 KiB) per call
+    cfg = config_from_dict({
+        "domain": {"kind": "euclidean", "dim": 1},
+        "drift": {"name": "sign_gated_pair", "params": {}},
+        "n_particles": N,
+        "grid": {"t0": 0.0, "dt": 0.01, "steps": 10},
+        "noise": {"kind": "brownian"},
+        "initial_law": {"name": "gaussian", "params": {"sigma": 1.0}},
+        "seed": 3,
+        "replicas": BLOCK_REPLICAS,
+    })
+    drift = build_drift(cfg)
+    gen = np.random.default_rng(4)
+    x, ens = gen.normal(size=(BLOCK_REPLICAS, N, 1)), gen.normal(size=(2000, 1))
+    budget = _BATCH * 8
+    for fn in (lambda: drift.mean_field_drift(0.0, x, ens, None), lambda: drift.pair_mean_generic(0.0, x)):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+        assert peak <= 8 * budget, peak / budget
