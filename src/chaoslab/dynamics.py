@@ -114,13 +114,13 @@ def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int]
     slot of stream. The block generator draws the initial states (unless
     initial is given; they are copied) and then, under Brownian noise, one
     increment per step, in step order. Fractional increments are pre-drawn
-    with sample_fbm from the fBm stream; each caller passes the
-    sample_fbm_batch its own module imports, so patching that name reaches
-    its draws. Returns (states, increment(s), driver): driver holds the
-    coupled Brownian driver increments, shape size + (steps, d), when
-    with_driver is set on fractional noise, else None. The fBm is sampled
-    by circulant embedding, or by the causal Cholesky route when the driver
-    is wanted.
+    with sample_fbm from the fBm stream, which returns step increments, so
+    they are used as they come; each caller passes the sample_fbm_batch its
+    own module imports, so patching that name reaches its draws. Returns
+    (states, increment(s), driver): driver holds the coupled Brownian driver
+    increments, shape size + (steps, d), when with_driver is set on
+    fractional noise, else None. The fBm is sampled by circulant embedding,
+    or by the causal Cholesky route when the driver is wanted.
     """
     grid, d = config.grid, config.domain.dim
     gen = stream.for_particle(purposes[0]).generator()
@@ -131,14 +131,14 @@ def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int]
     else:
         states = initial.copy()
     if config.noise.fractional:
-        vals, w_paths, _ = sample_fbm(
+        incr, driver, _ = sample_fbm(
             grid, config.noise.hurst, d, math.prod(size), stream.for_particle(purposes[1]),
             method="cholesky" if with_driver else "circulant", with_driver=with_driver,
         )
         shape = size + (grid.steps, d)
-        incr = np.diff(vals, axis=1).reshape(shape)
-        del vals
-        driver = np.diff(w_paths, axis=1).reshape(shape) if with_driver else None
+        incr = incr.reshape(shape)
+        if with_driver:
+            driver = driver.reshape(shape)
         return states, lambda s: incr[..., s, :], driver
     sqrt_dt, shape = math.sqrt(grid.dt), size + (d,)
     return states, lambda s: sqrt_dt * gen.standard_normal(shape), None

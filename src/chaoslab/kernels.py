@@ -506,10 +506,9 @@ def _drift_from_kernel(name: str, kernel: Callable[..., np.ndarray]) -> DriftSpe
         )
 
     # Singular kernels: generic O(n^2) pairwise path with frozen-ball
-    # regularization.
+    # regularization, on the minimal image like every torus kernel.
     def pair_bs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        disp = torus_displacement(x, y) if name == "biot_savart_periodic" else x - y
-        return kernel(disp, freeze_inside=True)
+        return kernel(torus_displacement(x, y), freeze_inside=True)
 
     return DriftSpec(name=f"kernel:{name}", pair_state=pair_bs)
 

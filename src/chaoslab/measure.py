@@ -125,6 +125,39 @@ def log_weights_from_deltas(delta: np.ndarray, dw: np.ndarray, dt: float) -> np.
     return np.concatenate([zeros, np.cumsum(incr, axis=-1)], axis=-1)
 
 
+def _fractional_log_weights(delta_store: np.ndarray, driver: np.ndarray, hurst: float, grid: TimeGrid,
+                            record: list[int], rows: slice, log_z: np.ndarray, energy: np.ndarray,
+                            k_energy: np.ndarray, first_bad: np.ndarray) -> None:
+    """One block's fractional log-weights, written into the rows of log_z,
+    energy and k_energy (columns: the recorded steps) and into first_bad.
+
+    delta_store is the block's drift-difference history (b, n, d, steps)
+    and driver its Brownian driver increments (b, n, steps, d). The running
+    integral of delta_b goes through the inverse Volterra map a chunk of
+    replicas at a time; every sum below is per replica. Nothing here
+    outlives the call, so no view keeps the block's arrays alive while the
+    next block samples its noise.
+    """
+    b, n, d, steps = delta_store.shape
+    dt = grid.dt
+    chunk = max(1, CHUNK_SERIES // (n * d))
+    later = [s - 1 for s in record[1:]]  # recorded steps > 0, as cumsum columns
+    for c_lo in range(0, b, chunk):
+        c = slice(c_lo, min(c_lo + chunk, b))
+        ds = delta_store[c]
+        h = np.concatenate([np.zeros(ds.shape[:-1] + (1,)), np.cumsum(ds * dt, axis=-1)], axis=-1)
+        dk = volterra_inverse_apply(h, hurst, grid)  # (chunk, n, d, steps)
+        dwt = driver[c].transpose(0, 1, 3, 2)  # (chunk, n, d, steps)
+        incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
+        out_rows = slice(rows.start + c.start, rows.start + c.stop)
+        running = np.cumsum(incr, axis=-1)
+        bad = ~np.isfinite(running)
+        first_bad[c] = np.where(bad.any(axis=-1), np.argmax(bad, axis=-1) + 1, 0)
+        log_z[out_rows, 1:] = running[:, later]
+        energy[out_rows] = dt * np.sum(ds * ds, axis=(2, 3))
+        k_energy[out_rows] = dt * np.sum(dk * dk, axis=(2, 3))
+
+
 def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
                     snapshot_times=None) -> GirsanovWeight:
     """Simulate config.replicas replicas of n = config.n_particles
@@ -202,27 +235,11 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
         del increment  # the next block's noise never coexists with this one's
 
         if fractional:
-            # running integral of delta_b, then the inverse Volterra map, a
-            # chunk of replicas at a time; every sum below is per replica
-            chunk = max(1, CHUNK_SERIES // (n * d))
-            later = [s - 1 for s in record[1:]]  # recorded steps > 0, as cumsum columns
-            for c_lo in range(0, b, chunk):
-                c = slice(c_lo, min(c_lo + chunk, b))
-                ds = delta_store[c]
-                h = np.concatenate(
-                    [np.zeros(ds.shape[:-1] + (1,)), np.cumsum(ds * dt, axis=-1)], axis=-1
-                )
-                dk = volterra_inverse_apply(h, config.noise.hurst, grid)  # (chunk, n, d, steps)
-                dwt = driver[c].transpose(0, 1, 3, 2)  # (chunk, n, d, steps)
-                incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
-                out_rows = slice(lo + c.start, lo + c.stop)
-                running = np.cumsum(incr, axis=-1)
-                bad = ~np.isfinite(running)
-                first_bad[c] = np.where(bad.any(axis=-1), np.argmax(bad, axis=-1) + 1, 0)
-                log_z[out_rows, 1:] = running[:, later]
-                energy[out_rows] = dt * np.sum(ds * ds, axis=(2, 3))
-                k_energy[out_rows] = dt * np.sum(dk * dk, axis=(2, 3))
-            del driver, delta_store
+            _fractional_log_weights(
+                delta_store, driver, config.noise.hurst, grid, record, rows,
+                log_z, energy, k_energy, first_bad,
+            )
+            del driver, delta_store  # freed here: the next block samples without them
 
         bad_rows = np.flatnonzero(first_bad)
         if bad_rows.size:

@@ -1,4 +1,4 @@
-"""Brownian / fractional Brownian path synthesis and the inverse Volterra
+"""Brownian / fractional Brownian increment synthesis and the inverse Volterra
 transform used by the fractional change of measure.
 
 Fractional Gaussian noise is generated exactly in distribution, either by
@@ -15,10 +15,15 @@ representation s^{H-1/2} D^{H-1/2}(r^{1/2-H} u(r))(s) with a
 Grunwald-Letnikov difference for the fractional derivative/integral; first
 order in dt on smooth inputs, degrading near the r = 0 endpoint singularity.
 
+The sampler hands out step increments, (n_paths, steps, d), which is what
+the Euler integrator and the Girsanov weights consume. It builds them in
+place: the fGn is scaled and cumsummed into the running path, as the
+covariance table reads it, and then differenced back row chunk by row
+chunk, so the increments are bit for bit np.diff of the zero-anchored path.
 Both FFT kernels transform each series on its own, so they run over
-CHUNK_SERIES rows at a time: beyond its output and the normals it draws up
-front, a call holds O(CHUNK_SERIES) working memory whatever its batch, and
-the chunking never changes a bit of the result.
+CHUNK_SERIES rows at a time: beyond its output and the normals it draws for
+the whole batch, a call holds O(CHUNK_SERIES) working memory whatever its
+batch, and the chunking never changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -81,9 +86,11 @@ def _sample_fgn_circulant(hurst: float, n: int, batch: int, gen: np.random.Gener
     every H (Craigmile, J. Time Ser. Anal. 2003), so a negative eigenvalue
     is an error, not a case to fall back from.
 
-    All normals are drawn first (the z_0 column, the z_n column, then the
-    real and the imaginary parts of z_1..z_{n-1}); the spectra are then
-    built and inverted CHUNK_SERIES rows at a time.
+    The normals come in one fixed stream order: the z_0 column, the z_n
+    column, the real parts of z_1..z_{n-1}, then their imaginary parts.
+    The imaginary parts are drawn one CHUNK_SERIES row chunk at a time, as
+    that chunk's spectrum is built and inverted, so they never exist for
+    the whole batch at once.
     """
     lam = _dh_eigenvalues(hurst, n)
     if lam.min() < -1e-10 * lam.max():
@@ -94,7 +101,6 @@ def _sample_fgn_circulant(hurst: float, n: int, batch: int, gen: np.random.Gener
     zn = gen.standard_normal(batch)
     if n > 1:
         re = gen.standard_normal((batch, n - 1))
-        im = gen.standard_normal((batch, n - 1))
     out = np.empty((batch, n))
     for lo in range(0, batch, CHUNK_SERIES):
         rows = slice(lo, min(lo + CHUNK_SERIES, batch))
@@ -102,30 +108,23 @@ def _sample_fgn_circulant(hurst: float, n: int, batch: int, gen: np.random.Gener
         z[:, 0] = z0[rows]
         z[:, n] = zn[rows]
         if n > 1:
-            z[:, 1:n] = (re[rows] + 1j * im[rows]) / math.sqrt(2.0)
+            im = gen.standard_normal((rows.stop - lo, n - 1))
+            z[:, 1:n] = (re[rows] + 1j * im) / math.sqrt(2.0)
             z[:, n + 1 :] = np.conj(z[:, n - 1 : 0 : -1])
         spec = sqrt_lam[None, :] * z
         out[rows] = math.sqrt(m) * np.fft.ifft(spec, axis=1).real[:, :n]
     return out
 
 
-def sample_fbm_batch(
-    grid: TimeGrid,
-    hurst: float,
-    d: int,
-    n_paths: int,
-    rng: RngStream,
-    method: str = "circulant",
-    with_driver: bool = False,
-):
-    """Batch of fBm paths on the grid, each coordinate independent.
+def _fbm_cumulative(grid: TimeGrid, hurst: float, d: int, n_paths: int, rng: RngStream, method: str,
+                    with_driver: bool):
+    """Cumulative fBm values B^H(t_1..t_steps) - B^H(t_0), and the coupled
+    driver W when with_driver is set (else None), each as one series per
+    (path, coordinate): shape (n_paths * d, steps), path-major.
 
-    Returns (values, w, False): values is (n_paths, steps+1, d) with
-    values[:, 0] = 0; w is the coupled driver Brownian path of the same
-    shape (only for the cholesky route, which is the causal factorization),
-    else None. The circulant route has no Cholesky fallback, so the last
-    entry is always False. Draw order is fixed, so results are reproducible
-    for a given stream regardless of scheduling.
+    Each array is scaled and cumsummed in place, so a series holds the
+    running sum of its own increments; sample_fbm_batch differences these
+    same sums and empirical_covariance_table reads them as they are.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
@@ -142,23 +141,50 @@ def sample_fbm_batch(
         fgn = _sample_fgn_circulant(hurst, n, shape[0], gen)
     else:
         z = gen.standard_normal(shape)
-        fgn = z if hurst == 0.5 else z @ _fgn_cholesky(hurst, n).T
+        if hurst != 0.5:
+            fgn = z @ _fgn_cholesky(hurst, n).T
+        else:  # fGn at H = 1/2 is z itself; the driver keeps its own copy
+            fgn = z.copy() if with_driver else z
 
-    incr = dt**hurst * fgn.reshape(n_paths, d, n)
-    del fgn
-    values = np.zeros((n_paths, n + 1, d))
-    np.cumsum(incr, axis=2, out=incr)
-    values[:, 1:, :] = np.swapaxes(incr, 1, 2)
-    del incr
+    fgn *= dt**hurst
+    np.cumsum(fgn, axis=1, out=fgn)
+    if not with_driver:
+        return fgn, None
+    z *= math.sqrt(dt)
+    np.cumsum(z, axis=1, out=z)
+    return fgn, z
 
-    w = None
-    if with_driver:
-        dw = math.sqrt(dt) * z.reshape(n_paths, d, n)
-        del z
-        w = np.zeros((n_paths, n + 1, d))
-        np.cumsum(dw, axis=2, out=dw)
-        w[:, 1:, :] = np.swapaxes(dw, 1, 2)
-    return values, w, False
+
+def sample_fbm_batch(
+    grid: TimeGrid,
+    hurst: float,
+    d: int,
+    n_paths: int,
+    rng: RngStream,
+    method: str = "circulant",
+    with_driver: bool = False,
+):
+    """Batch of fBm step increments on the grid, each coordinate independent.
+
+    Returns (incr, dw, False): incr is (n_paths, steps, d), the increment
+    B^H(t_{s+1}) - B^H(t_s) of each step; dw holds the coupled driver
+    Brownian increments of the same shape (only for the cholesky route,
+    which is the causal factorization), else None. Both are non-contiguous
+    views when d > 1. The circulant route has no Cholesky fallback, so the
+    last entry is always False. Draw order is fixed, so results are
+    reproducible for a given stream regardless of scheduling.
+    """
+    out = []
+    for cum in _fbm_cumulative(grid, hurst, d, n_paths, rng, method, with_driver):
+        if cum is not None:
+            # back to steps in place, a row chunk at a time: bit for bit
+            # np.diff of the path with its leading 0
+            for lo in range(0, cum.shape[0], CHUNK_SERIES):
+                chunk = cum[lo : lo + CHUNK_SERIES]
+                chunk[:, 1:] = np.diff(chunk, axis=1)
+            cum = np.swapaxes(cum.reshape(n_paths, d, grid.steps), 1, 2)
+        out.append(cum)
+    return out[0], out[1], False
 
 
 def empirical_covariance_table(
@@ -170,9 +196,8 @@ def empirical_covariance_table(
     error of the empirical entry. Used by the noise-check command and the
     covariance acceptance test.
     """
-    values, _, _ = sample_fbm_batch(grid, hurst, 1, n_paths, rng, method=method)
+    x, _ = _fbm_cumulative(grid, hurst, 1, n_paths, rng, method, False)  # (paths, steps); B^H(t0) = 0
     times = grid.times()
-    x = values[:, 1:, 0]  # (paths, steps); t0 point is identically 0
     rows = []
     for i in range(grid.steps):
         for j in range(i, grid.steps):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoslab.core import ConfigError, DomainSpec, RngStream, config_from_dict
+from chaoslab.core import ConfigError, DomainSpec, RngStream, config_from_dict, wrap_torus
 from chaoslab.kernels import (
     _BATCH,
     _CHUNK,
@@ -547,6 +547,43 @@ class TestGenericBatching:
         sizes.clear()
         drift.pair_mean_generic(0.0, draw((1024, 8)))
         assert sizes == [_BATCH] * 4
+
+
+class TestRigidShift:
+    """Torus kernels read the minimal-image displacement, so the drift does
+    not depend on where the cell edge lies."""
+
+    @staticmethod
+    def configurations(count, n, seed):
+        # away from the eps-ball (0.01 here) and from the half-cell images,
+        # where the minimal image is ambiguous
+        gen = np.random.default_rng(seed)
+        out = []
+        while len(out) < count:
+            x = gen.uniform(-0.5, 0.5, size=(n, 2))
+            disp = x[:, None, :] - x[None, :, :]
+            disp -= np.floor(disp + 0.5)
+            dist = np.linalg.norm(disp, axis=-1) + np.eye(n)
+            if dist.min() > 0.05 and np.all(np.abs(np.abs(disp) - 0.5) > 1e-6):
+                out.append(x)
+        return np.stack(out)
+
+    @pytest.mark.parametrize("name", ["biot_savart_free", "biot_savart_periodic"])
+    def test_half_cell_shift_leaves_the_drift_unchanged(self, name):
+        drift = build_drift(torus_kernel_cfg(name))
+
+        def shift(x):
+            return wrap_torus(x + np.array([0.5, 0.0]))
+
+        def close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        states = self.configurations(200, 8, seed=3)
+        close(drift.pair_mean_generic(0.0, shift(states)), drift.pair_mean_generic(0.0, states))
+        # one particle against a 50-member ensemble
+        points = self.configurations(1, 51, seed=4)[0]
+        x, ens = points[:1], points[1:]
+        close(drift.mean_field_drift(0.0, shift(x), shift(ens), None), drift.mean_field_drift(0.0, x, ens, None))
 
 
 class TestKernelRefParsing:

@@ -3,7 +3,8 @@
 The fBm sampler and the Volterra weights run in fixed row chunks, so each
 stage holds a few block-sized arrays, not one per temporary of the whole
 batch. P is one block's (replicas, n, d, steps) float64 array; tracemalloc
-sees numpy's data buffers. A sweep point keeps log-weights only at its
+sees numpy's data buffers. A Girsanov block frees its noise and its delta
+history before the next block samples. A sweep point keeps log-weights only at its
 swept steps and snapshots only of its first max-k particles. The generic
 interaction paths evaluate a fixed number of pair values per kernel call.
 """
@@ -48,8 +49,8 @@ def peak_in_p(fn):
     return out, (tracemalloc.get_traced_memory()[1] - before) / p_bytes
 
 
-def test_fractional_stage_peaks_within_budget(traced):
-    cfg = config_from_dict({
+def fractional_config(replicas):
+    return config_from_dict({
         "domain": {"kind": "euclidean", "dim": 1},
         "drift": {"name": "linear_pair", "params": {}},
         "n_particles": N,
@@ -57,8 +58,12 @@ def test_fractional_stage_peaks_within_budget(traced):
         "noise": {"kind": "fbm", "hurst": 0.3},
         "initial_law": {"name": "gaussian", "params": {"mean": [0.0], "sigma": 0.5}},
         "seed": 7,
-        "replicas": BLOCK_REPLICAS,
+        "replicas": replicas,
     })
+
+
+def test_fractional_stage_peaks_within_budget(traced):
+    cfg = fractional_config(BLOCK_REPLICAS)
     # Picard and reference paths come in two blocks of 4096 series each
     law, picard = peak_in_p(lambda: solve_mckean_vlasov_picard(cfg, RngStream(1), m=8192, iters=2))
     _, simulate = peak_in_p(lambda: simulate_particle_system(cfg, RngStream(2)))
@@ -67,6 +72,20 @@ def test_fractional_stage_peaks_within_budget(traced):
     peaks = {"picard": picard, "simulate": simulate, "reference": reference, "girsanov": weights}
     print({k: round(v, 2) for k, v in peaks.items()})
     assert max(peaks.values()) <= BUDGET_P, peaks
+
+
+def test_fractional_weights_free_each_block_before_the_next(traced):
+    # A Girsanov block holds three P-sized arrays: its fBm increments, its
+    # driver increments and its delta history. Everything else is smaller
+    # than P: the log-weights of 2 blocks at every step (0.26 P), the
+    # energies, and the chunk-sized Volterra and sampling temporaries. So
+    # two blocks fit in 4 P only if the first block's arrays are gone
+    # before the second block samples its noise.
+    cfg = fractional_config(2 * BLOCK_REPLICAS)
+    law = solve_mckean_vlasov_picard(cfg, RngStream(1), m=4096, iters=1)
+    _, weights = peak_in_p(lambda: girsanov_weight(cfg, law, RngStream(4)))
+    print({"girsanov_two_blocks": round(weights, 2)})
+    assert weights <= 4.0, weights
 
 
 @pytest.mark.filterwarnings("ignore:only 150 replicas")

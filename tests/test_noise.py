@@ -14,6 +14,7 @@ from chaoslab.core import RngStream, TimeGrid
 from chaoslab.noise import (
     CHUNK_SERIES,
     _dh_eigenvalues,
+    _fbm_cumulative,
     _fgn_cholesky,
     empirical_covariance_table,
     fbm_covariance,
@@ -57,10 +58,13 @@ class TestCovarianceFunction:
 
 class TestSampling:
     def test_shapes_and_anchor(self):
+        # one increment per step; the first is the path's first value, since
+        # the path starts at 0
         grid = TimeGrid(t0=0.0, dt=0.1, steps=16)
-        vals, w, fallback = sample_fbm_batch(grid, 0.3, 2, 50, RngStream(5))
-        assert vals.shape == (50, 17, 2)
-        assert np.all(vals[:, 0, :] == 0.0)
+        incr, w, fallback = sample_fbm_batch(grid, 0.3, 2, 50, RngStream(5))
+        assert incr.shape == (50, 16, 2)
+        cum, _ = _fbm_cumulative(grid, 0.3, 2, 50, RngStream(5), "circulant", False)
+        assert np.array_equal(incr[:, 0, :], cum[:, 0].reshape(50, 2))
         assert w is None
         assert fallback is False
 
@@ -98,16 +102,16 @@ class TestSampling:
         assert worst < 4.0
 
     def test_driver_coupling(self):
-        # the cholesky factorization is causal: the returned driver is a
-        # standard Brownian path and the inverse Volterra transform of the
-        # fBm recovers its increments
+        # the cholesky factorization is causal: the returned driver
+        # increments are those of a standard Brownian path, and the inverse
+        # Volterra transform of the fBm path recovers them
         grid = TimeGrid(t0=0.0, dt=0.02, steps=32)
         hurst = 0.75
         vals, w, _ = sample_fbm_batch(
             grid, hurst, 1, 4000, RngStream(13), method="cholesky", with_driver=True
         )
         assert w is not None and w.shape == vals.shape
-        incr = np.diff(w[:, :, 0], axis=1)
+        incr = w[:, :, 0]
         zs = incr.mean(axis=0) / (math.sqrt(grid.dt) / math.sqrt(incr.shape[0]))
         assert np.max(np.abs(zs)) < 4.5
         var_z = (incr.var(axis=0) - grid.dt) / (grid.dt * math.sqrt(2.0 / incr.shape[0]))
@@ -115,15 +119,15 @@ class TestSampling:
         # K_H^{-1} applied to the rough fBm path tracks dW/dt only up to a
         # non-vanishing quadrature floor (the integrand has no smoothness),
         # so assert tight correlation rather than a small relative error
-        u = volterra_inverse_apply(vals[:200, :, 0], hurst, grid)
-        w_incr = np.diff(w[:200, :, 0], axis=1)
-        corr = np.corrcoef((u * grid.dt).ravel(), w_incr.ravel())[0, 1]
+        path = np.concatenate([np.zeros((200, 1)), np.cumsum(vals[:200, :, 0], axis=1)], axis=1)
+        u = volterra_inverse_apply(path, hurst, grid)
+        corr = np.corrcoef((u * grid.dt).ravel(), incr[:200].ravel())[0, 1]
         assert corr > 0.99
 
     def test_brownian_increment_whiteness(self):
         grid = TimeGrid(t0=0.0, dt=0.01, steps=64)
         vals, _, _ = sample_fbm_batch(grid, 0.5, 1, 2000, RngStream(21))
-        incr = np.diff(vals[:, :, 0], axis=1) / math.sqrt(grid.dt)
+        incr = vals[:, :, 0] / math.sqrt(grid.dt)
         stat = kstest(incr.ravel(), "norm").pvalue
         assert stat > 0.01
         # lag-1 autocorrelation within MC noise of zero
@@ -208,7 +212,8 @@ def same_bits(a, b):
 
 
 def whole_batch_fbm(grid, hurst, d, n_paths, rng, method):
-    """sample_fbm_batch as one whole-batch formula: one spectrum, one ifft."""
+    """The zero-anchored fBm path (and driver path) that sample_fbm_batch
+    differences, as one whole-batch formula: one spectrum, one ifft."""
     n, dt = grid.steps, grid.dt
     gen = rng.generator()
     batch = n_paths * d
@@ -269,16 +274,32 @@ class TestChunkInvariance:
             for size in CHUNK_SIZES:
                 n_paths = -(-size // d)  # d = 2 pairs the series up
                 rng = RngStream(31, counter=size)
-                vals, w, fallback = sample_fbm_batch(
+                incr, dw, fallback = sample_fbm_batch(
                     grid, hurst, d, n_paths, rng, method=method, with_driver=driver
                 )
                 ref_vals, ref_w = whole_batch_fbm(grid, hurst, d, n_paths, rng, method)
                 assert fallback is False
-                assert same_bits(vals, ref_vals), (d, size)
+                assert same_bits(incr, np.diff(ref_vals, axis=1)), (d, size)
                 if driver:
-                    assert same_bits(w, ref_w), (d, size)
+                    assert same_bits(dw, np.diff(ref_w, axis=1)), (d, size)
                 else:
-                    assert w is None
+                    assert dw is None
+
+    @pytest.mark.parametrize("steps", [1, 64])
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.75])
+    @pytest.mark.parametrize("method", ["circulant", "cholesky"])
+    def test_cumulative_path_matches_whole_batch(self, method, hurst, steps):
+        # the running path the covariance table (and noise-check) reads
+        grid = TimeGrid(t0=0.0, dt=1.0 / 64, steps=steps)
+        for d in (1, 2):
+            for size in CHUNK_SIZES:
+                n_paths = -(-size // d)
+                rng = RngStream(31, counter=size)
+                cum, w = _fbm_cumulative(grid, hurst, d, n_paths, rng, method, False)
+                ref_vals, _ = whole_batch_fbm(grid, hurst, d, n_paths, rng, method)
+                path = np.swapaxes(cum.reshape(n_paths, d, steps), 1, 2)
+                assert w is None
+                assert same_bits(path, ref_vals[:, 1:, :]), (d, size)
 
     @pytest.mark.parametrize("steps", [1, 64])
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.75])
