@@ -4,9 +4,10 @@ The fBm sampler and the Volterra weights run in fixed row chunks, so each
 stage holds a few block-sized arrays, not one per temporary of the whole
 batch. P is one block's (replicas, n, d, steps) float64 array; tracemalloc
 sees numpy's data buffers. A Girsanov block frees its noise and its delta
-history before the next block samples. A sweep point keeps log-weights only at its
-swept steps and snapshots only of its first max-k particles. The generic
-interaction paths evaluate a fixed number of pair values per kernel call.
+history before the next block samples. A sweep point keeps log-weights only
+at its swept steps and snapshots only of its first max-k particles. The
+generic interaction paths evaluate a fixed number of pair values per kernel
+call.
 """
 
 import tracemalloc
