@@ -7,7 +7,9 @@ random numbers (simulate, noise-check, kernel-probe, run), and --threads
 sets run's worker count. Outputs are plain CSV files and a JSON manifest in
 the --out directory. run takes a plan or a bare simulation config (parsed
 as a one-point plan) and runs every estimator unless the plan names its own
-("estimators": ["girsanov", "knn"] is the entropy-only pipeline).
+("estimators": ["girsanov", "knn"] is the entropy-only pipeline);
+simulate, noise-check and kernel-probe read a plan's base, or a bare
+config.
 
 Exit codes: 0 success, 2 config error, 3 simulation blow-up,
 4 estimator unreliable (effective-sample-size guard), 5 consistency-check
@@ -53,10 +55,20 @@ EXIT_UNRELIABLE = 4
 EXIT_CONSISTENCY = 5
 
 
+def _plan_or_config(data: dict) -> ExperimentPlan | SimConfig:
+    """Data with "sweep" is a plan, parsed fail-closed by plan_from_dict,
+    and its base is the simulation config; other data is a bare
+    simulation config."""
+    return plan_from_dict(data) if "sweep" in data else config_from_dict(data)
+
+
 def _seeded_config(args) -> SimConfig:
-    """The --config simulation config, with --seed applied; its kernel or
-    drift is resolved once, so a malformed one fails before any output."""
-    cfg = config_from_dict(load_json(args.config))
+    """The --config simulation config (a plan's base), with --seed applied;
+    its kernel or drift is resolved once, so a malformed one fails before
+    any output."""
+    cfg = _plan_or_config(load_json(args.config))
+    if isinstance(cfg, ExperimentPlan):
+        cfg = cfg.base
     build_drift(cfg)
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
@@ -96,16 +108,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _plan_from_config(data: dict) -> ExperimentPlan:
-    """Accept either a full plan (has "sweep") or a bare simulation config,
-    parsed as the plan that sweeps its own n_particles alone (k = 1 at the
-    terminal time). plan_from_dict parses the base first, so a malformed
-    bare config reports its own error.
-
-    Every estimator runs unless the plan names its own.
+    """Accept either a full plan or a bare simulation config, run as the
+    plan that sweeps its own n_particles alone (k = 1 at the terminal
+    time). Every estimator runs unless the plan names its own.
     """
-    if "sweep" not in data:
-        data = {"base": data, "sweep": {"n": [data.get("n_particles")]}}
-    plan = plan_from_dict(data)
+    plan = _plan_or_config(data)
+    if isinstance(plan, SimConfig):
+        plan = plan_from_dict({"base": data, "sweep": {"n": [plan.n_particles]}})
     return plan if "estimators" in data else replace(plan, estimators=_ESTIMATORS)
 
 

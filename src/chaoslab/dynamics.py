@@ -1,16 +1,16 @@
 """Euler-Maruyama integration of the n-particle system and Picard
 construction of the approximate mean-field reference law.
 
-Replicas are integrated in fixed-size blocks (BLOCK_REPLICAS); each block
-owns one value-keyed random stream, so results are independent of memory
-layout, scheduling and thread count. Block size is part of the sampling
-scheme and is never adapted at runtime.
-
 Every path family (the particle system, the Picard iterates, the
-reference copies and the change-of-measure copies in measure.py) steps
-through one integrator, integrate_block. A caller supplies its drift as
-drift_at(s, t, x) and records what it needs through observe(s, x, dw);
-_block_start draws a block's initial states and builds its noise.
+reference copies and the change-of-measure copies in measure.py) walks its
+rows in blocks through one function, integrate_blocks, and steps each
+block with one integrator, integrate_block. A block holds BLOCK_REPLICAS
+replicas or PATH_BLOCK single paths, a size that is part of the sampling
+scheme and never adapted at runtime. Block j draws only from the stream
+keyed by j, so its rows do not depend on how many rows follow, on memory
+layout, scheduling or thread count. What a stage carries from one step to
+the next lives on the Block it is handed, and a block's noise is freed
+before the stage's finish step runs and before the next block draws.
 
 Interacting drifts go through DriftSpec.pair_mean_generic and
 DriftSpec.mean_field_drift. A separable drift declares one form,
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -106,44 +107,6 @@ def _snapshot_steps(grid: TimeGrid, snapshot_times) -> set[int]:
     return {grid.index_of(float(t)) for t in snapshot_times} | {0, grid.steps}
 
 
-def _block_start(config: SimConfig, stream: RngStream, purposes: tuple[int, int], size: tuple[int, ...],
-                 sample_fbm, initial: np.ndarray | None = None, with_driver: bool = False):
-    """Initial states and noise of one block of paths with leading shape size.
-
-    purposes names the block generator and the fBm stream in the particle
-    slot of stream. The block generator draws the initial states (unless
-    initial is given; they are copied) and then, under Brownian noise, one
-    increment per step, in step order. Fractional increments are pre-drawn
-    with sample_fbm from the fBm stream, which returns step increments, so
-    they are used as they come; each caller passes the sample_fbm_batch its
-    own module imports, so patching that name reaches its draws. Returns
-    (states, increment(s), driver): driver holds the coupled Brownian driver
-    increments, shape size + (steps, d), when with_driver is set on
-    fractional noise, else None. The fBm is sampled by circulant embedding,
-    or by the causal Cholesky route when the driver is wanted.
-    """
-    grid, d = config.grid, config.domain.dim
-    gen = stream.for_particle(purposes[0]).generator()
-    if initial is None:
-        states = sample_initial(config.initial_law, config.domain, size, gen)
-        if config.domain.is_torus:
-            states = wrap_torus_unchecked(states)
-    else:
-        states = initial.copy()
-    if config.noise.fractional:
-        incr, driver, _ = sample_fbm(
-            grid, config.noise.hurst, d, math.prod(size), stream.for_particle(purposes[1]),
-            method="cholesky" if with_driver else "circulant", with_driver=with_driver,
-        )
-        shape = size + (grid.steps, d)
-        incr = incr.reshape(shape)
-        if with_driver:
-            driver = driver.reshape(shape)
-        return states, lambda s: incr[..., s, :], driver
-    sqrt_dt, shape = math.sqrt(grid.dt), size + (d,)
-    return states, lambda s: sqrt_dt * gen.standard_normal(shape), None
-
-
 def integrate_block(states: np.ndarray, grid: TimeGrid, torus: bool, drift_at, increment, observe) -> np.ndarray:
     """Euler-Maruyama steps X_{s+1} = X_s + dt drift_at(s, t_s, X_s) + increment(s)
     for one block of paths; returns the terminal states.
@@ -166,6 +129,72 @@ def integrate_block(states: np.ndarray, grid: TimeGrid, torus: bool, drift_at, i
             raise BlowupError(s + 1, int(np.argwhere(~np.isfinite(states))[0][-2]))
         observe(s + 1, states, dw)
     return states
+
+
+@dataclass
+class Block:
+    """One block of a walk, handed to its stage's callbacks: its rows in the
+    stage's output, its driver increments (when the walk draws them, else
+    None) and what the stage carries from one step to the next."""
+
+    rows: slice
+    driver: np.ndarray | None = None
+    feats: np.ndarray | None = None  # Picard: features of the current states
+    delta: np.ndarray | None = None  # weights: interaction minus mean field at this step
+    delta_store: np.ndarray | None = None  # fractional weights: delta at every step
+    log_z: np.ndarray | None = None  # weights: log Z at the current step
+    first_bad: np.ndarray | None = None  # weights: first non-finite step per replica, 0 for none
+
+
+def integrate_blocks(config: SimConfig, rng: RngStream, purposes: tuple[int, int], total: int,
+                     particles: int | None, drift_at, observe, sample_fbm, *, initial: np.ndarray | None = None,
+                     with_driver: bool = False, finish=None) -> None:
+    """Integrate total rows through integrate_block, block by block.
+
+    A row is one replica of `particles` particles (blocks of BLOCK_REPLICAS)
+    or, when particles is None, one path (blocks of PATH_BLOCK). purposes
+    names block j's generator and fBm stream in the particle slot of rng's
+    stream for replica j. The generator draws the initial states (unless
+    initial is given; the block's rows are copied) and then, under Brownian
+    noise, one increment per step, in step order. Fractional increments are
+    pre-drawn with sample_fbm, by circulant embedding, or by the causal
+    Cholesky route when with_driver asks for the coupled driver increments
+    (blk.driver); each caller passes the sample_fbm_batch its own module
+    imports, so patching that name reaches its draws.
+
+    drift_at(blk, s, t, x) and observe(blk, s, x, dw) are integrate_block's
+    callbacks with the block first. finish(blk), when given, runs after the
+    block's last step, once the block's noise is freed.
+    """
+    grid, d, torus = config.grid, config.domain.dim, config.domain.is_torus
+    per_block = BLOCK_REPLICAS if particles is not None else PATH_BLOCK
+    sqrt_dt = math.sqrt(grid.dt)
+    for j, lo in enumerate(range(0, total, per_block)):
+        blk = Block(slice(lo, min(lo + per_block, total)))
+        size = (blk.rows.stop - lo,) if particles is None else (blk.rows.stop - lo, particles)
+        stream = rng.for_replica(j)
+        gen = stream.for_particle(purposes[0]).generator()
+        if initial is None:
+            states = sample_initial(config.initial_law, config.domain, size, gen)
+            if torus:
+                states = wrap_torus_unchecked(states)
+        else:
+            states = initial[blk.rows].copy()
+        if config.noise.fractional:
+            incr, driver, _ = sample_fbm(
+                grid, config.noise.hurst, d, math.prod(size), stream.for_particle(purposes[1]),
+                method="cholesky" if with_driver else "circulant", with_driver=with_driver,
+            )
+            incr = incr.reshape(size + (grid.steps, d))
+            if with_driver:
+                blk.driver = driver.reshape(incr.shape)
+            increment = lambda s: incr[..., s, :]
+        else:
+            increment = lambda s: sqrt_dt * gen.standard_normal(size + (d,))
+        integrate_block(states, grid, torus, partial(drift_at, blk), increment, partial(observe, blk))
+        incr = driver = increment = None  # the block's noise never meets finish or the next block's
+        if finish is not None:
+            finish(blk)
 
 
 def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=None,
@@ -194,25 +223,17 @@ def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=N
     for s in snap_steps:
         ens.snapshots[s] = np.empty((r_total, kept, d))
 
-    def drift_at(s, t, x):
+    def drift_at(blk, s, t, x):
         total = drift.pair_mean_generic(t, x) if drift.pair_state is not None else np.zeros_like(x)
         if drift.b0_state is not None:
             total = total + drift.b0_state(t, x)
         return total
 
-    for block_idx, lo in enumerate(range(0, r_total, BLOCK_REPLICAS)):
-        b = min(BLOCK_REPLICAS, r_total - lo)
-        rows = slice(lo, lo + b)
-        states, increment, _ = _block_start(
-            config, rng.for_replica(block_idx), (_P_SIM, _P_SIM_FBM), (b, n), sample_fbm_batch
-        )
+    def observe(blk, s, x, dw):
+        if s in snap_steps:
+            ens.snapshots[s][blk.rows] = x[:, :kept]
 
-        def observe(s, x, dw):
-            if s in snap_steps:
-                ens.snapshots[s][rows] = x[:, :kept]
-
-        integrate_block(states, grid, config.domain.is_torus, drift_at, increment, observe)
-        del increment  # the next block's noise never coexists with this one's
+    integrate_blocks(config, rng, (_P_SIM, _P_SIM_FBM), r_total, n, drift_at, observe, sample_fbm_batch)
     return ens
 
 
@@ -327,12 +348,18 @@ def solve_mckean_vlasov_picard(
         ens_paths=np.broadcast_to(init_states[:, None, :], (m, grid.steps + 1, d)) if keep_paths else None,
     )
 
-    # features of the current block states, shared by the end-of-step
-    # summary and the next step's mean-field drift
-    feats = None
+    def drift_at(blk, s, t, x):
+        return law.reference_drift_at(s, t, x, law.mean_drift_at(s, t, x, blk.feats))
 
-    def drift_at(s, t, x):
-        return law.reference_drift_at(s, t, x, law.mean_drift_at(s, t, x, feats))
+    def observe(blk, s, x, dw):
+        if keep_paths:
+            cur_paths[blk.rows, s, :] = x
+        if separable:
+            # shared by the end-of-step summary and the next step's drift
+            blk.feats = drift.feature_map(x)
+            summary_acc[s] += len(x) * drift.mf_summary(blk.feats)
+        if s == grid.steps:
+            terminal[blk.rows] = x
 
     prev_terminal: np.ndarray | None = None
     for it in range(1, effective_iters + 1):
@@ -341,25 +368,10 @@ def solve_mckean_vlasov_picard(
         # ensemble summary is the size-weighted average of block summaries.
         summary_acc = np.zeros_like(law.summaries) if separable else None
         terminal = np.empty((m, d))
-
-        for block_idx, lo in enumerate(range(0, m, PATH_BLOCK)):
-            b = min(PATH_BLOCK, m - lo)
-            rows = slice(lo, lo + b)
-            states, increment, _ = _block_start(
-                config, rng.for_replica(block_idx), (_P_PICARD_BASE + it, _P_PICARD_FBM_BASE + it), (b,),
-                sample_fbm_batch, initial=init_states[rows],
-            )
-
-            def observe(s, x, dw):
-                nonlocal feats
-                if keep_paths:
-                    cur_paths[rows, s, :] = x
-                if separable:
-                    feats = drift.feature_map(x)
-                    summary_acc[s] += b * drift.mf_summary(feats)
-
-            terminal[rows] = integrate_block(states, grid, torus, drift_at, increment, observe)
-            del increment
+        integrate_blocks(
+            config, rng, (_P_PICARD_BASE + it, _P_PICARD_FBM_BASE + it), m, None, drift_at, observe,
+            sample_fbm_batch, initial=init_states,
+        )
 
         if prev_terminal is not None:
             residuals.append(_w1_marginal(prev_terminal, terminal))
@@ -389,17 +401,12 @@ def sample_reference_marginals(
     snap_steps = _snapshot_steps(grid, snapshot_times)
     out = {s: np.empty((count, config.domain.dim)) for s in snap_steps}
 
-    for block_idx, lo in enumerate(range(0, count, PATH_BLOCK)):
-        b = min(PATH_BLOCK, count - lo)
-        rows = slice(lo, lo + b)
-        states, increment, _ = _block_start(
-            config, rng.for_replica(block_idx), (_P_REF, _P_REF_FBM), (b,), sample_fbm_batch
-        )
+    def observe(blk, s, x, dw):
+        if s in snap_steps:
+            out[s][blk.rows] = x
 
-        def observe(s, x, dw):
-            if s in snap_steps:
-                out[s][rows] = x
-
-        integrate_block(states, grid, config.domain.is_torus, mean_field.reference_drift_at, increment, observe)
-        del increment
+    integrate_blocks(
+        config, rng, (_P_REF, _P_REF_FBM), count, None,
+        lambda blk, s, t, x: mean_field.reference_drift_at(s, t, x), observe, sample_fbm_batch,
+    )
     return out

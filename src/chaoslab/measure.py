@@ -27,16 +27,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import RngStream, SimConfig, TimeGrid, sum_last_axis
-from .dynamics import (
-    BLOCK_REPLICAS,
-    BlowupError,
-    MeanFieldLaw,
-    _P_WEIGHT,
-    _P_WEIGHT_FBM,
-    _block_start,
-    _snapshot_steps,
-    integrate_block,
-)
+from .dynamics import Block, BlowupError, MeanFieldLaw, _P_WEIGHT, _P_WEIGHT_FBM, _snapshot_steps, integrate_blocks
 from .kernels import build_drift
 from .noise import CHUNK_SERIES, sample_fbm_batch, volterra_inverse_apply
 
@@ -125,34 +116,34 @@ def log_weights_from_deltas(delta: np.ndarray, dw: np.ndarray, dt: float) -> np.
     return np.concatenate([zeros, np.cumsum(incr, axis=-1)], axis=-1)
 
 
-def _fractional_log_weights(delta_store: np.ndarray, driver: np.ndarray, hurst: float, grid: TimeGrid,
-                            record: list[int], rows: slice, log_z: np.ndarray, energy: np.ndarray,
-                            k_energy: np.ndarray, first_bad: np.ndarray) -> None:
-    """One block's fractional log-weights, written into the rows of log_z,
-    energy and k_energy (columns: the recorded steps) and into first_bad.
+def _fractional_log_weights(blk: Block, hurst: float, grid: TimeGrid, record: list[int], log_z: np.ndarray,
+                            energy: np.ndarray, k_energy: np.ndarray) -> None:
+    """One block's fractional log-weights, written into its rows of log_z,
+    energy and k_energy (columns: the recorded steps) and into
+    blk.first_bad.
 
-    delta_store is the block's drift-difference history (b, n, d, steps)
-    and driver its Brownian driver increments (b, n, steps, d). The running
-    integral of delta_b goes through the inverse Volterra map a chunk of
-    replicas at a time; every sum below is per replica. Nothing here
-    outlives the call, so no view keeps the block's arrays alive while the
-    next block samples its noise.
+    blk.delta_store is the block's drift-difference history (b, n, d,
+    steps) and blk.driver its Brownian driver increments (b, n, steps, d).
+    The running integral of delta_b goes through the inverse Volterra map a
+    chunk of replicas at a time; every sum below is per replica. Nothing
+    here outlives the call, so no view keeps the block's arrays alive while
+    the next block samples its noise.
     """
-    b, n, d, steps = delta_store.shape
+    b, n, d, steps = blk.delta_store.shape
     dt = grid.dt
     chunk = max(1, CHUNK_SERIES // (n * d))
     later = [s - 1 for s in record[1:]]  # recorded steps > 0, as cumsum columns
     for c_lo in range(0, b, chunk):
         c = slice(c_lo, min(c_lo + chunk, b))
-        ds = delta_store[c]
+        ds = blk.delta_store[c]
         h = np.concatenate([np.zeros(ds.shape[:-1] + (1,)), np.cumsum(ds * dt, axis=-1)], axis=-1)
         dk = volterra_inverse_apply(h, hurst, grid)  # (chunk, n, d, steps)
-        dwt = driver[c].transpose(0, 1, 3, 2)  # (chunk, n, d, steps)
+        dwt = blk.driver[c].transpose(0, 1, 3, 2)  # (chunk, n, d, steps)
         incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
-        out_rows = slice(rows.start + c.start, rows.start + c.stop)
+        out_rows = slice(blk.rows.start + c.start, blk.rows.start + c.stop)
         running = np.cumsum(incr, axis=-1)
         bad = ~np.isfinite(running)
-        first_bad[c] = np.where(bad.any(axis=-1), np.argmax(bad, axis=-1) + 1, 0)
+        blk.first_bad[c] = np.where(bad.any(axis=-1), np.argmax(bad, axis=-1) + 1, 0)
         log_z[out_rows, 1:] = running[:, later]
         energy[out_rows] = dt * np.sum(ds * ds, axis=(2, 3))
         k_energy[out_rows] = dt * np.sum(dk * dk, axis=(2, 3))
@@ -196,56 +187,46 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     k_energy = np.empty((r_total, n)) if fractional else None
     quality = "fractional weight: inverse Volterra transform carries O(dt) quadrature error" if fractional else None
 
-    delta = None  # interaction minus mean field at the current step
-
-    for block_idx, lo in enumerate(range(0, r_total, BLOCK_REPLICAS)):
-        b = min(BLOCK_REPLICAS, r_total - lo)
-        rows = slice(lo, lo + b)
-        states, increment, driver = _block_start(
-            config, rng.for_replica(block_idx), (_P_WEIGHT, _P_WEIGHT_FBM), (b, n), sample_fbm_batch,
-            with_driver=fractional,
-        )
-        delta_store = np.empty((b, n, d, steps)) if fractional else None
-        log_z_now = np.zeros(b)  # log Z of the block at the current step
-        first_bad = np.zeros(b, dtype=int)  # first non-finite step per replica, 0 for none
-
-        def drift_at(s, t, x):
-            nonlocal delta
-            feats = drift.feature_map(x)
-            mf = mean_field.mean_drift_at(s, t, x, feats)
-            delta = drift.pair_mean_generic(t, x, feats) - mf
-            if fractional:
-                delta_store[..., s] = delta
-            return mean_field.reference_drift_at(s, t, x, mf)
-
-        def observe(s, x, dw):
-            if s == 0 or fractional:
-                return
-            # left-point Ito sums: delta is from step s - 1, dw drives it
-            dd = delta * delta
-            log_z_now[:] += np.sum(delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
-            energy[rows] += dt * sum_last_axis(dd)
-            bad = ~np.isfinite(log_z_now)
-            if bad.any():
-                first_bad[bad & (first_bad == 0)] = s
-            if s in column:
-                log_z[rows, column[s]] = log_z_now
-
-        integrate_block(states, grid, config.domain.is_torus, drift_at, increment, observe)
-        del increment  # the next block's noise never coexists with this one's
-
+    def drift_at(blk, s, t, x):
+        feats = drift.feature_map(x)
+        mf = mean_field.mean_drift_at(s, t, x, feats)
+        blk.delta = drift.pair_mean_generic(t, x, feats) - mf
         if fractional:
-            _fractional_log_weights(
-                delta_store, driver, config.noise.hurst, grid, record, rows,
-                log_z, energy, k_energy, first_bad,
-            )
-            del driver, delta_store  # freed here: the next block samples without them
+            blk.delta_store[..., s] = blk.delta
+        return mean_field.reference_drift_at(s, t, x, mf)
 
-        bad_rows = np.flatnonzero(first_bad)
+    def observe(blk, s, x, dw):
+        if s == 0:
+            b = len(x)
+            blk.log_z = np.zeros(b)
+            blk.first_bad = np.zeros(b, dtype=int)
+            if fractional:
+                blk.delta_store = np.empty((b, n, d, steps))
+            return
+        if fractional:
+            return
+        # left-point Ito sums: delta is from step s - 1, dw drives it
+        dd = blk.delta * blk.delta
+        blk.log_z += np.sum(blk.delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
+        energy[blk.rows] += dt * sum_last_axis(dd)
+        bad = ~np.isfinite(blk.log_z)
+        if bad.any():
+            blk.first_bad[bad & (blk.first_bad == 0)] = s
+        if s in column:
+            log_z[blk.rows, column[s]] = blk.log_z
+
+    def finish(blk):
+        if fractional:
+            _fractional_log_weights(blk, config.noise.hurst, grid, record, log_z, energy, k_energy)
+        bad_rows = np.flatnonzero(blk.first_bad)
         if bad_rows.size:
             row = int(bad_rows[0])
-            raise BlowupError(int(first_bad[row]), replica=lo + row)
+            raise BlowupError(int(blk.first_bad[row]), replica=blk.rows.start + row)
 
+    integrate_blocks(
+        config, rng, (_P_WEIGHT, _P_WEIGHT_FBM), r_total, n, drift_at, observe, sample_fbm_batch,
+        with_driver=fractional, finish=finish,
+    )
     return GirsanovWeight(
         grid=grid,
         log_z=log_z,

@@ -476,6 +476,55 @@ class TestKernelProbeCommand:
         assert "needs a config with a kernel" in capsys.readouterr().err
 
 
+class TestPlanConfigs:
+    """simulate, noise-check and kernel-probe read a plan's base as their
+    simulation config, as run does."""
+
+    COMMANDS = ["simulate", "noise-check", "kernel-probe"]
+
+    def base(self):
+        cfg = sim_config(
+            domain={"kind": "torus", "dim": 2},
+            kernel={"name": "smooth_divfree", "params": {"frequency": 1}},
+            initial_law={"name": "uniform", "params": {}},
+            grid={"t0": 0.0, "dt": 0.01, "steps": 4},
+            replicas=200,
+        )
+        del cfg["drift"]
+        return cfg
+
+    @pytest.mark.parametrize("command, name", [
+        ("noise-check", "fractional_h030.json"),
+        ("kernel-probe", "smooth_torus.json"),
+    ])
+    def test_readme_commands_run_on_the_shipped_plans(self, tmp_path, capsys, command, name):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / name
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_plan_writes_the_bytes_of_its_base(self, tmp_path, capsys, command):
+        configs = {
+            "bare": self.base(),
+            "plan": {"base": self.base(), "sweep": {"n": [4]}, "picard": {"m": 100}},
+        }
+        codes = {}
+        for name, data in configs.items():
+            cfg = write_json(tmp_path, f"{name}.json", data)
+            codes[name] = main([command, "--config", cfg, "--out", str(tmp_path / name)])
+        assert codes == {"bare": EXIT_OK, "plan": EXIT_OK}
+        files = sorted(os.listdir(tmp_path / "bare"))
+        assert files == sorted(os.listdir(tmp_path / "plan"))
+        for fname in files:
+            assert (tmp_path / "bare" / fname).read_bytes() == (tmp_path / "plan" / fname).read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_plan_with_an_unknown_key_fails_closed(self, tmp_path, capsys, command):
+        cfg = write_json(tmp_path, "p.json", {"base": self.base(), "sweep": {"n": [4]}, "picard_m": 100})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "picard_m" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunAllScript:
     def test_killed_run_is_a_failure(self, tmp_path, monkeypatch, capsys):
         # a run killed by signal 9 counts as exit 128 + 9, as in a shell

@@ -12,6 +12,8 @@ import pytest
 
 from chaoslab.core import RngStream, TimeGrid, config_from_dict, sample_initial
 from chaoslab.dynamics import (
+    BLOCK_REPLICAS,
+    PATH_BLOCK,
     BlowupError,
     MeanFieldLaw,
     extract_marginal,
@@ -21,6 +23,7 @@ from chaoslab.dynamics import (
     solve_mckean_vlasov_picard,
 )
 from chaoslab.kernels import build_drift
+from chaoslab.measure import girsanov_weight
 
 
 def make_cfg(**over):
@@ -397,3 +400,33 @@ class TestReferenceMarginals:
         assert all(a[s].shape == (500, 1) for s in a)
         for s in a:
             assert np.array_equal(a[s], b[s])
+
+
+@pytest.mark.parametrize("noise", [{"kind": "brownian"}, {"kind": "fbm", "hurst": 0.3}], ids=["brownian", "fbm"])
+class TestBlockKeying:
+    """A block's rows depend only on its block index, never on how many
+    rows follow it: the property that lets blocks run in any order."""
+
+    def cfg(self, noise, replicas):
+        return make_cfg(noise=noise, replicas=replicas, grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 16})
+
+    def test_replica_blocks(self, noise):
+        short, long = self.cfg(noise, BLOCK_REPLICAS), self.cfg(noise, BLOCK_REPLICAS + 6)
+        law = solve_mckean_vlasov_picard(short, RngStream(root_seed=1), m=200, iters=2)
+        ens_s, ens_l = (simulate_particle_system(c, RngStream(root_seed=2)) for c in (short, long))
+        assert set(ens_s.snapshots) == set(ens_l.snapshots)
+        for s, pos in ens_s.snapshots.items():
+            assert np.array_equal(ens_l.snapshots[s][:BLOCK_REPLICAS], pos)
+        w_s, w_l = (girsanov_weight(c, law, RngStream(root_seed=3)) for c in (short, long))
+        assert np.array_equal(w_l.log_z[:BLOCK_REPLICAS], w_s.log_z)
+        assert np.array_equal(w_l.drift_energy[:BLOCK_REPLICAS], w_s.drift_energy)
+
+    def test_path_blocks(self, noise):
+        cfg = self.cfg(noise, 10)
+        law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=1), m=200, iters=2)
+        short, long = (
+            sample_reference_marginals(cfg, law, count, RngStream(root_seed=4)) for count in (PATH_BLOCK, PATH_BLOCK + 5)
+        )
+        assert set(short) == set(long)
+        for s, x in short.items():
+            assert np.array_equal(long[s][:PATH_BLOCK], x)

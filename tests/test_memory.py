@@ -3,8 +3,9 @@
 The fBm sampler and the Volterra weights run in fixed row chunks, so each
 stage holds a few block-sized arrays, not one per temporary of the whole
 batch. P is one block's (replicas, n, d, steps) float64 array; tracemalloc
-sees numpy's data buffers. A Girsanov block frees its noise and its delta
-history before the next block samples. A sweep point keeps log-weights only
+sees numpy's data buffers. A Girsanov block frees its fBm increments
+before its weights go through the Volterra inverse, and its driver and
+delta history before the next block samples. A sweep point keeps log-weights only
 at its swept steps and snapshots only of its first max-k particles. The
 generic interaction paths evaluate a fixed number of pair values per kernel
 call.
@@ -15,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chaoslab import experiment
+from chaoslab import experiment, measure
 from chaoslab.core import RngStream, config_from_dict
 from chaoslab.dynamics import (
     BLOCK_REPLICAS,
@@ -41,13 +42,15 @@ def traced():
         tracemalloc.stop()
 
 
+P_BYTES = BLOCK_REPLICAS * N * 1 * STEPS * 8
+
+
 def peak_in_p(fn):
     """(result, peak bytes allocated during fn above its start, in P)."""
-    p_bytes = BLOCK_REPLICAS * N * 1 * STEPS * 8
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
     out = fn()
-    return out, (tracemalloc.get_traced_memory()[1] - before) / p_bytes
+    return out, (tracemalloc.get_traced_memory()[1] - before) / P_BYTES
 
 
 def fractional_config(replicas):
@@ -87,6 +90,29 @@ def test_fractional_weights_free_each_block_before_the_next(traced):
     _, weights = peak_in_p(lambda: girsanov_weight(cfg, law, RngStream(4)))
     print({"girsanov_two_blocks": round(weights, 2)})
     assert weights <= 4.0, weights
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_volterra_step_never_sees_the_blocks_increments(traced, monkeypatch, blocks):
+    # When the Volterra inverse runs, the block still needs its driver
+    # increments (P) and its delta history (P). Everything else held then
+    # is below 0.5 P: the log-weights of 2 blocks at every step (0.26 P),
+    # the energies and the chunk temporaries. So 2.5 P holds only if the
+    # block's fBm increments (P) were freed before its weights are built.
+    cfg = fractional_config(blocks * BLOCK_REPLICAS)
+    law = solve_mckean_vlasov_picard(cfg, RngStream(1), m=4096, iters=1)
+    apply, held = measure.volterra_inverse_apply, []
+
+    def spy(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "volterra_inverse_apply", spy)
+    before = tracemalloc.get_traced_memory()[0]
+    girsanov_weight(cfg, law, RngStream(4))
+    worst = (max(held) - before) / P_BYTES
+    print({"volterra_step_held": round(worst, 2)})
+    assert worst <= 2.5, worst
 
 
 @pytest.mark.filterwarnings("ignore:only 150 replicas")

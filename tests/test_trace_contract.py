@@ -4,8 +4,9 @@ The tracer wraps chaoslab names from outside and derives exact work counts
 from call shapes. A refactor that routes a non-separable evaluation around
 DriftSpec.pair_mean_generic or DriftSpec.mean_field_drift would silently
 falsify kernels.generic.pair_evals; these tests pin that count on a tiny
-generic-drift plan, and the fBm normal count on a tiny fractional plan, to
-their closed forms. The tracer patches modules in place, so each run is in
+generic-drift plan, and the fBm normal and call counts on two fractional
+plans, one within a block and one across block boundaries, to their closed
+forms. The tracer patches modules in place, so each run is in
 a fresh interpreter.
 """
 
@@ -14,6 +15,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from chaoslab.dynamics import BLOCK_REPLICAS, PATH_BLOCK
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,9 +88,15 @@ def test_generic_pair_evals_match_closed_form(tmp_path):
     )
 
 
-def test_fbm_normals_match_closed_form(tmp_path):
-    # the tracer reads sample_fbm_batch's bound method and its third result
-    steps, replicas, m, iters, samples = 4, 100, 100, 2, 100
+@pytest.mark.parametrize(
+    "replicas, m, samples",
+    [(100, 100, 100), (1030, 4100, 2100)],
+    ids=["one_block", "across_blocks"],
+)
+def test_fbm_normals_match_closed_form(tmp_path, replicas, m, samples):
+    # the tracer reads sample_fbm_batch's bound method and its third result;
+    # the second plan's sizes cross the block boundaries of every path family
+    steps, iters = 4, 2
     sweep_n, sweep_k = [3, 4], [1, 2]
     plan = {
         "label": "trace_contract_fbm",
@@ -113,3 +124,7 @@ def test_fbm_normals_match_closed_form(tmp_path):
     )
     assert result["counts"]["noise.fbm.normals"] == want
     assert result["counts"]["noise.fbm.cholesky_fallbacks"] == 0
+    # one fBm call per block: Picard and reference blocks of PATH_BLOCK
+    # paths, simulation and weight blocks of BLOCK_REPLICAS replicas
+    calls = iters * -(-m // PATH_BLOCK) + 2 * -(-replicas // BLOCK_REPLICAS) + -(-samples * max(sweep_k) // PATH_BLOCK)
+    assert result["counts"]["noise.fbm.calls"] == len(sweep_n) * calls
