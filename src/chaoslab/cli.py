@@ -5,8 +5,9 @@ Every subcommand takes --config <path> and --out <dir>, and only the flags
 it reads besides: --seed overrides the config seed on the four that draw
 random numbers (simulate, noise-check, kernel-probe, run), and --threads
 sets run's worker count. Outputs are plain CSV files and a JSON manifest in
-the --out directory. run takes a plan or a bare simulation config (parsed
-as a one-point plan) and runs every estimator unless the plan names its own
+the --out directory, each manifest headed by the command, the version and
+the environment. run takes a plan or a bare simulation config (parsed as a
+one-point plan) and runs every estimator unless the plan names its own
 ("estimators": ["girsanov", "knn"] is the entropy-only pipeline);
 simulate, noise-check and kernel-probe read a plan's base, or a bare
 config.
@@ -30,14 +31,14 @@ import numpy as np
 
 from . import __version__
 from .bounds import short_time_horizon
-from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json, _as_integral, _as_real, _pop_key
+from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json
+from .core import _as_integral, _pop_key, _reject_unknown
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
-    _ESTIMATORS,
     _HORIZON_C,
     BOUNDS_COLUMNS,
     ExperimentPlan,
-    _write_json,
+    _write_manifest,
     bound_rows,
     fit_rate,
     plan_from_dict,
@@ -90,10 +91,9 @@ def _cmd_simulate(args) -> int:
     cols = ["t", "replica", "particle"] + [f"x{c}" for c in range(cfg.domain.dim)]
     write_outputs(
         args.out,
+        "simulate",
         {"positions.csv": (rows, cols)},
         {
-            "command": "simulate",
-            "version": __version__,
             "seed": cfg.seed,
             "n": cfg.n_particles,
             "replicas": cfg.replicas,
@@ -110,12 +110,12 @@ def _cmd_simulate(args) -> int:
 def _plan_from_config(data: dict) -> ExperimentPlan:
     """Accept either a full plan or a bare simulation config, run as the
     plan that sweeps its own n_particles alone (k = 1 at the terminal
-    time). Every estimator runs unless the plan names its own.
+    time) with plan_from_dict's defaults.
     """
     plan = _plan_or_config(data)
     if isinstance(plan, SimConfig):
         plan = plan_from_dict({"base": data, "sweep": {"n": [plan.n_particles]}})
-    return plan if "estimators" in data else replace(plan, estimators=_ESTIMATORS)
+    return plan
 
 
 def _finish_run(result, out_dir: str) -> int:
@@ -153,18 +153,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     data = load_json(args.config)
-    c0 = _as_real(_pop_key(data, "C0", None), "bounds config: key 'C0'")
-    gamma = _as_real(_pop_key(data, "gamma", None), "bounds config: key 'gamma'")
-    m_const = _as_real(_pop_key(data, "M", None), "bounds config: key 'M'")
-    t_final = _as_real(_pop_key(data, "T", None), "bounds config: key 'T'")
-    ns = [_as_integral(v, "bounds config: key 'n'") for v in _pop_key(data, "n", list)]
-    ks_req = _pop_key(data, "k", list, default=None)
+    where = "bounds config"
+    c0 = _pop_key(data, "C0", float, where=where)
+    gamma = _pop_key(data, "gamma", float, where=where)
+    m_const = _pop_key(data, "M", float, where=where)
+    t_final = _pop_key(data, "T", float, where=where)
+    ns = [_as_integral(v, f"{where}: key 'n'") for v in _pop_key(data, "n", list, where=where)]
+    ks_req = _pop_key(data, "k", list, None, where)
     if ks_req is not None:
-        ks_req = [_as_integral(v, "bounds config: key 'k'") for v in ks_req]
-    dt = _as_real(_pop_key(data, "dt", None, default=1e-3), "bounds config: key 'dt'")
-    horizons = _pop_key(data, "horizons", list, default=[])
-    if data:
-        raise ConfigError(f"unknown bounds config keys: {sorted(data)}")
+        ks_req = [_as_integral(v, f"{where}: key 'k'") for v in ks_req]
+    dt = _pop_key(data, "dt", float, 1e-3, where)
+    horizons = _pop_key(data, "horizons", list, [], where)
+    _reject_unknown(data, where)
 
     rows = []
     for n in ns:
@@ -179,14 +179,12 @@ def _cmd_bounds(args) -> int:
         if not isinstance(item, dict):
             raise ConfigError(f"{where} expects an object, got {item!r}")
         spec = dict(item)
-        kappa = _as_real(_pop_key(spec, "kappa", None, where=where), f"{where}: key 'kappa'")
-        beta = _as_real(_pop_key(spec, "beta", None, where=where), f"{where}: key 'beta'")
+        kappa = _pop_key(spec, "kappa", float, where=where)
+        beta = _pop_key(spec, "beta", float, where=where)
         regime = _pop_key(spec, "regime", str, "brownian", where)
-        hurst = _pop_key(spec, "hurst", None, None, where)
-        hurst = None if hurst is None else _as_real(hurst, f"{where}: key 'hurst'")
-        c_h = _as_real(_pop_key(spec, "C", None, _HORIZON_C, where), f"{where}: key 'C'")
-        if spec:
-            raise ConfigError(f"unknown horizon keys: {sorted(spec)}")
+        hurst = _pop_key(spec, "hurst", float, None, where)
+        c_h = _pop_key(spec, "C", float, _HORIZON_C, where)
+        _reject_unknown(spec, where)
         hz = short_time_horizon(kappa, beta, regime=regime, hurst=hurst, C=c_h)
         horizon_rows.append(
             {
@@ -199,13 +197,12 @@ def _cmd_bounds(args) -> int:
         )
     write_outputs(
         args.out,
+        "bounds",
         {
             "bounds.csv": (rows, BOUNDS_COLUMNS),
             "horizons.csv": (horizon_rows, ["kappa", "beta", "hurst", "regime", "delta_star"]),
         },
         {
-            "command": "bounds",
-            "version": __version__,
             "C0": c0,
             "gamma": gamma,
             "M": m_const,
@@ -239,10 +236,9 @@ def _cmd_noise_check(args) -> int:
     worst = max(abs(r["z"]) for r in rows)
     write_outputs(
         args.out,
+        "noise-check",
         {"noise_covariance.csv": (rows, ["t", "s", "hurst", "empirical", "exact", "stderr", "z"])},
         {
-            "command": "noise-check",
-            "version": __version__,
             "seed": cfg.seed,
             "hurst": hurst,
             "paths": cfg.replicas,
@@ -295,10 +291,9 @@ def _cmd_kernel_probe(args) -> int:
         tables["kernel_lp.csv"] = (lp_rows, ["p", "cells_per_axis", "lp_norm"])
     write_outputs(
         args.out,
+        "kernel-probe",
         tables,
         {
-            "command": "kernel-probe",
-            "version": __version__,
             "kernel": kind,
             "probes": probes.shape[0],
             "antisymmetry_exact": anti_exact,
@@ -311,18 +306,17 @@ def _cmd_kernel_probe(args) -> int:
 
 def _cmd_rate_fit(args) -> int:
     data = load_json(args.config)
-    input_path = str(_pop_key(data, "input", str))
-    axis = str(_pop_key(data, "axis", str, default="n"))
-    filt = _pop_key(data, "filter", dict, default={})
-    estimator = str(_pop_key(filt, "estimator", str, default="girsanov"))
+    input_path = _pop_key(data, "input", str, where="rate-fit config")
+    axis = _pop_key(data, "axis", str, "n", "rate-fit config")
+    filt = _pop_key(data, "filter", dict, {}, "rate-fit config")
+    estimator = _pop_key(filt, "estimator", str, "girsanov", "rate-fit filter")
     filters = {}  # column -> required value
-    for key, parse in (("k", _as_integral), ("t", _as_real), ("n", _as_integral)):
-        if key in filt:
-            filters[key] = parse(filt.pop(key), f"rate-fit filter: key '{key}'")
-    if filt:
-        raise ConfigError(f"unknown filter keys: {sorted(filt)}")
-    if data:
-        raise ConfigError(f"unknown rate-fit keys: {sorted(data)}")
+    for key, kind in (("k", int), ("t", float), ("n", int)):
+        value = _pop_key(filt, key, kind, None, "rate-fit filter")
+        if value is not None:
+            filters[key] = value
+    _reject_unknown(filt, "rate-fit filter")
+    _reject_unknown(data, "rate-fit config")
     if axis not in ("n", "k"):
         raise ConfigError("axis must be 'n' or 'k'")
     try:
@@ -355,8 +349,6 @@ def _cmd_rate_fit(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     payload = {
-        "command": "rate-fit",
-        "version": __version__,
         "input": input_path,
         "axis": axis,
         "estimator": estimator,
@@ -368,7 +360,7 @@ def _cmd_rate_fit(args) -> int:
         "no_trend": fit.no_trend,
         "residuals": [float(r) for r in fit.residuals],
     }
-    _write_json(os.path.join(args.out, "rate_fit.json"), payload)
+    _write_manifest(os.path.join(args.out, "rate_fit.json"), "rate-fit", payload)
     print(
         f"slope = {fit.slope:.4f}, intercept = {fit.intercept:.4f}, R^2 = {fit.r_squared:.4f} "
         f"({fit.n_points} points, {fit.n_excluded} excluded)"

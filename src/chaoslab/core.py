@@ -232,17 +232,16 @@ class InitialLaw:
     def __post_init__(self) -> None:
         if self.name not in self._ALLOWED_PARAMS:
             raise ConfigError(f"unknown initial law {self.name!r}")
-        unknown = set(self.params) - set(self._ALLOWED_PARAMS[self.name])
-        if unknown:
-            raise ConfigError(f"{self.name}: unknown params {sorted(unknown)}")
+        _reject_unknown(self.params, "initial_law.params", self._ALLOWED_PARAMS[self.name])
         for key in ("sigma", "radius"):
-            if key in self.params and _as_real(self.params[key], f"initial_law.params: key {key!r}") < 0:
+            if self.param(key, float, 1.0) < 0:
                 raise ConfigError(f"initial_law.params: key {key!r} must be >= 0, got {self.params[key]!r}")
-        mean = self.params.get("mean", [])
-        if not isinstance(mean, list):
-            raise ConfigError(f"initial_law.params: key 'mean' expects a list of numbers, got {mean!r}")
-        for v in mean:
+        for v in self.param("mean", list, []):
             _as_real(v, "initial_law.params: key 'mean'")
+
+    def param(self, key: str, kind: type, default: Any) -> Any:
+        """One parameter, read by _pop_key: a null is the default."""
+        return _pop_key(dict(self.params), key, kind, default, "initial_law.params")
 
 
 @dataclass(frozen=True)
@@ -280,7 +279,7 @@ class SimConfig:
             raise ConfigError("uniform initial law lives on the torus")
         if self.initial_law.name in ("gaussian", "uniform_ball") and self.domain.is_torus:
             raise ConfigError(f"initial law {self.initial_law.name!r} lives on R^d")
-        if len(self.initial_law.params.get("mean", [0.0] * self.domain.dim)) != self.domain.dim:
+        if len(self.initial_law.param("mean", list, [0.0] * self.domain.dim)) != self.domain.dim:
             raise ConfigError(f"initial_law.params: key 'mean' needs one entry per dimension (d = {self.domain.dim})")
 
     @property
@@ -294,37 +293,35 @@ class SimConfig:
 _MISSING = object()
 
 
-def _pop_key(d: dict, key: str, types: type | tuple | None, default: Any = _MISSING, where: str = "config") -> Any:
-    """Pop one typed key from a mutable mapping, failing closed.
+def _pop_key(d: dict, key: str, kind: type | None, default: Any = _MISSING, where: str = "config") -> Any:
+    """Pop one JSON value from a mutable mapping, failing closed: the one
+    reader of every config, plan and command value.
 
-    Callers pop every key they understand and then reject whatever is
-    left, so unknown keys surface as errors instead of silent defaults.
+    Kind int applies _as_integral, float applies _as_real, and str, list and
+    dict check that JSON type (a dict comes back as a copy the caller may
+    pop from in turn); None accepts any value. An explicit null counts as
+    absent. Callers pop every key they understand and then pass the rest to
+    _reject_unknown, so unknown keys surface as errors.
     """
-    if key not in d:
+    v = d.pop(key, None)
+    if v is None:
         if default is _MISSING:
             raise ConfigError(f"{where}: missing required key {key!r}")
         return default
-    v = d.pop(key)
-    if types is not None:
-        allowed = types if isinstance(types, tuple) else (types,)
-        if isinstance(v, bool) and bool not in allowed:
-            raise ConfigError(f"{where}: key {key!r} must not be a boolean")
-        if not isinstance(v, types):
-            names = "/".join(t.__name__ for t in allowed)
-            raise ConfigError(f"{where}: key {key!r} expects {names}, got {type(v).__name__}")
-    return v
+    if kind is int:
+        return _as_integral(v, f"{where}: key {key!r}")
+    if kind is float:
+        return _as_real(v, f"{where}: key {key!r}")
+    if kind is not None and not isinstance(v, kind):
+        raise ConfigError(f"{where}: key {key!r} expects {kind.__name__}, got {type(v).__name__}")
+    return dict(v) if kind is dict else v
 
 
-def _pop_object(d: dict, key: str, where: str, default: Any = _MISSING) -> Any:
-    """Pop a nested JSON object as a copy the caller may pop from in turn.
-    With a None default, an explicit null counts as absent."""
-    v = _pop_key(d, key, (dict, type(None)) if default is None else dict, default, where)
-    return v if v is None or v is default else dict(v)
-
-
-def _reject_unknown(d: dict, where: str) -> None:
-    if d:
-        raise ConfigError(f"{where}: unknown keys {sorted(d)}")
+def _reject_unknown(d: dict, where: str, allowed: tuple[str, ...] = ()) -> None:
+    """The one unknown-key check: every key of d outside allowed is an error."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
 def _as_integral(v: Any, where: str) -> int:
@@ -354,43 +351,42 @@ def config_from_dict(raw: dict[str, Any]) -> SimConfig:
         raise ConfigError("config root must be a JSON object")
     top = dict(raw)
 
-    dom = _pop_object(top, "domain", "config")
+    dom = _pop_key(top, "domain", dict)
     domain = DomainSpec(kind=_pop_key(dom, "kind", str, where="domain"), dim=_pop_key(dom, "dim", int, where="domain"))
     _reject_unknown(dom, "domain")
 
-    g = _pop_object(top, "grid", "config")
+    g = _pop_key(top, "grid", dict)
     grid = TimeGrid(
-        t0=_as_real(_pop_key(g, "t0", None, 0.0, "grid"), "grid: key 't0'"),
-        dt=_as_real(_pop_key(g, "dt", None, where="grid"), "grid: key 'dt'"),
+        t0=_pop_key(g, "t0", float, 0.0, "grid"),
+        dt=_pop_key(g, "dt", float, where="grid"),
         steps=_pop_key(g, "steps", int, where="grid"),
     )
-    horizon = _pop_key(g, "horizon", None, None, "grid")
+    horizon = _pop_key(g, "horizon", float, None, "grid")
     _reject_unknown(g, "grid")
     if horizon is not None:
-        grid.check_horizon(_as_real(horizon, "grid: key 'horizon'"))
+        grid.check_horizon(horizon)
 
-    nz = _pop_object(top, "noise", "config")
+    nz = _pop_key(top, "noise", dict)
     noise = NoiseSpec(
         kind=_pop_key(nz, "kind", str, where="noise"),
-        hurst=_as_real(_pop_key(nz, "hurst", None, 0.5, "noise"), "noise: key 'hurst'"),
+        hurst=_pop_key(nz, "hurst", float, 0.5, "noise"),
     )
     _reject_unknown(nz, "noise")
 
-    il = _pop_object(top, "initial_law", "config")
+    il = _pop_key(top, "initial_law", dict)
     initial_law = InitialLaw(name=_pop_key(il, "name", str, where="initial_law"),
-                             params=_pop_object(il, "params", "initial_law", default={}))
+                             params=_pop_key(il, "params", dict, {}, "initial_law"))
     _reject_unknown(il, "initial_law")
 
     refs = {}
     for key in ("kernel", "drift"):
-        ref = _pop_object(top, key, "config", default=None)
+        ref = _pop_key(top, key, dict, None)
         if ref is not None:
             refs[key] = InteractionRef(
-                name=_pop_key(ref, "name", str, where=key), params=_pop_object(ref, "params", key, default={})
+                name=_pop_key(ref, "name", str, where=key), params=_pop_key(ref, "params", dict, {}, key)
             )
             _reject_unknown(ref, key)
 
-    eps = _pop_key(top, "eps", None, None)
     config = SimConfig(
         domain=domain,
         n_particles=_pop_key(top, "n_particles", int),
@@ -401,7 +397,7 @@ def config_from_dict(raw: dict[str, Any]) -> SimConfig:
         replicas=_pop_key(top, "replicas", int),
         kernel=refs.get("kernel"),
         drift=refs.get("drift"),
-        eps=None if eps is None else _as_real(eps, "config: key 'eps'"),
+        eps=_pop_key(top, "eps", float, None),
         truncation_radius=_pop_key(top, "truncation_radius", int, 8),
     )
     _reject_unknown(top, "config")
@@ -430,13 +426,13 @@ def sample_initial(law: InitialLaw, domain: DomainSpec, size: tuple[int, ...], g
     if law.name == "uniform":
         return gen.uniform(-0.5, 0.5, size=shape)
     if law.name == "gaussian":
-        sigma = float(law.params.get("sigma", 1.0))
-        mean = np.asarray(law.params.get("mean", np.zeros(d)), dtype=np.float64)
+        sigma = law.param("sigma", float, 1.0)
+        mean = np.asarray(law.param("mean", list, np.zeros(d)), dtype=np.float64)
         if mean.shape != (d,):
             raise ConfigError(f"gaussian mean must have {d} components")
         return mean + sigma * gen.standard_normal(shape)
     if law.name == "uniform_ball":
-        radius = float(law.params.get("radius", 1.0))
+        radius = law.param("radius", float, 1.0)
         # Rejection-free: direction times radius scaled by U^{1/d}.
         z = gen.standard_normal(shape)
         norms = np.linalg.norm(z, axis=-1, keepdims=True)

@@ -26,7 +26,7 @@ import scipy
 from . import __version__
 from .bounds import constant_C, estimate_beta, hierarchy_ode_solve, short_time_horizon, theorem_bound
 from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json
-from .core import _as_integral, _as_real, _pop_key, _pop_object
+from .core import _as_integral, _as_real, _pop_key, _reject_unknown
 from .dynamics import (
     MAX_ENSEMBLE_ELEMENTS,
     MAX_PICARD_ITERS,
@@ -128,42 +128,37 @@ class ExperimentPlan:
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
-    """Fail-closed plan parsing: unknown keys are errors, types checked."""
+    """Fail-closed plan parsing: unknown keys are errors, types checked,
+    and every default of a plan is set here."""
     if not isinstance(data, dict):
         raise ConfigError("plan must be a JSON object")
     work = dict(data)
     base = config_from_dict(_pop_key(work, "base", dict, where="plan"))
-    sweep = _pop_object(work, "sweep", "plan")
+    sweep = _pop_key(work, "sweep", dict, where="plan")
     sweep_n = tuple(_as_integral(v, "sweep: key 'n'") for v in _pop_key(sweep, "n", list, where="sweep"))
     sweep_k = tuple(_as_integral(v, "sweep: key 'k'") for v in _pop_key(sweep, "k", list, [1], "sweep"))
     sweep_t = tuple(_as_real(v, "sweep: key 't'") for v in _pop_key(sweep, "t", list, [base.grid.terminal], "sweep"))
-    if sweep:
-        raise ConfigError(f"unknown sweep keys: {sorted(sweep)}")
-    estimators = tuple(str(v) for v in _pop_key(work, "estimators", list, ["girsanov"], "plan"))
-    picard = _pop_object(work, "picard", "plan", default={})
-    picard_m = _as_integral(_pop_key(picard, "m", None, 10_000), "picard: key 'm'")
-    picard_iters = _as_integral(_pop_key(picard, "iters", None, 3), "picard: key 'iters'")
-    if picard:
-        raise ConfigError(f"unknown picard keys: {sorted(picard)}")
-    knn = _pop_object(work, "knn", "plan", default={})
-    knn_neighbors = _as_integral(_pop_key(knn, "neighbors", None, 4), "knn: key 'neighbors'")
-    knn_samples = _as_integral(_pop_key(knn, "samples", None, 10_000), "knn: key 'samples'")
-    if knn:
-        raise ConfigError(f"unknown knn keys: {sorted(knn)}")
-    tv = _pop_object(work, "tv", "plan", default={})
-    tv_bins = _as_integral(_pop_key(tv, "bins", None, 32), "tv: key 'bins'")
-    if tv:
-        raise ConfigError(f"unknown tv keys: {sorted(tv)}")
-    bounds = _pop_object(work, "bounds", "plan", default={})
-    bound_c0 = _as_real(_pop_key(bounds, "C0", None, 0.05), "bounds: key 'C0'")
-    bound_gamma = _as_real(_pop_key(bounds, "gamma", None, 1.0), "bounds: key 'gamma'")
-    bound_m = _as_real(_pop_key(bounds, "M", None, 1.0), "bounds: key 'M'")
-    kappa = _as_real(_pop_key(bounds, "kappa", None, 1.0), "bounds: key 'kappa'")
-    if bounds:
-        raise ConfigError(f"unknown bounds keys: {sorted(bounds)}")
+    _reject_unknown(sweep, "sweep")
+    estimators = tuple(str(v) for v in _pop_key(work, "estimators", list, _ESTIMATORS, "plan"))
+    picard = _pop_key(work, "picard", dict, {}, "plan")
+    picard_m = _pop_key(picard, "m", int, 10_000, "picard")
+    picard_iters = _pop_key(picard, "iters", int, 3, "picard")
+    _reject_unknown(picard, "picard")
+    knn = _pop_key(work, "knn", dict, {}, "plan")
+    knn_neighbors = _pop_key(knn, "neighbors", int, 4, "knn")
+    knn_samples = _pop_key(knn, "samples", int, 10_000, "knn")
+    _reject_unknown(knn, "knn")
+    tv = _pop_key(work, "tv", dict, {}, "plan")
+    tv_bins = _pop_key(tv, "bins", int, 32, "tv")
+    _reject_unknown(tv, "tv")
+    bounds = _pop_key(work, "bounds", dict, {}, "plan")
+    bound_c0 = _pop_key(bounds, "C0", float, 0.05, "bounds")
+    bound_gamma = _pop_key(bounds, "gamma", float, 1.0, "bounds")
+    bound_m = _pop_key(bounds, "M", float, 1.0, "bounds")
+    kappa = _pop_key(bounds, "kappa", float, 1.0, "bounds")
+    _reject_unknown(bounds, "bounds")
     label = _pop_key(work, "label", str, "run", "plan")
-    if work:
-        raise ConfigError(f"unknown plan keys: {sorted(work)}")
+    _reject_unknown(work, "plan")
     return ExperimentPlan(
         base=base,
         sweep_n=sweep_n,
@@ -256,9 +251,9 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
                 rep = entropy_girsanov(gw, k=k, step=step)
                 entropy_row(t, k, "girsanov", rep.value, rep.stderr, rep.params["ess"])
 
-        regime = "fractional" if cfg.noise.kind == "fbm" else "brownian"
+        regime = "fractional" if cfg.noise.fractional else "brownian"
         energy = gw.volterra_energy if gw.volterra_energy is not None else gw.drift_energy
-        hurst = cfg.noise.hurst if cfg.noise.kind == "fbm" else None
+        hurst = cfg.noise.hurst if cfg.noise.fractional else None
         bf = estimate_beta(energy, n=n, delta=grid.terminal - grid.t0, hurst=hurst)
         hz = short_time_horizon(plan.kappa, bf.beta, regime=regime, hurst=hurst, C=_HORIZON_C)
         out["horizons"].append(
@@ -398,7 +393,6 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
 
     result.manifest = {
         "label": plan.label,
-        "version": __version__,
         "seed": plan.base.seed,
         "sweep": {"n": list(plan.sweep_n), "k": list(plan.sweep_k), "t": list(plan.sweep_t)},
         "estimators": list(plan.estimators),
@@ -410,13 +404,6 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
         },
         "grid": {"t0": plan.base.grid.t0, "dt": plan.base.grid.dt, "steps": plan.base.grid.steps},
         "noise": {"kind": plan.base.noise.kind, "hurst": plan.base.noise.hurst},
-        # the fBm bytes depend on numpy's FFT, so record what made them
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "cpu_count": os.cpu_count(),
-        },
         "points": provenance,
         "errors": result.errors,
         "row_counts": {
@@ -454,19 +441,33 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([_fmt(row.get(c, "")) for c in columns])
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_manifest(path: str, command: str, payload: dict) -> None:
+    """Write payload as JSON under the header every manifest carries: the
+    command, the chaoslab version and the environment that made the bytes
+    (the fBm bytes depend on numpy's FFT)."""
+    header = {
+        "command": command,
+        "version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
+    }
     with _open_output(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**payload, **header}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_outputs(out_dir: str, tables: dict, manifest: dict) -> dict[str, str]:
+def write_outputs(out_dir: str, command: str, tables: dict, manifest: dict) -> dict[str, str]:
     """Write each table, file name -> (rows, columns), as a CSV in out_dir,
-    then manifest.json last; returns the written paths by file name."""
+    then manifest.json last, stamped with the command's header; returns the
+    written paths by file name."""
     paths = {name: os.path.join(out_dir, name) for name in (*tables, "manifest.json")}
     for name, (rows, columns) in tables.items():
         _write_csv(paths[name], rows, columns)
-    _write_json(paths["manifest.json"], manifest)
+    _write_manifest(paths["manifest.json"], command, manifest)
     return paths
 
 
@@ -483,7 +484,7 @@ def write_result(result: RunResult, out_dir: str) -> dict[str, str]:
         "horizons.csv": (result.horizon_rows, ["n", "regime", "kappa", "beta", "hurst", "delta_star", "fit_residual"]),
         "checks.csv": (result.check_rows, CHECK_COLUMNS),
     }
-    return write_outputs(out_dir, tables, result.manifest)
+    return write_outputs(out_dir, "run", tables, result.manifest)
 
 
 @dataclass(frozen=True)

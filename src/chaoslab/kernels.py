@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainSpec, InteractionRef, SimConfig, _as_integral, _as_real
+from .core import ConfigError, DomainSpec, InteractionRef, SimConfig, _as_real, _pop_key, _reject_unknown
 from .core import sum_last_axis, torus_displacement, wrap_torus
 
 TWO_PI = 2.0 * math.pi
@@ -309,21 +309,15 @@ class DriftSpec:
 # ---------------------------------------------------------------------------
 
 
-def _reject_unknown_params(name: str, params: dict, allowed: tuple[str, ...] = ()) -> None:
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{name}: unknown params {sorted(unknown)}")
-
-
 def _drift_zero(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown_params("zero", params)
+    _reject_unknown(params, "drift.params")
     return DriftSpec(name="zero")
 
 
 def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown_params("constant_b0", params, ("c",))
-    where = "constant_b0: param 'c'"
-    raw = params.get("c", 1.0)
+    _reject_unknown(params, "drift.params", ("c",))
+    where = "drift.params: key 'c'"
+    raw = _pop_key(dict(params), "c", None, 1.0, "drift.params")
     if not isinstance(raw, list):
         raw = [raw] * domain.dim
     elif len(raw) != domain.dim:
@@ -337,8 +331,8 @@ def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
 
 
 def _drift_restoring_b0(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown_params("restoring_b0", params, ("rate",))
-    rate = _as_real(params.get("rate", 1.0), "restoring_b0: param 'rate'")
+    _reject_unknown(params, "drift.params", ("rate",))
+    rate = _pop_key(dict(params), "rate", float, 1.0, "drift.params")
 
     def b0(t: float, x: np.ndarray) -> np.ndarray:
         return -rate * x
@@ -421,7 +415,7 @@ def _separable(name: str, pair: Callable, features: Callable[[np.ndarray], tuple
 
 
 def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown_params("linear_pair", params)
+    _reject_unknown(params, "drift.params")
     if domain.is_torus:
         raise ConfigError("linear_pair drift lives on R^d")
 
@@ -432,7 +426,7 @@ def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
 
 
 def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown_params("attract_pair", params)
+    _reject_unknown(params, "drift.params")
     if domain.is_torus:
         raise ConfigError("attract_pair drift lives on R^d")
 
@@ -476,7 +470,7 @@ def sin_positive(u: np.ndarray) -> np.ndarray:
 def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     # h(u) = u 1{sin u > 0}: satisfies the linear growth condition with
     # K = 1 but is discontinuous in the pair displacement.
-    _reject_unknown_params("sign_gated_pair", params)
+    _reject_unknown(params, "drift.params")
     if domain.is_torus or domain.dim != 1:
         raise ConfigError("sign_gated_pair drift lives on R^1")
 
@@ -527,16 +521,16 @@ def kernel_from_ref(ref: InteractionRef, config: SimConfig) -> Callable[..., np.
     """The kernel the config names, as its function with the parameters
     bound: K(x), and K(x, freeze_inside=True) for the singular kernels."""
     if ref.name == "smooth_divfree":
-        frequency = _as_integral(ref.params.get("frequency", 1), "smooth_divfree: param 'frequency'")
-        _reject_unknown_params(ref.name, ref.params, ("frequency",))
+        _reject_unknown(ref.params, "kernel.params", ("frequency",))
+        frequency = _pop_key(dict(ref.params), "frequency", int, 1, "kernel.params")
         if frequency < 1:
             raise ConfigError("smooth_divfree requires frequency >= 1")
         return partial(smooth_divfree_kernel, frequency=frequency)
     if ref.name == "biot_savart_free":
-        _reject_unknown_params(ref.name, ref.params)
+        _reject_unknown(ref.params, "kernel.params")
         return partial(biot_savart_free, eps=config.effective_eps)
     if ref.name == "biot_savart_periodic":
-        _reject_unknown_params(ref.name, ref.params)
+        _reject_unknown(ref.params, "kernel.params")
         return partial(biot_savart_periodic, truncation_radius=config.truncation_radius, eps=config.effective_eps)
     raise ConfigError(f"unknown kernel {ref.name!r}")
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .bounds import _delta_exponent
 from .core import RngStream, SimConfig, TimeGrid, sum_last_axis
 from .dynamics import Block, BlowupError, MeanFieldLaw, _P_WEIGHT, _P_WEIGHT_FBM, _snapshot_steps, integrate_blocks
 from .kernels import build_drift
@@ -427,7 +428,9 @@ def concentration_bounds(kind: str, **params) -> float:
 
     kinds: "hoeffding" (n, eps, b), "moment" (q, v),
     "drift_integral" (p, beta, delta, n), "fractional" (p, beta, delta,
-    n, hurst). Overflow returns +inf with a warning.
+    n, hurst). The last two are p! beta^p delta^(e p) / n^p with the delta
+    exponent e of bounds.estimate_beta: 1, or 2 - 2H for H > 1/2. Overflow
+    returns +inf with a warning.
     """
 
     def _pos(name):
@@ -449,15 +452,14 @@ def concentration_bounds(kind: str, **params) -> float:
         if kind == "moment":
             q, v = _int_ge1("q"), _pos("v")
             return 2.0 * math.factorial(q) * (2.0 * v) ** q
-        if kind == "drift_integral":
+        if kind in ("drift_integral", "fractional"):
             p, beta, delta, n = _int_ge1("p"), _pos("beta"), _pos("delta"), _int_ge1("n")
-            return math.factorial(p) * beta**p * delta**p / n**p
-        if kind == "fractional":
-            p, beta, delta, n = _int_ge1("p"), _pos("beta"), _pos("delta"), _int_ge1("n")
-            hurst = float(params["hurst"])
-            if not 0.0 < hurst < 1.0:
-                raise ValueError("hurst must lie in (0, 1)")
-            return math.factorial(p) * beta**p * delta ** ((2.0 - 2.0 * hurst) * p) / n**p
+            hurst = None
+            if kind == "fractional":
+                hurst = float(params["hurst"])
+                if not 0.0 < hurst < 1.0:
+                    raise ValueError("hurst must lie in (0, 1)")
+            return math.factorial(p) * beta**p * delta ** (_delta_exponent(hurst) * p) / n**p
     except OverflowError:
         warnings.warn(f"{kind} bound overflowed to +inf", stacklevel=2)
         return math.inf

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import scipy
 
+from chaoslab import __version__
 from chaoslab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -27,11 +28,15 @@ from chaoslab.cli import (
     EXIT_OK,
     EXIT_UNRELIABLE,
     _finish_run,
+    _plan_from_config,
     build_parser,
     main,
 )
-from chaoslab.experiment import RunResult
+from chaoslab.core import load_json
+from chaoslab.experiment import RunResult, load_plan
 from chaoslab.kernels import biot_savart_periodic
+
+SHIPPED_CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def sim_config(**over):
@@ -143,7 +148,7 @@ class TestExitCodes:
         "over,message",
         [
             ({"drift": {"name": "nope"}}, "unknown drift 'nope'"),
-            ({"drift": {"name": "linear_pair", "params": {"strength": 2}}}, "linear_pair: unknown params ['strength']"),
+            ({"drift": {"name": "linear_pair", "params": {"strength": 2}}}, "drift.params: unknown keys ['strength']"),
             (
                 {
                     "domain": {"kind": "euclidean", "dim": 2},
@@ -624,6 +629,216 @@ class TestRateFitCommand:
         assert main(["rate-fit", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "usable points" in capsys.readouterr().err
+
+
+def small_plan():
+    return {
+        "base": sim_config(replicas=100, grid={"t0": 0.0, "dt": 0.01, "steps": 8}, truncation_radius=8),
+        "sweep": {"n": [4], "k": [1, 2]},
+        "picard": {"m": 100, "iters": 1},
+        "knn": {"neighbors": 3, "samples": 100},
+        "tv": {"bins": 4},
+        "bounds": {"C0": 0.05},
+    }
+
+
+def torus_kernel_config():
+    cfg = sim_config(
+        domain={"kind": "torus", "dim": 2},
+        kernel={"name": "smooth_divfree", "params": {"frequency": 2}},
+        initial_law={"name": "uniform", "params": {}},
+    )
+    del cfg["drift"]
+    return cfg
+
+
+def bounds_config():
+    return {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [6], "k": [2],
+            "horizons": [{"kappa": 1.0, "beta": 2.0}]}
+
+
+def rate_fit_config(tmp_path, axis="n", filt=None):
+    # H = k / n^2 on a 4 x 3 (n, k) lattice, written once per test
+    path = tmp_path / "entropy.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "n", "k", "estimator", "value"])
+        for n in (16, 32, 64, 128):
+            for k in (1, 2, 4):
+                writer.writerow([0.5, n, k, "girsanov", k / n**2])
+    return {"input": str(path), "axis": axis, "filter": filt if filt is not None else {"k": 2}}
+
+
+# command -> (config builder, file holding its manifest)
+COMMAND_CONFIGS = {
+    "run": (lambda tmp_path: small_plan(), "manifest.json"),
+    "simulate": (lambda tmp_path: sim_config(replicas=3), "manifest.json"),
+    "noise-check": (lambda tmp_path: sim_config(replicas=200, grid={"t0": 0.0, "dt": 0.01, "steps": 4}), "manifest.json"),
+    "kernel-probe": (lambda tmp_path: torus_kernel_config(), "manifest.json"),
+    "bounds": (lambda tmp_path: bounds_config(), "manifest.json"),
+    "rate-fit": (rate_fit_config, "rate_fit.json"),
+}
+
+
+def _at(data, path):
+    """The container holding path's last key, and that key."""
+    for key in path[:-1]:
+        data = data[key]
+    return data, path[-1]
+
+
+def _run_command(tmp_path, command, data, name):
+    cfg = write_json(tmp_path, f"{name}.json", data)
+    return main([command, "--config", cfg, "--out", str(tmp_path / name)])
+
+
+@pytest.mark.filterwarnings("ignore:only \\d+ replicas")
+class TestOneReader:
+    """Every command reads its JSON through core._pop_key and
+    core._reject_unknown: one integer rule, one null rule, one message for
+    an unknown key."""
+
+    @pytest.mark.parametrize(
+        "command,path,where",
+        [
+            ("run", ("base", "bogus"), "config"),
+            ("run", ("base", "domain", "bogus"), "domain"),
+            ("run", ("base", "grid", "bogus"), "grid"),
+            ("run", ("base", "noise", "bogus"), "noise"),
+            ("run", ("base", "initial_law", "bogus"), "initial_law"),
+            ("run", ("base", "initial_law", "params", "bogus"), "initial_law.params"),
+            ("run", ("base", "drift", "bogus"), "drift"),
+            ("run", ("base", "drift", "params", "bogus"), "drift.params"),
+            ("kernel-probe", ("kernel", "params", "bogus"), "kernel.params"),
+            ("run", ("bogus",), "plan"),
+            ("run", ("sweep", "bogus"), "sweep"),
+            ("run", ("picard", "bogus"), "picard"),
+            ("run", ("knn", "bogus"), "knn"),
+            ("run", ("tv", "bogus"), "tv"),
+            ("run", ("bounds", "bogus"), "bounds"),
+            ("bounds", ("bogus",), "bounds config"),
+            ("bounds", ("horizons", 0, "bogus"), "bounds config: horizons[0]"),
+            ("rate-fit", ("bogus",), "rate-fit config"),
+            ("rate-fit", ("filter", "bogus"), "rate-fit filter"),
+        ],
+    )
+    def test_unknown_key_has_one_message(self, tmp_path, capsys, command, path, where):
+        data = COMMAND_CONFIGS[command][0](tmp_path)
+        node, key = _at(data, path)
+        node[key] = 1
+        assert _run_command(tmp_path, command, data, "out") == EXIT_CONFIG
+        assert f"config error: {where}: unknown keys ['bogus']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,path",
+        [
+            ("run", ("base", "domain", "dim")),
+            ("run", ("base", "grid", "steps")),
+            ("run", ("base", "n_particles")),
+            ("run", ("base", "seed")),
+            ("run", ("base", "replicas")),
+            ("run", ("base", "truncation_radius")),
+            ("run", ("sweep", "n", 0)),
+            ("run", ("sweep", "k", 1)),
+            ("run", ("picard", "m")),
+            ("run", ("picard", "iters")),
+            ("run", ("knn", "neighbors")),
+            ("run", ("knn", "samples")),
+            ("run", ("tv", "bins")),
+            ("kernel-probe", ("kernel", "params", "frequency")),
+            ("bounds", ("n", 0)),
+            ("bounds", ("k", 0)),
+            ("rate-fit", ("filter", "k")),
+            ("rate-fit", ("filter", "n")),
+        ],
+    )
+    def test_integer_keys_take_integral_numbers_only(self, tmp_path, capsys, command, path):
+        build, manifest = COMMAND_CONFIGS[command]
+        data = build(tmp_path)
+        if path == ("filter", "n"):
+            data = rate_fit_config(tmp_path, axis="k", filt={"n": 32})
+        node, key = _at(data, path)
+        value = node[key]
+        assert type(value) is int
+        codes = {"int": _run_command(tmp_path, command, data, "int")}
+        node[key] = float(value)
+        codes["float"] = _run_command(tmp_path, command, data, "float")
+        assert codes["float"] == codes["int"] in (EXIT_OK, EXIT_CONSISTENCY)
+        files = sorted(os.listdir(tmp_path / "int"))
+        assert manifest in files and files == sorted(os.listdir(tmp_path / "float"))
+        for fname in files:
+            assert (tmp_path / "int" / fname).read_bytes() == (tmp_path / "float" / fname).read_bytes(), fname
+        name = next(k for k in reversed(path) if isinstance(k, str))
+        capsys.readouterr()
+        for bad in (value + 0.5, True):
+            node[key] = bad
+            assert _run_command(tmp_path, command, data, "bad") == EXIT_CONFIG
+            assert f"key {name!r}: expected an integer, got {bad!r}" in capsys.readouterr().err
+            assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize(
+        "command,path",
+        [
+            ("run", ("picard",)),
+            ("run", ("estimators",)),
+            ("run", ("base", "eps")),
+            ("run", ("base", "grid", "t0")),
+            ("run", ("base", "initial_law", "params", "sigma")),
+            ("kernel-probe", ("kernel", "params", "frequency")),
+            ("bounds", ("k",)),
+            ("bounds", ("horizons", 0, "C")),
+            ("rate-fit", ("filter",)),
+        ],
+    )
+    def test_null_on_an_optional_key_is_absent(self, tmp_path, capsys, command, path):
+        data = COMMAND_CONFIGS[command][0](tmp_path)
+        node, key = _at(data, path)
+        node.pop(key, None)
+        absent = _run_command(tmp_path, command, data, "absent")
+        node[key] = None
+        assert _run_command(tmp_path, command, data, "null") == absent != EXIT_CONFIG
+        files = sorted(os.listdir(tmp_path / "absent"))
+        assert files == sorted(os.listdir(tmp_path / "null"))
+        for fname in files:
+            assert (tmp_path / "absent" / fname).read_bytes() == (tmp_path / "null" / fname).read_bytes(), fname
+
+    @pytest.mark.parametrize(
+        "command,path,where",
+        [
+            ("run", ("base", "seed"), "config"),
+            ("run", ("base", "grid", "dt"), "grid"),
+            ("run", ("sweep",), "plan"),
+            ("kernel-probe", ("kernel", "name"), "kernel"),
+            ("bounds", ("T",), "bounds config"),
+            ("bounds", ("horizons", 0, "beta"), "bounds config: horizons[0]"),
+            ("rate-fit", ("input",), "rate-fit config"),
+        ],
+    )
+    def test_null_on_a_required_key_is_missing(self, tmp_path, capsys, command, path, where):
+        data = COMMAND_CONFIGS[command][0](tmp_path)
+        node, key = _at(data, path)
+        node[key] = None
+        assert _run_command(tmp_path, command, data, "out") == EXIT_CONFIG
+        assert f"config error: {where}: missing required key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SHIPPED_CONFIG_DIR.glob("*.json")))
+    def test_load_plan_is_the_plan_run_runs(self, name):
+        data = load_json(SHIPPED_CONFIG_DIR / name)
+        assert load_plan(str(SHIPPED_CONFIG_DIR / name)) == _plan_from_config(data)
+
+    def test_every_manifest_has_the_same_header(self, tmp_path):
+        env = {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        }
+        for command, (build, manifest) in COMMAND_CONFIGS.items():
+            assert _run_command(tmp_path, command, build(tmp_path), command) in (EXIT_OK, EXIT_CONSISTENCY)
+            man = json.loads((tmp_path / command / manifest).read_text())
+            assert (man["command"], man["version"], man["environment"]) == (command, __version__, env)
 
 
 class TestPublicSurface:

@@ -14,6 +14,8 @@ from chaoslab.core import (
     InitialLaw,
     RngStream,
     TimeGrid,
+    _pop_key,
+    _reject_unknown,
     config_from_dict,
     load_json,
     sample_initial,
@@ -251,11 +253,11 @@ class TestConfigParsing:
             ({"name": "gaussian", "params": {"sigma": "x"}}, "key 'sigma'"),
             ({"name": "gaussian", "params": {"sigma": True}}, "key 'sigma'"),
             ({"name": "gaussian", "params": {"mean": [0.0]}}, "one entry per dimension"),
-            ({"name": "gaussian", "params": {"mean": 0.0}}, "key 'mean' expects a list"),
+            ({"name": "gaussian", "params": {"mean": 0.0}}, "key 'mean' expects list"),
             ({"name": "gaussian", "params": {"mean": [0.0, "1"]}}, "key 'mean'"),
             ({"name": "gaussian", "params": {"mean": [0.0, float("nan")]}}, "finite"),
             ({"name": "uniform_ball", "params": {"radius": "2"}}, "key 'radius'"),
-            ({"name": "gaussian", "params": None}, "key 'params' expects dict"),
+            ({"name": "gaussian", "params": []}, "key 'params' expects dict"),
             ({"name": "gaussian", "params": {"sigma": -2}}, "key 'sigma' must be >= 0"),
             ({"name": "uniform_ball", "params": {"radius": -1}}, "key 'radius' must be >= 0"),
             ({"name": "uniform_ball", "params": {"radius": -1e-300}}, "key 'radius' must be >= 0"),
@@ -295,6 +297,63 @@ class TestConfigParsing:
     def test_malformed_values_name_the_key(self, over, message):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(make_config_dict(**over))
+
+
+class TestOneReader:
+    """core._pop_key reads every JSON value and core._reject_unknown checks
+    every object for unknown keys."""
+
+    @pytest.mark.parametrize(
+        "kind,value,parsed",
+        [(int, 8, 8), (int, 8.0, 8), (float, 2, 2.0), (float, 0.5, 0.5), (str, "a", "a"),
+         (list, [1, "b"], [1, "b"]), (dict, {"a": 1}, {"a": 1}), (None, [0.5], [0.5])],
+    )
+    def test_each_kind_reads_its_json_type(self, kind, value, parsed):
+        got = _pop_key({"key": value}, "key", kind)
+        assert got == parsed and type(got) is type(parsed)
+
+    @pytest.mark.parametrize(
+        "kind,value,message",
+        [
+            (int, 8.5, "expected an integer, got 8.5"),
+            (int, True, "expected an integer, got True"),
+            (int, "8", "expected an integer, got '8'"),
+            (float, False, "expected a number, got False"),
+            (float, float("inf"), "expected a finite number, got inf"),
+            (str, 1, "expects str, got int"),
+            (list, {"a": 1}, "expects list, got dict"),
+            (dict, [1], "expects dict, got list"),
+        ],
+    )
+    def test_a_wrong_value_names_its_key(self, kind, value, message):
+        with pytest.raises(ConfigError, match=f"^grid: key 'key':? {message}$"):
+            _pop_key({"key": value}, "key", kind, where="grid")
+
+    def test_null_is_absent(self):
+        d = {"a": None, "b": None}
+        assert _pop_key(d, "a", int, 3) == 3
+        with pytest.raises(ConfigError, match="^grid: missing required key 'b'$"):
+            _pop_key(d, "b", int, where="grid")
+        assert d == {}
+
+    def test_an_object_comes_back_as_a_copy(self):
+        inner = {"a": 1}
+        got = _pop_key({"key": inner}, "key", dict)
+        got.pop("a")
+        assert inner == {"a": 1}
+
+    def test_unknown_keys_have_one_message(self):
+        _reject_unknown({"a": 1, "b": 2}, "knn", allowed=("a", "b", "c"))
+        with pytest.raises(ConfigError, match=r"^knn: unknown keys \['b', 'd'\]$"):
+            _reject_unknown({"d": 1, "a": 1, "b": 2}, "knn", allowed=("a",))
+
+    def test_an_initial_law_param_given_null_is_its_default(self):
+        dom = DomainSpec(kind="euclidean", dim=2)
+        draws = [
+            sample_initial(InitialLaw(name="gaussian", params=params), dom, (5,), np.random.default_rng(4))
+            for params in ({}, {"mean": None, "sigma": None}, {"mean": [0.0, 0.0], "sigma": 1.0})
+        ]
+        assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
 
 
 class TestSampleInitial:

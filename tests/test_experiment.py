@@ -4,13 +4,16 @@ import copy
 import json
 import math
 import os
+import platform
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
+from chaoslab import __version__
 from chaoslab.core import ConfigError
 from chaoslab.experiment import (
     ExperimentPlan,
@@ -97,7 +100,7 @@ class TestPlanParsing:
         assert plan.sweep_n == (4,)
         assert plan.sweep_k == (1,)
         assert plan.sweep_t == (plan.base.grid.terminal,)
-        assert plan.estimators == ("girsanov",)
+        assert plan.estimators == ("girsanov", "knn", "histogram_tv")
         assert (plan.picard_m, plan.picard_iters) == (10_000, 3)
         assert (plan.knn_neighbors, plan.knn_samples) == (4, 10_000)
         assert plan.tv_bins == 32
@@ -122,12 +125,12 @@ class TestPlanParsing:
     @pytest.mark.parametrize(
         "mutate,message",
         [
-            (lambda d: d.__setitem__("extra", 1), "unknown plan keys"),
-            (lambda d: d["sweep"].__setitem__("m", [1]), "unknown sweep keys"),
-            (lambda d: d["picard"].__setitem__("tol", 0.1), "unknown picard keys"),
-            (lambda d: d["knn"].__setitem__("metric", "l2"), "unknown knn keys"),
-            (lambda d: d["tv"].__setitem__("range", 2), "unknown tv keys"),
-            (lambda d: d["bounds"].__setitem__("alpha", 0.0), "unknown bounds keys"),
+            (lambda d: d.__setitem__("extra", 1), "plan: unknown keys"),
+            (lambda d: d["sweep"].__setitem__("m", [1]), "sweep: unknown keys"),
+            (lambda d: d["picard"].__setitem__("tol", 0.1), "picard: unknown keys"),
+            (lambda d: d["knn"].__setitem__("metric", "l2"), "knn: unknown keys"),
+            (lambda d: d["tv"].__setitem__("range", 2), "tv: unknown keys"),
+            (lambda d: d["bounds"].__setitem__("alpha", 0.0), "bounds: unknown keys"),
             (lambda d: d.__setitem__("estimators", ["girsanov", "mine"]), "unknown estimator"),
             (lambda d: d["sweep"].__setitem__("k", [5]), "exceeds the smallest"),
             (lambda d: d["sweep"].__setitem__("k", [0]), "k must be >= 1"),
@@ -198,6 +201,22 @@ class TestPlanParsing:
         assert plan.sweep_n == (4, 6) and all(type(n) is int for n in plan.sweep_n)
         assert plan.picard_m == 300 and type(plan.picard_m) is int
 
+    @pytest.mark.parametrize(
+        "path",
+        [("picard",), ("knn",), ("tv",), ("bounds",), ("estimators",), ("label",), ("sweep", "k"), ("sweep", "t"),
+         ("picard", "m"), ("knn", "samples"), ("bounds", "kappa"), ("base", "eps")],
+    )
+    def test_null_is_absent(self, path):
+        def parent(data):
+            for key in path[:-1]:
+                data = data[key]
+            return data
+
+        null, absent = make_plan_dict(), make_plan_dict()
+        parent(null)[path[-1]] = None
+        parent(absent).pop(path[-1], None)
+        assert plan_from_dict(null) == plan_from_dict(absent)
+
     def test_load_plan_file(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(make_plan_dict()))
@@ -216,7 +235,7 @@ class TestPlanParsing:
         data["base"]["drift"] = {"name": "linear_pair", "params": {"strength": 2}}
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match=r"linear_pair: unknown params \['strength'\]"):
+        with pytest.raises(ConfigError, match=r"drift.params: unknown keys \['strength'\]"):
             load_plan(str(path))
 
     def test_oversized_generic_picard_ensemble_fails_at_load(self, tmp_path):
@@ -341,6 +360,17 @@ class TestRunExperiment:
         assert a.check_rows == b.check_rows
         assert a.manifest == b.manifest
 
+    def test_fbm_at_hurst_half_writes_the_brownian_rows(self, tmp_path):
+        # fBm with H = 1/2 is Brownian motion: the sampler, the weights and
+        # the horizons row all decide by NoiseSpec.fractional
+        paths = {}
+        for name, noise in (("fbm", {"kind": "fbm", "hurst": 0.5}), ("brownian", {"kind": "brownian"})):
+            data = make_plan_dict()
+            data["base"]["noise"] = noise
+            paths[name] = write_result(run_experiment(plan_from_dict(data)), str(tmp_path / name))
+        for fname in ("entropy.csv", "bounds.csv", "horizons.csv", "checks.csv"):
+            assert open(paths["fbm"][fname], "rb").read() == open(paths["brownian"][fname], "rb").read(), fname
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blowup_point_isolated(self):
         data = make_plan_dict()
@@ -379,7 +409,18 @@ class TestCsvOutput:
         header = open(paths["checks.csv"]).read().splitlines()
         assert header == ["n,k,t,check,passed,margin,value,threshold"]
         man = json.loads(open(paths["manifest.json"]).read())
-        assert man == {"label": "empty"}
+        # the result's manifest under the header every manifest carries
+        assert man == {
+            "label": "empty",
+            "command": "run",
+            "version": __version__,
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "cpu_count": os.cpu_count(),
+            },
+        }
 
     @pytest.mark.filterwarnings("ignore:only \\d+ replicas")
     def test_written_bytes_deterministic(self, tmp_path):

@@ -302,9 +302,9 @@ class TestDriftSpecs:
         assert np.allclose(drift.b0_state(0.0, x), 2.5)
 
     def test_unknown_drift_param_rejected(self):
-        with pytest.raises(Exception, match="unknown params"):
+        with pytest.raises(Exception, match=r"drift.params: unknown keys \['value'\]"):
             build_drift(lin_cfg("constant_b0", {"value": [2.5]}))
-        with pytest.raises(Exception, match="unknown params"):
+        with pytest.raises(Exception, match=r"drift.params: unknown keys \['strength'\]"):
             build_drift(lin_cfg("linear_pair", {"strength": 2.0}))
 
     @pytest.mark.parametrize("c,dim", [(-1.5, 2), ([2.0, -1], 2)])
@@ -315,13 +315,13 @@ class TestDriftSpecs:
     @pytest.mark.parametrize(
         "name,params,message",
         [
-            ("restoring_b0", {"rate": "2"}, "param 'rate'"),
-            ("restoring_b0", {"rate": True}, "param 'rate'"),
-            ("restoring_b0", {"rate": float("nan")}, "param 'rate'"),
-            ("constant_b0", {"c": "3"}, "param 'c'"),
-            ("constant_b0", {"c": [True, 2]}, "param 'c'"),
-            ("constant_b0", {"c": [1.0, 2.0, 3.0]}, "param 'c'"),
-            ("constant_b0", {"c": [[1.0], [2.0]]}, "param 'c'"),
+            ("restoring_b0", {"rate": "2"}, "drift.params: key 'rate'"),
+            ("restoring_b0", {"rate": True}, "drift.params: key 'rate'"),
+            ("restoring_b0", {"rate": float("nan")}, "drift.params: key 'rate'"),
+            ("constant_b0", {"c": "3"}, "drift.params: key 'c'"),
+            ("constant_b0", {"c": [True, 2]}, "drift.params: key 'c'"),
+            ("constant_b0", {"c": [1.0, 2.0, 3.0]}, "drift.params: key 'c'"),
+            ("constant_b0", {"c": [[1.0], [2.0]]}, "drift.params: key 'c'"),
         ],
     )
     def test_drift_params_fail_closed(self, name, params, message):
@@ -592,7 +592,7 @@ class TestKernelRefParsing:
             build_drift(torus_kernel_cfg("vortex_blob"))
 
     def test_unknown_kernel_param(self):
-        with pytest.raises(Exception, match="unknown params"):
+        with pytest.raises(Exception, match=r"kernel.params: unknown keys \['wavelength'\]"):
             build_drift(torus_kernel_cfg("smooth_divfree", {"wavelength": 2}))
 
     @pytest.mark.parametrize("bad", [1.5, True, "2"])

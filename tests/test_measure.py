@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from chaoslab.bounds import estimate_beta
 from chaoslab.core import RngStream, TimeGrid, config_from_dict
 from chaoslab.dynamics import BLOCK_REPLICAS, BlowupError, solve_mckean_vlasov_picard
 from chaoslab.experiment import _point_rows, plan_from_dict
@@ -283,6 +284,7 @@ class TestGirsanovWeight:
                 "replicas": 8,
             },
             "sweep": {"n": [2], "t": [1.0 / 32, 1.0 / 16]},
+            "estimators": ["girsanov"],
             "picard": {"m": 100, "iters": 1},
         })
         with pytest.raises(BlowupError, match="non-finite log-weight at step 3, replica 3"):
@@ -429,6 +431,19 @@ class TestConcentrationBounds:
         assert concentration_bounds(
             "fractional", p=2, beta=1.5, delta=0.3, n=50, hurst=0.75
         ) == 2.0 * 1.5**2 * 0.3 ** (0.5 * 2) / 50**2
+
+    @pytest.mark.parametrize("kind,hurst", [("fractional", 0.3), ("fractional", 0.75), ("drift_integral", None)])
+    def test_fitted_beta_round_trips_to_the_measured_moment(self, kind, hurst):
+        # estimate_beta solves p! beta_p^p delta^(e p) / n^p = E[Y^p] for
+        # each p; the bound at beta_p must give that moment back, so both
+        # read the same delta exponent e at every H
+        n, delta = 8, 0.25
+        y = np.random.Generator(np.random.Philox(823)).exponential(0.3, size=500)
+        fit = estimate_beta(y, n=n, delta=delta, hurst=hurst)
+        extra = {} if hurst is None else {"hurst": hurst}
+        for p, beta in fit.per_p.items():
+            bound = concentration_bounds(kind, p=p, beta=beta, delta=delta, n=n, **extra)
+            assert bound == pytest.approx(float(np.mean(y**p)), rel=1e-12, abs=0.0)
 
     def test_hoeffding_dominates_bounded_mean(self):
         # empirical tail of the mean of n uniforms on [-1, 1]
