@@ -36,9 +36,9 @@ from .core import _as_integral, _pop_key, _reject_unknown
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
     _HORIZON_C,
-    BOUNDS_COLUMNS,
-    ExperimentPlan,
+    TABLES,
     _write_manifest,
+    as_plan_data,
     bound_rows,
     fit_rate,
     plan_from_dict,
@@ -56,20 +56,13 @@ EXIT_UNRELIABLE = 4
 EXIT_CONSISTENCY = 5
 
 
-def _plan_or_config(data: dict) -> ExperimentPlan | SimConfig:
-    """Data with "sweep" is a plan, parsed fail-closed by plan_from_dict,
-    and its base is the simulation config; other data is a bare
-    simulation config."""
-    return plan_from_dict(data) if "sweep" in data else config_from_dict(data)
-
-
 def _seeded_config(args) -> SimConfig:
-    """The --config simulation config (a plan's base), with --seed applied;
-    its kernel or drift is resolved once, so a malformed one fails before
-    any output."""
-    cfg = _plan_or_config(load_json(args.config))
-    if isinstance(cfg, ExperimentPlan):
-        cfg = cfg.base
+    """The --config simulation config (data with "sweep" is a plan, parsed
+    fail-closed, and its base is the config), with --seed applied; its
+    kernel or drift is resolved once, so a malformed one fails before any
+    output."""
+    data = load_json(args.config)
+    cfg = plan_from_dict(data).base if "sweep" in data else config_from_dict(data)
     build_drift(cfg)
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
@@ -107,31 +100,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _plan_from_config(data: dict) -> ExperimentPlan:
-    """Accept either a full plan or a bare simulation config, run as the
-    plan that sweeps its own n_particles alone (k = 1 at the terminal
-    time) with plan_from_dict's defaults.
-    """
-    plan = _plan_or_config(data)
-    if isinstance(plan, SimConfig):
-        plan = plan_from_dict({"base": data, "sweep": {"n": [plan.n_particles]}})
-    return plan
-
-
 def _finish_run(result, out_dir: str) -> int:
     write_result(result, out_dir)
     for err in result.errors:
         print(f"point n={err['n']} failed ({err['kind']}): {err['error']}", file=sys.stderr)
-    checks_failed = [r for r in result.check_rows if not r["passed"]]
+    checks_failed = [r for r in result.tables["checks"] if not r["passed"]]
     for row in checks_failed:
         print(
             f"check failed: {row['check']} at n={row['n']} k={row['k']} t={row['t']} margin={row['margin']:.4g}",
             file=sys.stderr,
         )
-    print(
-        f"rows: entropy={len(result.entropy_rows)} bounds={len(result.bound_rows)} "
-        f"checks={len(result.check_rows)} horizons={len(result.horizon_rows)} -> {out_dir}"
-    )
+    counts = " ".join(f"{name}={len(rows)}" for name, rows in result.tables.items())
+    print(f"rows: {counts} -> {out_dir}")
     if any(err["kind"] == "blowup" for err in result.errors):
         return EXIT_BLOWUP
     if checks_failed:
@@ -144,7 +124,7 @@ def _finish_run(result, out_dir: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    plan = _plan_from_config(load_json(args.config))
+    plan = plan_from_dict(as_plan_data(load_json(args.config)))
     if args.seed is not None:
         plan = replace(plan, base=replace(plan.base, seed=args.seed))
     result = run_experiment(plan, threads=args.threads)
@@ -199,7 +179,7 @@ def _cmd_bounds(args) -> int:
         args.out,
         "bounds",
         {
-            "bounds.csv": (rows, BOUNDS_COLUMNS),
+            "bounds.csv": (rows, TABLES["bounds"][0]),
             "horizons.csv": (horizon_rows, ["kappa", "beta", "hurst", "regime", "delta_star"]),
         },
         {

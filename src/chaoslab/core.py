@@ -217,6 +217,10 @@ class InteractionRef:
     name: str
     params: dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # a null param is absent, so configs that run the same bytes compare equal
+        object.__setattr__(self, "params", {k: v for k, v in self.params.items() if v is not None})
+
 
 @dataclass(frozen=True)
 class InitialLaw:
@@ -230,6 +234,7 @@ class InitialLaw:
     }
 
     def __post_init__(self) -> None:
+        InteractionRef.__post_init__(self)
         if self.name not in self._ALLOWED_PARAMS:
             raise ConfigError(f"unknown initial law {self.name!r}")
         _reject_unknown(self.params, "initial_law.params", self._ALLOWED_PARAMS[self.name])
@@ -279,7 +284,8 @@ class SimConfig:
             raise ConfigError("uniform initial law lives on the torus")
         if self.initial_law.name in ("gaussian", "uniform_ball") and self.domain.is_torus:
             raise ConfigError(f"initial law {self.initial_law.name!r} lives on R^d")
-        if len(self.initial_law.param("mean", list, [0.0] * self.domain.dim)) != self.domain.dim:
+        # range: a default of d entries that allocates none, whatever d a config gives
+        if len(self.initial_law.param("mean", list, range(self.domain.dim))) != self.domain.dim:
             raise ConfigError(f"initial_law.params: key 'mean' needs one entry per dimension (d = {self.domain.dim})")
 
     @property
@@ -326,9 +332,13 @@ def _reject_unknown(d: dict, where: str, allowed: tuple[str, ...] = ()) -> None:
 
 def _as_integral(v: Any, where: str) -> int:
     """An integer-valued number (5 or 5.0) as int; fractional, non-finite,
-    boolean and non-numeric values are errors, never truncated."""
+    boolean and non-numeric values are errors, never truncated. A float at or
+    above 2**53 is an error too: the JSON reader may already have rounded it,
+    while an integer literal arrives exact."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) or (isinstance(v, float) and not v.is_integer()):
         raise ConfigError(f"{where}: expected an integer, got {v!r}")
+    if isinstance(v, float) and abs(v) >= 2**53:
+        raise ConfigError(f"{where}: a float at or above 2**53 may have been rounded, got {v!r}; write an integer")
     return int(v)
 
 

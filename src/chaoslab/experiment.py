@@ -18,7 +18,8 @@ import platform
 import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 import scipy
@@ -50,6 +51,20 @@ _ESTIMATORS = ("girsanov", "knn", "histogram_tv")
 # universal constant of the fractional-horizon bound; the proof does not
 # pin a value, this matches the worked arithmetic examples
 _HORIZON_C = 16.0
+
+# run's tables, each written as <name>.csv: its columns and its row order
+TABLES = {
+    "entropy": (("t", "n", "k", "estimator", "value", "stderr", "ess", "eps", "dt", "seed"),
+                ("t", "n", "k", "estimator")),
+    "bounds": (("n", "k", "t", "closed_form", "cascade", "C", "gamma", "M"), ("n", "k", "t")),
+    "horizons": (("n", "regime", "kappa", "beta", "hurst", "delta_star", "fit_residual"), ("n",)),
+    "checks": (("n", "k", "t", "check", "passed", "margin", "value", "threshold"), ("n", "k", "t", "check")),
+}
+
+
+def table_row(name: str, *values) -> dict:
+    """One row of table name, keyed by its columns; a value too few or too many raises."""
+    return dict(zip(TABLES[name][0], values, strict=True))
 
 
 @dataclass(frozen=True)
@@ -178,16 +193,24 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     )
 
 
+def as_plan_data(data: dict) -> dict:
+    """Plan data as given, or a bare simulation config (no "sweep") as the
+    plan that sweeps its own n_particles alone (k = 1 at the terminal time)
+    with plan_from_dict's defaults. plan_from_dict reads the base before the
+    sweep, so a bad n_particles is reported as the config's."""
+    if "sweep" in data:
+        return data
+    return {"base": data, "sweep": {"n": [data.get("n_particles")]}}
+
+
 def load_plan(path: str) -> ExperimentPlan:
-    return plan_from_dict(load_json(path))
+    """The plan `chaoslab run` runs for the file at path."""
+    return plan_from_dict(as_plan_data(load_json(path)))
 
 
 @dataclass
 class RunResult:
-    entropy_rows: list[dict] = field(default_factory=list)
-    bound_rows: list[dict] = field(default_factory=list)
-    horizon_rows: list[dict] = field(default_factory=list)
-    check_rows: list[dict] = field(default_factory=list)
+    tables: dict[str, list[dict]] = field(default_factory=lambda: {name: [] for name in TABLES})
     manifest: dict = field(default_factory=dict)
     errors: list[dict] = field(default_factory=list)
     any_unreliable: bool = False  # the ESS guard, which no row records
@@ -204,10 +227,7 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     times = grid.times()
 
     out = {
-        "entropy": [],
-        "bounds": [],
-        "horizons": [],
-        "checks": [],
+        **{name: [] for name in TABLES},
         "unreliable": False,
         "provenance": {
             "n": n,
@@ -227,13 +247,12 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     out["provenance"]["picard_residuals"] = [float(r) for r in mf.residuals]
     out["provenance"]["picard_non_convergent"] = mf.non_convergent
 
-    # rows are keyed by the columns their CSV is written with
     def entropy_row(t, k, estimator, value, stderr, ess):
-        values = (t, n, k, estimator, value, stderr, ess, cfg.effective_eps, grid.dt, cfg.seed)
-        out["entropy"].append(dict(zip(ENTROPY_COLUMNS, values)))
+        row = table_row("entropy", t, n, k, estimator, value, stderr, ess, cfg.effective_eps, grid.dt, cfg.seed)
+        out["entropy"].append(row)
 
     def check_row(k, t, check, passed, margin, value, threshold):
-        out["checks"].append(dict(zip(CHECK_COLUMNS, (n, k, t, check, passed, margin, value, threshold))))
+        out["checks"].append(table_row("checks", n, k, t, check, passed, margin, value, threshold))
 
     gw = None
     full_reports = {}
@@ -256,17 +275,9 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
         hurst = cfg.noise.hurst if cfg.noise.fractional else None
         bf = estimate_beta(energy, n=n, delta=grid.terminal - grid.t0, hurst=hurst)
         hz = short_time_horizon(plan.kappa, bf.beta, regime=regime, hurst=hurst, C=_HORIZON_C)
-        out["horizons"].append(
-            {
-                "n": n,
-                "regime": regime,
-                "kappa": plan.kappa,
-                "beta": bf.beta,
-                "hurst": "" if hurst is None else hurst,
-                "delta_star": hz.delta_star,
-                "fit_residual": bf.residual,
-            }
-        )
+        hurst_cell = "" if hurst is None else hurst
+        row = table_row("horizons", n, regime, plan.kappa, bf.beta, hurst_cell, hz.delta_star, bf.residual)
+        out["horizons"].append(row)
 
     if "knn" in plan.estimators or "histogram_tv" in plan.estimators:
         max_k = max(ks)
@@ -329,18 +340,7 @@ def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: f
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 closed = theorem_bound(c_t, gamma, t, n, k)
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "t": t,
-                    "closed_form": closed,
-                    "cascade": cascade.at(k, ci),
-                    "C": c_t,
-                    "gamma": gamma,
-                    "M": m_const,
-                }
-            )
+            rows.append(table_row("bounds", n, k, t, closed, cascade.at(k, ci), c_t, gamma, m_const))
     return rows
 
 
@@ -379,21 +379,18 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
         if err is not None:
             result.errors.append(err)
             continue
-        result.entropy_rows.extend(rows["entropy"])
-        result.bound_rows.extend(rows["bounds"])
-        result.horizon_rows.extend(rows["horizons"])
-        result.check_rows.extend(rows["checks"])
+        for name in TABLES:
+            result.tables[name].extend(rows[name])
         result.any_unreliable |= rows["unreliable"]
         provenance[str(n)] = rows["provenance"]
+    for name, (_, order) in TABLES.items():
+        result.tables[name].sort(key=itemgetter(*order))
 
-    result.entropy_rows.sort(key=lambda r: (r["t"], r["n"], r["k"], r["estimator"]))
-    result.bound_rows.sort(key=lambda r: (r["n"], r["k"], r["t"]))
-    result.check_rows.sort(key=lambda r: (r["n"], r["k"], r["t"], r["check"]))
-    result.horizon_rows.sort(key=lambda r: r["n"])
-
+    # the model under the config's own keys; the sweep names the n that ran
+    model = {key: v for key, v in asdict(plan.base).items() if v is not None and key != "n_particles"}
     result.manifest = {
         "label": plan.label,
-        "seed": plan.base.seed,
+        **model,
         "sweep": {"n": list(plan.sweep_n), "k": list(plan.sweep_k), "t": list(plan.sweep_t)},
         "estimators": list(plan.estimators),
         "bounds": {
@@ -402,16 +399,9 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
             "M": plan.bound_m,
             "kappa": plan.kappa,
         },
-        "grid": {"t0": plan.base.grid.t0, "dt": plan.base.grid.dt, "steps": plan.base.grid.steps},
-        "noise": {"kind": plan.base.noise.kind, "hurst": plan.base.noise.hurst},
         "points": provenance,
         "errors": result.errors,
-        "row_counts": {
-            "entropy": len(result.entropy_rows),
-            "bounds": len(result.bound_rows),
-            "horizons": len(result.horizon_rows),
-            "checks": len(result.check_rows),
-        },
+        "row_counts": {name: len(rows) for name, rows in result.tables.items()},
     }
     return result
 
@@ -471,19 +461,9 @@ def write_outputs(out_dir: str, command: str, tables: dict, manifest: dict) -> d
     return paths
 
 
-ENTROPY_COLUMNS = ["t", "n", "k", "estimator", "value", "stderr", "ess", "eps", "dt", "seed"]
-CHECK_COLUMNS = ["n", "k", "t", "check", "passed", "margin", "value", "threshold"]
-BOUNDS_COLUMNS = ["n", "k", "t", "closed_form", "cascade", "C", "gamma", "M"]
-
-
 def write_result(result: RunResult, out_dir: str) -> dict[str, str]:
-    """Write entropy/bounds/horizons/checks CSVs and manifest.json."""
-    tables = {
-        "entropy.csv": (result.entropy_rows, ENTROPY_COLUMNS),
-        "bounds.csv": (result.bound_rows, BOUNDS_COLUMNS),
-        "horizons.csv": (result.horizon_rows, ["n", "regime", "kappa", "beta", "hurst", "delta_star", "fit_residual"]),
-        "checks.csv": (result.check_rows, CHECK_COLUMNS),
-    }
+    """Write each of run's tables as <name>.csv, then manifest.json."""
+    tables = {f"{name}.csv": (rows, TABLES[name][0]) for name, rows in result.tables.items()}
     return write_outputs(out_dir, "run", tables, result.manifest)
 
 

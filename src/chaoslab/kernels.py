@@ -60,7 +60,9 @@ def _apply_eps(x: np.ndarray, eps: float, freeze_inside: bool) -> np.ndarray:
     if not np.any(inside):
         return x
     if not freeze_inside:
-        raise ValueError("biot_savart: evaluation inside the eps-ball or at 0 (pass freeze_inside for simulation semantics)")
+        raise ValueError(
+            "biot_savart: evaluation inside the eps-ball or at 0 (pass freeze_inside for simulation semantics)"
+        )
     safe_r = np.where(r == 0.0, 1.0, r)
     projected = np.where(r == 0.0, 0.0, x * (eps / safe_r))
     return np.where(inside, projected, x)

@@ -205,7 +205,8 @@ def empirical_covariance_table(
             emp = float(np.mean(prod))
             stderr = float(np.std(prod, ddof=1) / math.sqrt(n_paths))
             exact = float(fbm_covariance(times[i + 1], times[j + 1], hurst))
-            rows.append({"t": float(times[i + 1]), "s": float(times[j + 1]), "H": hurst, "emp": emp, "exact": exact, "stderr": stderr})
+            t, s = float(times[i + 1]), float(times[j + 1])
+            rows.append({"t": t, "s": s, "H": hurst, "emp": emp, "exact": exact, "stderr": stderr})
     return rows
 
 

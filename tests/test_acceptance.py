@@ -197,7 +197,7 @@ def test_criterion_4_martingale_normalization():
         plan = replace(plan, estimators=("girsanov",))
         res = run_experiment(plan, threads=2)
         assert res.errors == []
-        mart = [r for r in res.check_rows if r["check"] == "martingale"]
+        mart = [r for r in res.tables["checks"] if r["check"] == "martingale"]
         for r in mart:
             print(
                 f"  {name} n={r['n']:>3} t={r['t']}: mean Z = {r['value']:.6f}, "

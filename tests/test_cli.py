@@ -6,6 +6,7 @@ contract (codes 0/2/3/4/5, CSV schemas, manifest fields) is pinned here.
 """
 
 import argparse
+import copy
 import csv
 import importlib
 import importlib.util
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 import scipy
 
-from chaoslab import __version__
+from chaoslab import __version__, cli
 from chaoslab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -28,12 +29,11 @@ from chaoslab.cli import (
     EXIT_OK,
     EXIT_UNRELIABLE,
     _finish_run,
-    _plan_from_config,
     build_parser,
     main,
 )
-from chaoslab.core import load_json
-from chaoslab.experiment import RunResult, load_plan
+from chaoslab.core import config_from_dict, load_json
+from chaoslab.experiment import TABLES, RunResult, load_plan
 from chaoslab.kernels import biot_savart_periodic
 
 SHIPPED_CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -245,6 +245,20 @@ class TestEntropyAndRun:
         man = json.loads((out / "manifest.json").read_text())
         assert man["estimators"] == ["girsanov", "knn", "histogram_tv"]
 
+    def test_manifest_names_the_model(self, tmp_path):
+        data = load_json(SHIPPED_CONFIG_DIR / "smooth_torus.json")
+        data["base"]["replicas"] = 100
+        data.update(sweep={"n": [4], "k": [1], "t": [0.125]}, picard={"m": 100, "iters": 1},
+                    knn={"neighbors": 4, "samples": 100}, estimators=["girsanov"])
+        cfg = write_json(tmp_path, "p.json", data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_CONSISTENCY)
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert man["kernel"] == {"name": "smooth_divfree", "params": {"frequency": 1}}
+        assert man["domain"] == {"kind": "torus", "dim": 2}
+        assert man["initial_law"] == {"name": "uniform", "params": {}}
+        assert man["truncation_radius"] == 8
+        assert "drift" not in man and "n_particles" not in man
+
     def test_run_uses_all_estimators(self, tmp_path):
         cfg = write_json(tmp_path, "p.json", self.plan_dict())
         out = tmp_path / "out"
@@ -301,14 +315,16 @@ class TestFinishRunPriority:
     """run's status comes from its error list, its check rows and the ESS
     flag; each case is built from those alone."""
 
-    def result(self, **over):
-        return RunResult(manifest={"label": "x"}, **over)
+    def result(self, checks=(), **over):
+        res = RunResult(manifest={"label": "x"}, **over)
+        res.tables["checks"].extend(checks)
+        return res
 
     FAILED_CHECK = {"n": 4, "k": 1, "t": 0.1, "check": "pinsker", "passed": False,
                     "margin": -0.2, "value": 1.0, "threshold": 0.8}
 
     def test_blowup_beats_everything(self, tmp_path, capsys):
-        res = self.result(check_rows=[self.FAILED_CHECK], any_unreliable=True,
+        res = self.result(checks=[self.FAILED_CHECK], any_unreliable=True,
                           errors=[{"n": 4, "kind": "config", "error": "bad"},
                                   {"n": 6, "kind": "blowup", "error": "boom"}])
         assert _finish_run(res, str(tmp_path / "o")) == EXIT_BLOWUP
@@ -316,7 +332,7 @@ class TestFinishRunPriority:
         assert "failed (blowup)" in err and "check failed: pinsker" in err
 
     def test_failed_check_row_returns_consistency(self, tmp_path, capsys):
-        res = self.result(check_rows=[self.FAILED_CHECK], any_unreliable=True,
+        res = self.result(checks=[self.FAILED_CHECK], any_unreliable=True,
                           errors=[{"n": 6, "kind": "runtime", "error": "bad"}])
         assert _finish_run(res, str(tmp_path / "o")) == EXIT_CONSISTENCY
         assert "check failed: pinsker" in capsys.readouterr().err
@@ -332,7 +348,7 @@ class TestFinishRunPriority:
 
     def test_clean_result(self, tmp_path, capsys):
         passed = dict(self.FAILED_CHECK, passed=True, margin=0.2)
-        assert _finish_run(self.result(check_rows=[passed]), str(tmp_path / "o")) == EXIT_OK
+        assert _finish_run(self.result(checks=[passed]), str(tmp_path / "o")) == EXIT_OK
         assert "rows:" in capsys.readouterr().out
 
 
@@ -824,9 +840,31 @@ class TestOneReader:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", sorted(p.name for p in SHIPPED_CONFIG_DIR.glob("*.json")))
-    def test_load_plan_is_the_plan_run_runs(self, name):
+    def test_load_plan_is_the_plan_run_runs(self, tmp_path, monkeypatch, name):
+        # the plan run runs is the one that reaches run_experiment; the
+        # file's base alone is a bare config, run as its one-point plan
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda plan, threads: ran.append(plan) or RunResult())
         data = load_json(SHIPPED_CONFIG_DIR / name)
-        assert load_plan(str(SHIPPED_CONFIG_DIR / name)) == _plan_from_config(data)
+        for part, content in (("plan", data), ("base", data["base"])):
+            path = write_json(tmp_path, f"{part}.json", content)
+            assert main(["run", "--config", path, "--out", str(tmp_path / part)]) == EXIT_OK
+            assert ran.pop() == load_plan(path)
+        assert load_plan(path).sweep_n == (data["base"]["n_particles"],)
+
+    def test_a_null_kernel_param_runs_the_bytes_of_its_absence(self, tmp_path):
+        # test_null_on_an_optional_key_is_absent covers a drift plan's initial-law param
+        data = small_plan()
+        data["base"] = {**torus_kernel_config(), "replicas": 100, "grid": data["base"]["grid"]}
+        node = data["base"]["kernel"]["params"]
+        node.pop("frequency")
+        absent = copy.deepcopy(data)
+        node["frequency"] = None
+        assert config_from_dict(data["base"]) == config_from_dict(absent["base"])
+        codes = {name: _run_command(tmp_path, "run", plan, name) for name, plan in (("absent", absent), ("null", data))}
+        assert codes["absent"] == codes["null"] in (EXIT_OK, EXIT_CONSISTENCY)
+        for fname in (*(f"{name}.csv" for name in TABLES), "manifest.json"):
+            assert (tmp_path / "absent" / fname).read_bytes() == (tmp_path / "null" / fname).read_bytes(), fname
 
     def test_every_manifest_has_the_same_header(self, tmp_path):
         env = {

@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chaoslab.cli import main
 from chaoslab.core import (
     ConfigError,
     DomainSpec,
@@ -23,6 +25,8 @@ from chaoslab.core import (
     torus_displacement,
     wrap_torus,
 )
+
+SHIPPED_CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -218,6 +222,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict(make_config_dict(seed=2**64))
 
+    def test_a_huge_dimension_fails_closed_without_allocating(self):
+        law = {"name": "gaussian", "params": {"mean": [0.0]}}
+        raw = make_config_dict(domain={"kind": "euclidean", "dim": 10**12}, initial_law=law)
+        del raw["kernel"]
+        raw["drift"] = {"name": "zero"}
+        with pytest.raises(ConfigError, match="one entry per dimension"):
+            config_from_dict(raw)
+
     def test_kernel_needs_torus(self):
         raw = make_config_dict(domain={"kind": "euclidean", "dim": 2})
         with pytest.raises(ConfigError):
@@ -354,6 +366,31 @@ class TestOneReader:
             for params in ({}, {"mean": None, "sigma": None}, {"mean": [0.0, 0.0], "sigma": 1.0})
         ]
         assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
+
+    def test_a_float_integer_at_2_pow_53_fails_closed(self, tmp_path, capsys):
+        # json reads 9007199254740993.0 as 9007199254740992.0: refused, never rounded
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(make_config_dict()).replace('"seed": 7', '"seed": 9007199254740993.0'))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config: key 'seed': a float at or above 2**53" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # an integer literal arrives as a Python int, exact
+        path.write_text(json.dumps(make_config_dict()).replace('"seed": 7', '"seed": 9007199254740993'))
+        assert config_from_dict(load_json(path)).seed == 9007199254740993
+
+    @pytest.mark.parametrize(
+        "name,path",
+        [("linear_growth", ("initial_law", "params", "sigma")), ("smooth_torus", ("kernel", "params", "frequency"))],
+    )
+    def test_a_null_param_gives_an_equal_config(self, name, path):
+        base = load_json(SHIPPED_CONFIG_DIR / f"{name}.json")["base"]
+        node = base
+        for key in path[:-1]:
+            node = node[key]
+        node.pop(path[-1])
+        absent = config_from_dict(base)
+        node[path[-1]] = None
+        assert config_from_dict(base) == absent
 
 
 class TestSampleInitial:

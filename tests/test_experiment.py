@@ -1,6 +1,7 @@
 """Sweep orchestration: plan parsing, row assembly, rate fits, CSV output."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from chaoslab import __version__
 from chaoslab.core import ConfigError
 from chaoslab.experiment import (
+    TABLES,
     ExperimentPlan,
     RunResult,
     _fmt,
@@ -23,6 +25,7 @@ from chaoslab.experiment import (
     load_plan,
     plan_from_dict,
     run_experiment,
+    table_row,
     write_result,
 )
 
@@ -314,12 +317,12 @@ class TestRunExperiment:
         result = run_experiment(plan)
         # per n: 2 t x 2 k x 3 estimators (d=1 keeps every k under the TV
         # dimension cap)
-        assert len(result.entropy_rows) == 2 * 12
-        assert len(result.bound_rows) == 2 * 4
-        assert len(result.horizon_rows) == 2
+        assert len(result.tables["entropy"]) == 2 * 12
+        assert len(result.tables["bounds"]) == 2 * 4
+        assert len(result.tables["horizons"]) == 2
         # per n: martingale per t, pinsker+subadditivity only at k=1 (the
         # k=2 histogram is too sparse for 300 samples at 8^2 bins)
-        per_n = [r for r in result.check_rows if r["n"] == 4]
+        per_n = [r for r in result.tables["checks"] if r["n"] == 4]
         assert sum(r["check"] == "martingale" for r in per_n) == 2
         assert sum(r["check"] == "pinsker" for r in per_n) == 2
         assert sum(r["check"] == "subadditivity" for r in per_n) == 2
@@ -329,14 +332,14 @@ class TestRunExperiment:
     def test_row_schema_and_order(self):
         plan = plan_from_dict(make_plan_dict())
         result = run_experiment(plan)
-        row = result.entropy_rows[0]
+        row = result.tables["entropy"][0]
         assert set(row) == {"t", "n", "k", "estimator", "value", "stderr",
                             "ess", "eps", "dt", "seed"}
-        keys = [(r["t"], r["n"], r["k"], r["estimator"]) for r in result.entropy_rows]
+        keys = [(r["t"], r["n"], r["k"], r["estimator"]) for r in result.tables["entropy"]]
         assert keys == sorted(keys)
-        bkeys = [(r["n"], r["k"], r["t"]) for r in result.bound_rows]
+        bkeys = [(r["n"], r["k"], r["t"]) for r in result.tables["bounds"]]
         assert bkeys == sorted(bkeys)
-        for r in result.bound_rows:
+        for r in result.tables["bounds"]:
             assert r["closed_form"] >= r["cascade"]
 
     def test_manifest_contents(self):
@@ -347,17 +350,17 @@ class TestRunExperiment:
         assert man["sweep"] == {"n": [4, 6], "k": [1, 2], "t": [0.05, 0.1]}
         assert set(man["points"]) == {"4", "6"}
         assert man["points"]["4"]["picard_residuals"]
-        assert man["row_counts"]["entropy"] == len(result.entropy_rows)
+        assert man["row_counts"]["entropy"] == len(result.tables["entropy"])
         assert man["errors"] == []
 
     def test_thread_count_does_not_change_rows(self):
         plan = plan_from_dict(make_plan_dict())
         a = run_experiment(plan, threads=1)
         b = run_experiment(plan, threads=3)
-        assert a.entropy_rows == b.entropy_rows
-        assert a.bound_rows == b.bound_rows
-        assert a.horizon_rows == b.horizon_rows
-        assert a.check_rows == b.check_rows
+        assert a.tables["entropy"] == b.tables["entropy"]
+        assert a.tables["bounds"] == b.tables["bounds"]
+        assert a.tables["horizons"] == b.tables["horizons"]
+        assert a.tables["checks"] == b.tables["checks"]
         assert a.manifest == b.manifest
 
     def test_fbm_at_hurst_half_writes_the_brownian_rows(self, tmp_path):
@@ -383,8 +386,36 @@ class TestRunExperiment:
         assert {e["n"] for e in result.errors} == {4, 6}
         assert all(e["kind"] == "blowup" for e in result.errors)
         assert "non-finite" in result.errors[0]["error"]
-        assert result.entropy_rows == []
+        assert result.tables["entropy"] == []
         assert result.manifest["errors"] == result.errors
+
+
+class TestTables:
+    """run's tables come from one registry: TABLES names each table's columns
+    and row order, and table_row builds every row."""
+
+    @pytest.mark.filterwarnings("ignore:only \\d+ replicas")
+    def test_every_table_is_written_with_its_columns_in_its_order(self, tmp_path):
+        result = run_experiment(plan_from_dict(make_plan_dict()))
+        paths = write_result(result, str(tmp_path))
+        assert list(result.manifest["row_counts"]) == list(TABLES)
+        for name, (columns, order) in TABLES.items():
+            rows = result.tables[name]
+            keys = [tuple(r[c] for c in order) for r in rows]
+            assert rows and keys == sorted(keys), name
+            assert result.manifest["row_counts"][name] == len(rows)
+            with open(paths[f"{name}.csv"], encoding="utf-8", newline="") as fh:
+                lines = list(csv.reader(fh))
+            assert lines[0] == list(columns), name
+            assert lines[1:] == [[_fmt(r[c]) for c in columns] for r in rows], name
+
+    def test_a_row_needs_every_column(self):
+        columns = TABLES["bounds"][0]
+        assert list(table_row("bounds", *range(len(columns)))) == list(columns)
+        with pytest.raises(ValueError):
+            table_row("bounds", *range(len(columns) - 1))
+        with pytest.raises(ValueError):
+            table_row("bounds", *range(len(columns) + 1))
 
 
 class TestCsvOutput:
