@@ -172,6 +172,13 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 
 
+BLOCK_REPLICAS = 1024  # replicas per block of the particle system (dynamics.integrate_blocks)
+# Generic (non-separable) mean-field drifts keep the whole Picard ensemble in memory: refuse huge requests
+MAX_ENSEMBLE_ELEMENTS = 8_000_000
+# above this Euclidean dim no stage holds one block of the smallest system (n = 2)
+MAX_EUCLIDEAN_DIM = MAX_ENSEMBLE_ELEMENTS // (2 * BLOCK_REPLICAS)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     kind: str  # "torus" | "euclidean"
@@ -184,6 +191,9 @@ class DomainSpec:
             raise ConfigError("torus domain supports d in {1, 2, 3}")
         if self.dim < 1:
             raise ConfigError("domain dimension must be >= 1")
+        if self.dim > MAX_EUCLIDEAN_DIM:
+            raise ConfigError(f"domain: key 'dim' = {self.dim} exceeds {MAX_EUCLIDEAN_DIM}, above which one block"
+                              f" of the smallest system (n = 2) holds more than {MAX_ENSEMBLE_ELEMENTS} values")
 
     @property
     def is_torus(self) -> bool:

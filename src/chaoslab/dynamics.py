@@ -29,15 +29,12 @@ from functools import partial
 
 import numpy as np
 
-from .core import RngStream, SimConfig, TimeGrid, sample_initial, wrap_torus_unchecked
+from .core import BLOCK_REPLICAS, MAX_ENSEMBLE_ELEMENTS, RngStream, SimConfig, TimeGrid, sample_initial
+from .core import wrap_torus_unchecked
 from .kernels import DriftSpec, build_drift
 from .noise import sample_fbm_batch
 
-BLOCK_REPLICAS = 1024
 PATH_BLOCK = 4096
-# Generic (non-separable) mean-field drifts need the whole Picard ensemble
-# in memory; refuse silently huge requests.
-MAX_ENSEMBLE_ELEMENTS = 8_000_000
 
 # Internal stream keying: every consumer of randomness gets a dedicated id
 # in the particle slot, with the caller's counter preserved, so keys are

@@ -26,10 +26,9 @@ import scipy
 
 from . import __version__
 from .bounds import constant_C, estimate_beta, hierarchy_ode_solve, short_time_horizon, theorem_bound
-from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json
+from .core import MAX_ENSEMBLE_ELEMENTS, ConfigError, RngStream, SimConfig, config_from_dict, load_json
 from .core import _as_integral, _as_real, _pop_key, _reject_unknown
 from .dynamics import (
-    MAX_ENSEMBLE_ELEMENTS,
     MAX_PICARD_ITERS,
     BlowupError,
     ensemble_too_large,
@@ -47,7 +46,6 @@ from .measure import (
     tv_histogram,
 )
 
-_ESTIMATORS = ("girsanov", "knn", "histogram_tv")
 # universal constant of the fractional-horizon bound; the proof does not
 # pin a value, this matches the worked arithmetic examples
 _HORIZON_C = 16.0
@@ -65,6 +63,17 @@ TABLES = {
 def table_row(name: str, *values) -> dict:
     """One row of table name, keyed by its columns; a value too few or too many raises."""
     return dict(zip(TABLES[name][0], values, strict=True))
+
+
+# run's estimators: name -> (the stage it reads, and its k-marginal report at a grid step
+# from that stage's output, or None where it writes no row: TV above 4 dimensions)
+ESTIMATORS = {
+    "girsanov": ("weights", lambda plan, weights, k, step: entropy_girsanov(weights, k=k, step=step)),
+    "knn": ("samples", lambda plan, samples, k, step: entropy_knn(
+        *samples[k, step], neighbors=plan.knn_neighbors, torus=plan.base.domain.is_torus)),
+    "histogram_tv": ("samples", lambda plan, samples, k, step: None if k * plan.base.domain.dim > 4 else tv_histogram(
+        *samples[k, step], bins_per_dim=plan.tv_bins, torus=plan.base.domain.is_torus)),
+}
 
 
 @dataclass(frozen=True)
@@ -92,15 +101,15 @@ class ExperimentPlan:
         # every sweep point resolves the same kernel or drift: check it once here
         drift = build_drift(self.base)
         for est in self.estimators:
-            if est not in _ESTIMATORS:
-                raise ConfigError(f"unknown estimator {est!r}; valid: {_ESTIMATORS}")
-        # a plan without a sweep point would run nothing and write empty tables
-        for axis, values in (("n", self.sweep_n), ("t", self.sweep_t), ("k", self.sweep_k)):
+            if est not in ESTIMATORS:
+                raise ConfigError(f"unknown estimator {est!r}; valid: {tuple(ESTIMATORS)}")
+        # a plan without a sweep point or an estimator would write empty tables
+        axes = dict(sweep_n=self.sweep_n, sweep_t=self.sweep_t, sweep_k=self.sweep_k, estimators=self.estimators)
+        for axis, values in axes.items():
             if not values:
-                raise ConfigError(f"sweep_{axis} must not be empty")
-        for axis, values in (("n", self.sweep_n), ("k", self.sweep_k), ("t", self.sweep_t)):
+                raise ConfigError(f"{axis} must not be empty")
             if len(set(values)) != len(values):
-                raise ConfigError(f"sweep_{axis} lists a value twice: {list(values)}")
+                raise ConfigError(f"{axis} lists a value twice: {list(values)}")
         for n in self.sweep_n:
             if n < 2:
                 raise ConfigError("swept n must be >= 2")
@@ -154,7 +163,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     sweep_k = tuple(_as_integral(v, "sweep: key 'k'") for v in _pop_key(sweep, "k", list, [1], "sweep"))
     sweep_t = tuple(_as_real(v, "sweep: key 't'") for v in _pop_key(sweep, "t", list, [base.grid.terminal], "sweep"))
     _reject_unknown(sweep, "sweep")
-    estimators = tuple(str(v) for v in _pop_key(work, "estimators", list, _ESTIMATORS, "plan"))
+    estimators = tuple(str(v) for v in _pop_key(work, "estimators", list, list(ESTIMATORS), "plan"))
     picard = _pop_key(work, "picard", dict, {}, "plan")
     picard_m = _pop_key(picard, "m", int, 10_000, "picard")
     picard_iters = _pop_key(picard, "iters", int, 3, "picard")
@@ -222,10 +231,10 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     cfg = replace(plan.base, n_particles=n)
     rng = RngStream(cfg.seed, counter=n)
     grid = cfg.grid
-    ks = [k for k in plan.sweep_k if k <= n]
-    t_steps = [grid.index_of(t) for t in plan.sweep_t]
+    steps = [grid.index_of(t) for t in plan.sweep_t]
     times = grid.times()
 
+    mf = solve_mckean_vlasov_picard(cfg, rng, m=plan.picard_m, iters=plan.picard_iters)
     out = {
         **{name: [] for name in TABLES},
         "unreliable": False,
@@ -240,36 +249,17 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
             "knn_neighbors": plan.knn_neighbors,
             "knn_samples": plan.knn_samples,
             "tv_bins": plan.tv_bins,
+            "picard_residuals": [float(r) for r in mf.residuals],
+            "picard_non_convergent": mf.non_convergent,
         },
     }
-
-    mf = solve_mckean_vlasov_picard(cfg, rng, m=plan.picard_m, iters=plan.picard_iters)
-    out["provenance"]["picard_residuals"] = [float(r) for r in mf.residuals]
-    out["provenance"]["picard_non_convergent"] = mf.non_convergent
-
-    def entropy_row(t, k, estimator, value, stderr, ess):
-        row = table_row("entropy", t, n, k, estimator, value, stderr, ess, cfg.effective_eps, grid.dt, cfg.seed)
-        out["entropy"].append(row)
-
-    def check_row(k, t, check, passed, margin, value, threshold):
-        out["checks"].append(table_row("checks", n, k, t, check, passed, margin, value, threshold))
-
-    gw = None
-    full_reports = {}
-    if "girsanov" in plan.estimators:
-        gw = girsanov_weight(cfg, mf, rng, snapshot_times=plan.sweep_t)
-        for step in t_steps:
-            t = float(times[step])
-            mean_z, se_z, z_score = gw.martingale_check(step)
-            check_row(n, t, "martingale", abs(z_score) <= 3.0, 3.0 - abs(z_score), mean_z, 1.0)
-            full = entropy_girsanov(gw, k=n, step=step)
-            full_reports[step] = full
-            if full.unreliable:
-                out["unreliable"] = True
-            for k in ks:
-                rep = entropy_girsanov(gw, k=k, step=step)
-                entropy_row(t, k, "girsanov", rep.value, rep.stderr, rep.params["ess"])
-
+    # after Picard, each stage a listed estimator reads runs once, in this order,
+    # so the first BlowupError of a point does not depend on the estimators' order
+    reads = {ESTIMATORS[name][0] for name in plan.estimators}
+    gw = girsanov_weight(cfg, mf, rng, snapshot_times=plan.sweep_t) if "weights" in reads else None
+    if gw is not None:
+        # before the particle system: the frees of estimate_beta's (replicas, n) temporaries raise glibc's
+        # mmap and trim thresholds, which keeps the simulation's step temporaries from faulting in anew
         regime = "fractional" if cfg.noise.fractional else "brownian"
         energy = gw.volterra_energy if gw.volterra_energy is not None else gw.drift_energy
         hurst = cfg.noise.hurst if cfg.noise.fractional else None
@@ -279,46 +269,48 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
         row = table_row("horizons", n, regime, plan.kappa, bf.beta, hurst_cell, hz.delta_star, bf.residual)
         out["horizons"].append(row)
 
-    if "knn" in plan.estimators or "histogram_tv" in plan.estimators:
-        max_k = max(ks)
+    samples = {}  # (k, step) -> the k-marginal samples of the particle system and of the reference law
+    if "samples" in reads:
+        max_k, count = max(plan.sweep_k), plan.knn_samples
         ens = simulate_particle_system(cfg, rng, snapshot_times=plan.sweep_t, particles=max_k)
-        refs = sample_reference_marginals(
-            cfg, mf, plan.knn_samples * max_k, rng, snapshot_times=plan.sweep_t
-        )
-        torus = cfg.domain.is_torus
-        d = cfg.domain.dim
-        for step in t_steps:
-            t = float(times[step])
-            full = full_reports.get(step)
-            for k in ks:
-                p_samp = extract_marginal(ens, k, t)
-                q_samp = refs[step][: plan.knn_samples * k].reshape(plan.knn_samples, k * d)
-                rep_h = None
-                if "knn" in plan.estimators:
-                    rep_h = entropy_knn(p_samp, q_samp, neighbors=plan.knn_neighbors, torus=torus)
-                    rep_h.k, rep_h.n, rep_h.t = k, n, t
-                    entropy_row(t, k, "knn", rep_h.value, rep_h.stderr, "")
-                if "histogram_tv" not in plan.estimators or k * d > 4:
-                    continue
-                rep_tv = tv_histogram(p_samp, q_samp, bins_per_dim=plan.tv_bins, torus=torus)
-                rep_tv.k, rep_tv.n, rep_tv.t = k, n, t
-                entropy_row(t, k, "histogram_tv", rep_tv.value, rep_tv.stderr, "")
-                # consistency: Pinsker + subadditivity need the full-system
-                # Girsanov report too. Sparse histograms (many bins per
-                # sample) inflate TV by pure binning noise; the ceiling
-                # comparison is only meaningful with ~10+ samples per bin,
-                # so skip the check there (the TV row remains)
-                if full is None or plan.tv_bins ** (k * d) * 10 > min(cfg.replicas, plan.knn_samples):
-                    continue
-                if rep_h is None:
-                    rep_h = entropy_girsanov(gw, k=k, step=step)
-                rec = pinsker_and_subadditivity_check(rep_h, rep_tv, full)
-                pinsker, sub = rec.pinsker_margin, rec.subadditivity_margin
-                check_row(k, t, "pinsker", pinsker >= 0, pinsker, rec.details["tv"], rec.details["pinsker_ceiling"])
-                check_row(k, t, "subadditivity", sub >= 0, sub, rec.details["h_k"], rec.details["subadditivity_rhs"])
+        refs = sample_reference_marginals(cfg, mf, count * max_k, rng, snapshot_times=plan.sweep_t)
+        for step in steps:
+            for k in plan.sweep_k:
+                samples[k, step] = extract_marginal(ens, k, times[step]), refs[step][: count * k].reshape(count, -1)
+    stages = {"weights": gw, "samples": samples}
+
+    reports = {}  # (estimator, k, step) -> its report, or None where it writes no row
+    for step in steps:
+        t = float(times[step])
+        for name in plan.estimators:
+            stage, make_report = ESTIMATORS[name]
+            for k in plan.sweep_k:
+                rep = reports[name, k, step] = make_report(plan, stages[stage], k, step)
+                if rep is not None:
+                    rep.k, rep.n, rep.t = k, n, t
+                    out["unreliable"] |= rep.unreliable
+                    out["entropy"].append(table_row("entropy", t, n, k, name, rep.value, rep.stderr,
+                                                    rep.params.get("ess", ""), cfg.effective_eps, grid.dt, cfg.seed))
+        if gw is None:
+            continue
+        mean_z, _, z = gw.martingale_check(step)
+        out["checks"].append(table_row("checks", n, n, t, "martingale", abs(z) <= 3.0, 3.0 - abs(z), mean_z, 1.0))
+        full = reports.get(("girsanov", n, step)) or entropy_girsanov(gw, k=n, step=step)
+        for k in plan.sweep_k:
+            # Pinsker and subadditivity need ~10+ samples per TV bin: sparse
+            # histograms inflate TV by binning noise (the TV row remains)
+            tv = reports.get(("histogram_tv", k, step))
+            if tv is None or plan.tv_bins ** (k * cfg.domain.dim) * 10 > min(cfg.replicas, plan.knn_samples):
+                continue
+            h_k = reports.get(("knn", k, step)) or reports["girsanov", k, step]  # Girsanov when kNN is off
+            rec = pinsker_and_subadditivity_check(h_k, tv, full)
+            pin, sub, d = rec.pinsker_margin, rec.subadditivity_margin, rec.details
+            out["checks"].append(table_row("checks", n, k, t, "pinsker", pin >= 0, pin, d["tv"], d["pinsker_ceiling"]))
+            out["checks"].append(table_row("checks", n, k, t, "subadditivity", sub >= 0, sub, d["h_k"],
+                                           d["subadditivity_rhs"]))
 
     # closed-form and cascade envelopes on the same (k, t) lattice
-    out["bounds"] = bound_rows(n, ks, plan.sweep_t, plan.bound_c0, plan.bound_gamma, plan.bound_m, grid.dt)
+    out["bounds"] = bound_rows(n, plan.sweep_k, plan.sweep_t, plan.bound_c0, plan.bound_gamma, plan.bound_m, grid.dt)
     return out
 
 

@@ -15,6 +15,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,31 @@ class TestExitCodes:
         cfg = write_json(tmp_path, "p.json", data)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "sweep_n must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("dim", [10**12, 10**6])
+    def test_a_huge_dimension_fails_closed_without_allocating(self, tmp_path, capsys, command, dim):
+        # a Gaussian law that names no mean takes any dim; one block at this
+        # dim would need gigabytes, so the domain is refused at parse time
+        data = sim_config(domain={"kind": "euclidean", "dim": dim},
+                          initial_law={"name": "gaussian", "params": {"sigma": 0.5}})
+        if command == "run":
+            data = {"base": data, "sweep": {"n": [4]}, "picard": {"m": 100}}
+        cfg = write_json(tmp_path, "c.json", data)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert f"key 'dim' = {dim} exceeds 3906" in capsys.readouterr().err
+        assert peak < 1_000_000
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "simulate", "noise-check"])

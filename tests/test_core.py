@@ -10,7 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaoslab.cli import main
+from chaoslab import dynamics
 from chaoslab.core import (
+    BLOCK_REPLICAS,
+    MAX_ENSEMBLE_ELEMENTS,
+    MAX_EUCLIDEAN_DIM,
     ConfigError,
     DomainSpec,
     InitialLaw,
@@ -227,8 +231,20 @@ class TestConfigParsing:
         raw = make_config_dict(domain={"kind": "euclidean", "dim": 10**12}, initial_law=law)
         del raw["kernel"]
         raw["drift"] = {"name": "zero"}
-        with pytest.raises(ConfigError, match="one entry per dimension"):
+        with pytest.raises(ConfigError, match="domain: key 'dim' = 1000000000000 exceeds 3906"):
             config_from_dict(raw)
+
+    def test_the_dimension_bound_is_one_block_of_the_smallest_system(self):
+        # one block holds BLOCK_REPLICAS replicas of n >= 2 particles in d
+        # coordinates; above the bound even n = 2 exceeds the ensemble budget
+        assert MAX_EUCLIDEAN_DIM == MAX_ENSEMBLE_ELEMENTS // (2 * BLOCK_REPLICAS) == 3906
+        smallest_block = 2 * BLOCK_REPLICAS  # values per coordinate
+        assert smallest_block * MAX_EUCLIDEAN_DIM <= MAX_ENSEMBLE_ELEMENTS < smallest_block * (MAX_EUCLIDEAN_DIM + 1)
+        # the stages size their blocks and ensembles from these same numbers
+        assert (dynamics.BLOCK_REPLICAS, dynamics.MAX_ENSEMBLE_ELEMENTS) == (BLOCK_REPLICAS, MAX_ENSEMBLE_ELEMENTS)
+        assert DomainSpec("euclidean", MAX_EUCLIDEAN_DIM).dim == 3906
+        with pytest.raises(ConfigError, match="key 'dim' = 3907 exceeds 3906"):
+            DomainSpec("euclidean", MAX_EUCLIDEAN_DIM + 1)
 
     def test_kernel_needs_torus(self):
         raw = make_config_dict(domain={"kind": "euclidean", "dim": 2})

@@ -14,8 +14,9 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
-from chaoslab import __version__
-from chaoslab.core import ConfigError
+from chaoslab import __version__, experiment
+from chaoslab.core import ConfigError, RngStream
+from chaoslab.dynamics import sample_reference_marginals, simulate_particle_system, solve_mckean_vlasov_picard
 from chaoslab.experiment import (
     TABLES,
     ExperimentPlan,
@@ -159,6 +160,9 @@ class TestPlanParsing:
             ),
             (lambda d: d["picard"].__setitem__("iters", 100), "picard_iters must be <= 99"),
             (lambda d: d["sweep"].__setitem__("n", []), "sweep_n must not be empty"),
+            (lambda d: d.__setitem__("estimators", []), "estimators must not be empty"),
+            (lambda d: d.__setitem__("estimators", ["knn", "knn"]), "estimators lists a value twice"),
+            (lambda d: d.__setitem__("estimators", ["girsanov", "knn", "girsanov"]), "estimators lists a value twice"),
         ],
     )
     def test_fail_closed(self, mutate, message):
@@ -388,6 +392,85 @@ class TestRunExperiment:
         assert "non-finite" in result.errors[0]["error"]
         assert result.tables["entropy"] == []
         assert result.manifest["errors"] == result.errors
+
+
+def _run_with(estimators):
+    data = make_plan_dict()
+    data["estimators"] = estimators
+    return run_experiment(plan_from_dict(data)).tables
+
+
+@pytest.mark.filterwarnings("ignore:only \\d+ replicas")
+class TestEstimators:
+    """Each estimator is one ESTIMATORS entry; a sweep point runs each stage
+    the plan's estimators read once and makes each (estimator, k, t) report
+    once, and every row and check reads those reports."""
+
+    def test_an_estimator_subset_writes_the_full_plans_rows(self):
+        full = _run_with(["girsanov", "knn", "histogram_tv"])
+        girsanov = _run_with(["girsanov"])
+        assert girsanov["entropy"] == [r for r in full["entropy"] if r["estimator"] == "girsanov"]
+        assert girsanov["checks"] == [r for r in full["checks"] if r["check"] == "martingale"]
+        assert girsanov["horizons"] == full["horizons"]
+        samples = _run_with(["knn", "histogram_tv"])
+        assert samples["entropy"] == [r for r in full["entropy"] if r["estimator"] != "girsanov"]
+        assert samples["checks"] == samples["horizons"] == []
+        assert girsanov["bounds"] == samples["bounds"] == full["bounds"]
+
+    def test_the_estimator_order_moves_no_row(self):
+        assert _run_with(["histogram_tv", "knn", "girsanov"]) == _run_with(["girsanov", "knn", "histogram_tv"])
+
+    def test_each_girsanov_report_is_made_once(self, monkeypatch):
+        # with kNN off the checks read the Girsanov k-marginal report, and the
+        # full-system report is the k = n one; none of them is made twice
+        calls, original = [], experiment.entropy_girsanov
+
+        def counted(weights, k, step=None):
+            calls.append((weights.n, k, step))
+            return original(weights, k=k, step=step)
+
+        monkeypatch.setattr(experiment, "entropy_girsanov", counted)
+        data = make_plan_dict()
+        data["estimators"] = ["girsanov", "histogram_tv"]
+        data["sweep"]["k"] = [1, 4]
+        tables = run_experiment(plan_from_dict(data)).tables
+        assert any(r["check"] == "subadditivity" for r in tables["checks"])
+        assert len(calls) == len(set(calls))
+        # per n and t: k = 1 and 4, and the full system (k = n = 4 is one report)
+        assert sorted({(n, k) for n, k, _ in calls}) == [(4, 1), (4, 4), (6, 1), (6, 4), (6, 6)]
+        assert len(calls) == 2 * 5
+
+    @pytest.mark.parametrize("noise", [{"kind": "brownian"}, {"kind": "fbm", "hurst": 0.3}], ids=["brownian", "fbm"])
+    def test_the_stage_order_moves_no_byte(self, noise):
+        # every stage draws from its own purpose-keyed streams, so the weights
+        # come out the same before or after the particle system and references
+        data = make_plan_dict()
+        data["base"]["noise"] = noise
+        cfg = plan_from_dict(data).base
+        times = (0.05, 0.1)
+
+        def stages(weights_first):
+            rng = RngStream(cfg.seed, counter=cfg.n_particles)
+            mf = solve_mckean_vlasov_picard(cfg, rng, m=300, iters=2)
+            out = {}
+            if weights_first:
+                out["weights"] = experiment.girsanov_weight(cfg, mf, rng, snapshot_times=times)
+            out["particles"] = simulate_particle_system(cfg, rng, snapshot_times=times, particles=2)
+            out["references"] = sample_reference_marginals(cfg, mf, 600, rng, snapshot_times=times)
+            if not weights_first:
+                out["weights"] = experiment.girsanov_weight(cfg, mf, rng, snapshot_times=times)
+            return out
+
+        first, last = stages(True), stages(False)
+        assert (first["weights"].volterra_energy is None) == (noise["kind"] == "brownian")
+        for name in ("log_z", "drift_energy", "volterra_energy"):
+            a, b = getattr(first["weights"], name), getattr(last["weights"], name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+        assert first["particles"].snapshots.keys() == last["particles"].snapshots.keys()
+        for step, x in first["particles"].snapshots.items():
+            assert np.array_equal(x, last["particles"].snapshots[step])
+        for step, x in first["references"].items():
+            assert np.array_equal(x, last["references"][step])
 
 
 class TestTables:
