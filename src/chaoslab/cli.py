@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import short_time_horizon
-from .core import ConfigError, RngStream, SimConfig, config_from_dict, load_json
+from .core import MAX_ENSEMBLE_ELEMENTS, ConfigError, RngStream, SimConfig, config_from_dict, load_json
 from .core import _as_integral, _pop_key, _reject_unknown
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
@@ -40,6 +40,7 @@ from .experiment import (
     _write_manifest,
     as_plan_data,
     bound_rows,
+    cascade_dt,
     fit_rate,
     plan_from_dict,
     run_experiment,
@@ -145,14 +146,21 @@ def _cmd_bounds(args) -> int:
     dt = _pop_key(data, "dt", float, 1e-3, where)
     horizons = _pop_key(data, "horizons", list, [], where)
     _reject_unknown(data, where)
+    if t_final <= 0 or dt <= 0:
+        raise ConfigError(f"{where}: keys 'T' and 'dt' must be > 0")
+    for n in ns:
+        # refused before anything sized by n is built: the cascade holds n (steps + 1) values, steps >= 1
+        if not 2 <= n <= MAX_ENSEMBLE_ELEMENTS // 2:
+            raise ConfigError(f"{where}: key 'n' = {n} must be in [2, {MAX_ENSEMBLE_ELEMENTS // 2}]")
+        steps = np.ceil(min(t_final / cascade_dt(n, gamma, dt), MAX_ENSEMBLE_ELEMENTS) - 1e-12)
+        if n * (steps + 1) > MAX_ENSEMBLE_ELEMENTS:
+            raise ConfigError(f"{where}: key 'n' = {n} needs a cascade of more than {MAX_ENSEMBLE_ELEMENTS} values")
+        if any(k > n for k in ks_req or ()):
+            raise ConfigError(f"k = {max(ks_req)} exceeds n = {n}")
 
     rows = []
     for n in ns:
-        ks = ks_req if ks_req is not None else list(range(1, n + 1))
-        for k in ks:
-            if k > n:
-                raise ConfigError(f"k = {k} exceeds n = {n}")
-        rows += bound_rows(n, ks, [t_final], c0, gamma, m_const, dt)
+        rows += bound_rows(n, range(1, n + 1) if ks_req is None else ks_req, [t_final], c0, gamma, m_const, dt)
     horizon_rows = []
     for i, item in enumerate(horizons):
         where = f"bounds config: horizons[{i}]"

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -221,8 +221,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class InteractionRef:
-    """A kernel or drift declaration: a built-in's name and its parameters,
-    resolved and checked by kernels.build_drift."""
+    """A built-in's name and its parameters, as a config declares them:
+    resolved and checked by resolve_builtin against the table of its family."""
 
     name: str
     params: dict[str, Any] = field(default_factory=dict)
@@ -233,30 +233,28 @@ class InteractionRef:
 
 
 @dataclass(frozen=True)
-class InitialLaw:
-    name: str  # "uniform" (torus) | "gaussian" | "uniform_ball" (euclidean)
-    params: dict[str, Any] = field(default_factory=dict)
+class InitialLaw(InteractionRef):
+    """The initial law a config names, one of INITIAL_LAWS."""
 
-    _ALLOWED_PARAMS = {
-        "uniform": (),
-        "gaussian": ("mean", "sigma"),
-        "uniform_ball": ("radius",),
-    }
 
-    def __post_init__(self) -> None:
-        InteractionRef.__post_init__(self)
-        if self.name not in self._ALLOWED_PARAMS:
-            raise ConfigError(f"unknown initial law {self.name!r}")
-        _reject_unknown(self.params, "initial_law.params", self._ALLOWED_PARAMS[self.name])
-        for key in ("sigma", "radius"):
-            if self.param(key, float, 1.0) < 0:
-                raise ConfigError(f"initial_law.params: key {key!r} must be >= 0, got {self.params[key]!r}")
-        for v in self.param("mean", list, []):
-            _as_real(v, "initial_law.params: key 'mean'")
-
-    def param(self, key: str, kind: type, default: Any) -> Any:
-        """One parameter, read by _pop_key: a null is the default."""
-        return _pop_key(dict(self.params), key, kind, default, "initial_law.params")
+def resolve_builtin(family: str, table: dict, ref: InteractionRef, domain: DomainSpec, *args: Any) -> Any:
+    """What the built-in ref names builds on domain: the one check of a name,
+    a domain and unknown params, for each family's table (INITIAL_LAWS,
+    kernels.DRIFTS, kernels.KERNELS). A table maps a name to (the domain it
+    lives on, "T^d" or "R^d" or with a fixed d such as "T^2", or None for
+    any; a factory). factory(params, domain, *args) pops the params it reads
+    from a copy and returns what the family builds; any param left is unknown."""
+    if ref.name not in table:
+        raise ConfigError(f"unknown {family} {ref.name!r}; built-ins: {sorted(table)}")
+    lives_on, factory = table[ref.name]
+    if lives_on is not None:
+        kind, dim = lives_on.split("^")
+        if (kind == "T") != domain.is_torus or dim not in ("d", str(domain.dim)):
+            raise ConfigError(f"{ref.name} {family} lives on {lives_on}")
+    params = dict(ref.params)
+    built = factory(params, domain, *args)
+    _reject_unknown(params, f"{family}.params")
+    return built
 
 
 @dataclass(frozen=True)
@@ -288,15 +286,7 @@ class SimConfig:
             raise ConfigError("eps must be >= 0")
         if self.truncation_radius < 1:
             raise ConfigError("truncation_radius must be >= 1")
-        if self.kernel is not None and self.domain.dim != 2:
-            raise ConfigError("kernels are 2-D: a kernel config requires d = 2")
-        if self.initial_law.name == "uniform" and not self.domain.is_torus:
-            raise ConfigError("uniform initial law lives on the torus")
-        if self.initial_law.name in ("gaussian", "uniform_ball") and self.domain.is_torus:
-            raise ConfigError(f"initial law {self.initial_law.name!r} lives on R^d")
-        # range: a default of d entries that allocates none, whatever d a config gives
-        if len(self.initial_law.param("mean", list, range(self.domain.dim))) != self.domain.dim:
-            raise ConfigError(f"initial_law.params: key 'mean' needs one entry per dimension (d = {self.domain.dim})")
+        resolve_builtin("initial_law", INITIAL_LAWS, self.initial_law, self.domain)
 
     @property
     def effective_eps(self) -> float:
@@ -333,11 +323,10 @@ def _pop_key(d: dict, key: str, kind: type | None, default: Any = _MISSING, wher
     return dict(v) if kind is dict else v
 
 
-def _reject_unknown(d: dict, where: str, allowed: tuple[str, ...] = ()) -> None:
-    """The one unknown-key check: every key of d outside allowed is an error."""
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
+def _reject_unknown(d: dict, where: str) -> None:
+    """The one unknown-key check: every key its reader left in d is an error."""
+    if d:
+        raise ConfigError(f"{where}: unknown keys {sorted(d)}")
 
 
 def _as_integral(v: Any, where: str) -> int:
@@ -393,18 +382,11 @@ def config_from_dict(raw: dict[str, Any]) -> SimConfig:
     )
     _reject_unknown(nz, "noise")
 
-    il = _pop_key(top, "initial_law", dict)
-    initial_law = InitialLaw(name=_pop_key(il, "name", str, where="initial_law"),
-                             params=_pop_key(il, "params", dict, {}, "initial_law"))
-    _reject_unknown(il, "initial_law")
-
-    refs = {}
-    for key in ("kernel", "drift"):
-        ref = _pop_key(top, key, dict, None)
+    refs = {}  # the built-ins the config names: {"name": ..., "params": {...}} each
+    for key, cls in (("initial_law", InitialLaw), ("kernel", InteractionRef), ("drift", InteractionRef)):
+        ref = _pop_key(top, key, dict, _MISSING if key == "initial_law" else None)
         if ref is not None:
-            refs[key] = InteractionRef(
-                name=_pop_key(ref, "name", str, where=key), params=_pop_key(ref, "params", dict, {}, key)
-            )
+            refs[key] = cls(name=_pop_key(ref, "name", str, where=key), params=_pop_key(ref, "params", dict, {}, key))
             _reject_unknown(ref, key)
 
     config = SimConfig(
@@ -412,7 +394,7 @@ def config_from_dict(raw: dict[str, Any]) -> SimConfig:
         n_particles=_pop_key(top, "n_particles", int),
         grid=grid,
         noise=noise,
-        initial_law=initial_law,
+        initial_law=refs["initial_law"],
         seed=_pop_key(top, "seed", int),
         replicas=_pop_key(top, "replicas", int),
         kernel=refs.get("kernel"),
@@ -439,24 +421,48 @@ def load_json(path: str | Path) -> dict:
     return data
 
 
-def sample_initial(law: InitialLaw, domain: DomainSpec, size: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:
-    """Draw i.i.d. initial positions with shape size + (d,)."""
+def _width(params: dict, key: str) -> float:
+    """The law's nonnegative width param (sigma or radius), default 1."""
+    width = _pop_key(params, key, float, 1.0, "initial_law.params")
+    if width < 0:
+        raise ConfigError(f"initial_law.params: key {key!r} must be >= 0, got {width!r}")
+    return width
+
+
+# Initial-law factories return draw(size, gen), positions of shape size + (d,).
+def _uniform(params: dict, domain: DomainSpec) -> Callable:
+    return lambda size, gen: gen.uniform(-0.5, 0.5, size=tuple(size) + (domain.dim,))
+
+
+def _gaussian(params: dict, domain: DomainSpec) -> Callable:
     d = domain.dim
-    shape = tuple(size) + (d,)
-    if law.name == "uniform":
-        return gen.uniform(-0.5, 0.5, size=shape)
-    if law.name == "gaussian":
-        sigma = law.param("sigma", float, 1.0)
-        mean = np.asarray(law.param("mean", list, np.zeros(d)), dtype=np.float64)
-        if mean.shape != (d,):
-            raise ConfigError(f"gaussian mean must have {d} components")
-        return mean + sigma * gen.standard_normal(shape)
-    if law.name == "uniform_ball":
-        radius = law.param("radius", float, 1.0)
+    sigma = _width(params, "sigma")
+    mean = np.array([_as_real(v, "initial_law.params: key 'mean'")
+                     for v in _pop_key(params, "mean", list, [0.0] * d, "initial_law.params")])
+    if mean.shape != (d,):
+        raise ConfigError(f"initial_law.params: key 'mean' needs one entry per dimension (d = {d})")
+    return lambda size, gen: mean + sigma * gen.standard_normal(tuple(size) + (d,))
+
+
+def _uniform_ball(params: dict, domain: DomainSpec) -> Callable:
+    d = domain.dim
+    radius = _width(params, "radius")
+
+    def draw(size: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:
         # Rejection-free: direction times radius scaled by U^{1/d}.
-        z = gen.standard_normal(shape)
+        z = gen.standard_normal(tuple(size) + (d,))
         norms = np.linalg.norm(z, axis=-1, keepdims=True)
         norms[norms == 0] = 1.0
         u = gen.uniform(size=tuple(size) + (1,)) ** (1.0 / d)
         return radius * u * z / norms
-    raise ConfigError(f"unknown initial law {law.name!r}")
+
+    return draw
+
+
+INITIAL_LAWS = {"uniform": ("T^d", _uniform), "gaussian": ("R^d", _gaussian),
+                "uniform_ball": ("R^d", _uniform_ball)}
+
+
+def sample_initial(law: InitialLaw, domain: DomainSpec, size: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:
+    """Draw i.i.d. initial positions with shape size + (d,)."""
+    return resolve_builtin("initial_law", INITIAL_LAWS, law, domain)(size, gen)

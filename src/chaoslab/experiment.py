@@ -314,6 +314,11 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     return out
 
 
+def cascade_dt(n: int, gamma: float, dt: float) -> float:
+    """The cascade's Euler step in bound_rows: dt clamped to the 1/(2 gamma n) stability limit."""
+    return dt if gamma <= 0 else min(dt, 1.0 / (2.0 * gamma * n))
+
+
 def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: float) -> list[dict]:
     """Closed-form and cascade envelope rows for one n on the (k, t) lattice.
 
@@ -322,8 +327,7 @@ def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: f
     at the cascade time nearest t. Needs 1 <= k <= n for every k.
     """
     h0 = np.array([c0 * k * k / (n * n) for k in range(1, n + 1)])
-    casc_dt = dt if gamma <= 0 else min(dt, 1.0 / (2.0 * gamma * n))
-    cascade = hierarchy_ode_solve(n, m_const, gamma, h0, max(times), casc_dt)
+    cascade = hierarchy_ode_solve(n, m_const, gamma, h0, max(times), cascade_dt(n, gamma, dt))
     rows = []
     for t in times:
         c_t = constant_C(c0, gamma, m_const, t)

@@ -3,8 +3,8 @@
 Two families: singular Biot-Savart kernels on R^2 / T^2 (free-space and
 periodic lattice sum) and bounded smooth test kernels, plus named drift
 built-ins. Kernels and drifts are declared by name and parameter map in the
-config and resolved here by build_drift; a kernel is its function with the
-parameters bound (kernel_from_ref). No runtime-loaded code.
+config and looked up in one table per family (KERNELS, DRIFTS) by
+build_drift and kernel_from_ref through core.resolve_builtin. No runtime-loaded code.
 
 The periodic lattice sum is truncated to |k|_inf <= R and accumulated in
 +k/-k pairs inside complete shells. Pairing makes antisymmetry exact in
@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainSpec, InteractionRef, SimConfig, _as_real, _pop_key, _reject_unknown
+from .core import ConfigError, DomainSpec, InteractionRef, SimConfig, _as_real, _pop_key, resolve_builtin
 from .core import sum_last_axis, torus_displacement, wrap_torus
 
 TWO_PI = 2.0 * math.pi
@@ -307,19 +307,13 @@ class DriftSpec:
 
 
 # ---------------------------------------------------------------------------
-# Built-in drift registry
+# Built-in drifts and kernels: one table each, read by core.resolve_builtin
 # ---------------------------------------------------------------------------
 
 
-def _drift_zero(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown(params, "drift.params")
-    return DriftSpec(name="zero")
-
-
 def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown(params, "drift.params", ("c",))
     where = "drift.params: key 'c'"
-    raw = _pop_key(dict(params), "c", None, 1.0, "drift.params")
+    raw = _pop_key(params, "c", None, 1.0, "drift.params")
     if not isinstance(raw, list):
         raw = [raw] * domain.dim
     elif len(raw) != domain.dim:
@@ -333,8 +327,7 @@ def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
 
 
 def _drift_restoring_b0(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown(params, "drift.params", ("rate",))
-    rate = _pop_key(dict(params), "rate", float, 1.0, "drift.params")
+    rate = _pop_key(params, "rate", float, 1.0, "drift.params")
 
     def b0(t: float, x: np.ndarray) -> np.ndarray:
         return -rate * x
@@ -417,10 +410,6 @@ def _separable(name: str, pair: Callable, features: Callable[[np.ndarray], tuple
 
 
 def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown(params, "drift.params")
-    if domain.is_torus:
-        raise ConfigError("linear_pair drift lives on R^d")
-
     def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x + y
 
@@ -428,10 +417,6 @@ def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
 
 
 def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
-    _reject_unknown(params, "drift.params")
-    if domain.is_torus:
-        raise ConfigError("attract_pair drift lives on R^d")
-
     def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return y - x
 
@@ -472,9 +457,6 @@ def sin_positive(u: np.ndarray) -> np.ndarray:
 def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     # h(u) = u 1{sin u > 0}: satisfies the linear growth condition with
     # K = 1 but is discontinuous in the pair displacement.
-    _reject_unknown(params, "drift.params")
-    if domain.is_torus or domain.dim != 1:
-        raise ConfigError("sign_gated_pair drift lives on R^1")
 
     def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         u = x - y
@@ -483,68 +465,67 @@ def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     return DriftSpec(name="sign_gated_pair", pair_state=pair)
 
 
-def _drift_from_kernel(name: str, kernel: Callable[..., np.ndarray]) -> DriftSpec:
-    """Pair drift b(x, y) = K(x - y) of the kernel named name, as
-    kernel_from_ref resolved it."""
-    if name == "smooth_divfree":
-        w = TWO_PI * kernel.keywords["frequency"]
+DRIFTS = {
+    "zero": (None, lambda params, domain: DriftSpec(name="zero")),
+    "constant_b0": (None, _drift_constant_b0),
+    "restoring_b0": (None, _drift_restoring_b0),
+    "linear_pair": ("R^d", _drift_linear_pair),
+    "attract_pair": ("R^d", _drift_attract_pair),
+    "sign_gated_pair": ("R^1", _drift_sign_gated_pair),
+}
+
+
+# Kernel factories return (the kernel with its parameters bound, its pair
+# drift b(x, y) = K(x - y) on the minimal image).
+def _kernel_smooth_divfree(params: dict, domain: DomainSpec, config: SimConfig) -> tuple[Callable, DriftSpec]:
+    frequency = _pop_key(params, "frequency", int, 1, "kernel.params")
+    if frequency < 1:
+        raise ConfigError("smooth_divfree requires frequency >= 1")
+    kernel = partial(smooth_divfree_kernel, frequency=frequency)
+    w = TWO_PI * frequency
+
+    def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return kernel(torus_displacement(x, y))
+
+    def column(wu: np.ndarray) -> tuple:
+        # sin(wu_i - wu_j) = sin(wu_i) cos(wu_j) - cos(wu_i) sin(wu_j)
+        s, c = np.sin(wu), np.cos(wu)
+        return None, ((s, c), (-c, s))
+
+    return kernel, _separable("kernel:smooth_divfree", pair, lambda x: (column(w * x[..., 1:]), column(w * x[..., :1])))
+
+
+def _singular(name: str, function: Callable[..., np.ndarray], *fields: str) -> Callable:
+    """Factory of a singular kernel: the function with eps and the named
+    config fields bound, and its pair drift, the generic O(n^2) pairwise
+    path with frozen-ball regularization."""
+
+    def factory(params: dict, domain: DomainSpec, config: SimConfig) -> tuple[Callable, DriftSpec]:
+        kernel = partial(function, eps=config.effective_eps, **{f: getattr(config, f) for f in fields})
 
         def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return kernel(torus_displacement(x, y))
+            return kernel(torus_displacement(x, y), freeze_inside=True)
 
-        def column(wu: np.ndarray) -> tuple:
-            # sin(wu_i - wu_j) = sin(wu_i) cos(wu_j) - cos(wu_i) sin(wu_j)
-            s, c = np.sin(wu), np.cos(wu)
-            return None, ((s, c), (-c, s))
+        return kernel, DriftSpec(name=f"kernel:{name}", pair_state=pair)
 
-        return _separable(
-            "kernel:smooth_divfree", pair, lambda x: (column(w * x[..., 1:]), column(w * x[..., :1]))
-        )
-
-    # Singular kernels: generic O(n^2) pairwise path with frozen-ball
-    # regularization, on the minimal image like every torus kernel.
-    def pair_bs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return kernel(torus_displacement(x, y), freeze_inside=True)
-
-    return DriftSpec(name=f"kernel:{name}", pair_state=pair_bs)
+    return factory
 
 
-_DRIFT_BUILTINS: dict[str, Callable[[dict, DomainSpec], DriftSpec]] = {
-    "zero": _drift_zero,
-    "constant_b0": _drift_constant_b0,
-    "restoring_b0": _drift_restoring_b0,
-    "linear_pair": _drift_linear_pair,
-    "attract_pair": _drift_attract_pair,
-    "sign_gated_pair": _drift_sign_gated_pair,
+KERNELS = {
+    "smooth_divfree": ("T^2", _kernel_smooth_divfree),
+    "biot_savart_free": ("T^2", _singular("biot_savart_free", biot_savart_free)),
+    "biot_savart_periodic": ("T^2", _singular("biot_savart_periodic", biot_savart_periodic, "truncation_radius")),
 }
 
 
 def kernel_from_ref(ref: InteractionRef, config: SimConfig) -> Callable[..., np.ndarray]:
     """The kernel the config names, as its function with the parameters
     bound: K(x), and K(x, freeze_inside=True) for the singular kernels."""
-    if ref.name == "smooth_divfree":
-        _reject_unknown(ref.params, "kernel.params", ("frequency",))
-        frequency = _pop_key(dict(ref.params), "frequency", int, 1, "kernel.params")
-        if frequency < 1:
-            raise ConfigError("smooth_divfree requires frequency >= 1")
-        return partial(smooth_divfree_kernel, frequency=frequency)
-    if ref.name == "biot_savart_free":
-        _reject_unknown(ref.params, "kernel.params")
-        return partial(biot_savart_free, eps=config.effective_eps)
-    if ref.name == "biot_savart_periodic":
-        _reject_unknown(ref.params, "kernel.params")
-        return partial(biot_savart_periodic, truncation_radius=config.truncation_radius, eps=config.effective_eps)
-    raise ConfigError(f"unknown kernel {ref.name!r}")
+    return resolve_builtin("kernel", KERNELS, ref, config.domain, config)[0]
 
 
 def build_drift(config: SimConfig) -> DriftSpec:
-    """Resolve the config's kernel-or-drift declaration to a DriftSpec."""
+    """Resolve the config's kernel-or-drift declaration to a new DriftSpec."""
     if config.kernel is not None:
-        if not config.domain.is_torus:
-            raise ConfigError("kernel interactions are defined on the torus")
-        return _drift_from_kernel(config.kernel.name, kernel_from_ref(config.kernel, config))
-    assert config.drift is not None
-    factory = _DRIFT_BUILTINS.get(config.drift.name)
-    if factory is None:
-        raise ConfigError(f"unknown drift {config.drift.name!r}; built-ins: {sorted(_DRIFT_BUILTINS)}")
-    return factory(config.drift.params, config.domain)
+        return resolve_builtin("kernel", KERNELS, config.kernel, config.domain, config)[1]
+    return resolve_builtin("drift", DRIFTS, config.drift, config.domain)

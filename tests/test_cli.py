@@ -199,7 +199,7 @@ class TestExitCodes:
                     "drift": None,
                     "kernel": {"name": "biot_savart_free"},
                 },
-                "kernel interactions are defined on the torus",
+                "biot_savart_free kernel lives on T^2",
             ),
         ],
         ids=["unknown-drift", "unknown-param", "sign-gated-on-r2", "frequency-0", "kernel-on-rd"],
@@ -422,6 +422,44 @@ class TestBoundsCommand:
         cfg = write_json(tmp_path, "b.json", {**base, key: value})
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n,T,message",
+        [(0, 0.1, "key 'n' = 0 must be in [2, 4000000]"), (-1, 0.1, "key 'n' = -1 must be in [2, 4000000]"),
+         (100000, 1.0, "key 'n' = 100000 needs a cascade of more than 8000000 values")],
+        ids=["zero", "negative", "cascade-of-2e10-values"],
+    )
+    def test_n_fails_closed_before_anything_sized_by_it(self, tmp_path, capsys, n, T, message):
+        # n = 100000 would build a cascade of (1e5, 200001) floats, about 160 GB
+        cfg = write_json(tmp_path, "b.json", {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": T, "n": [n]})
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            code = main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"bounds config: {message}" in err and "Traceback" not in err
+        assert peak < 1_000_000
+        assert not (tmp_path / "out").exists()
+
+    def test_the_cascade_bound_counts_every_step(self, tmp_path, capsys):
+        # gamma = 0 keeps dt: T = 2 is 2000 steps, 4000 * 2001 values, one step over the bound
+        cfg = write_json(tmp_path, "b.json", {"C0": 0.05, "gamma": 0.0, "M": 1.0, "T": 2.0, "n": [4000], "k": [1]})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "key 'n' = 4000 needs a cascade of more than 8000000 values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("T", 0.0), ("T", -0.5), ("dt", 0.0), ("dt", -1e-3)])
+    def test_a_non_positive_horizon_or_step_is_refused(self, tmp_path, capsys, key, value):
+        base = {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [10]}
+        cfg = write_json(tmp_path, "b.json", {**base, key: value})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "bounds config: keys 'T' and 'dt' must be > 0" in capsys.readouterr().err
 
     def test_non_object_horizon_rejected(self, tmp_path, capsys):
         base = {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [10]}

@@ -16,6 +16,7 @@ from chaoslab.core import (
     MAX_ENSEMBLE_ELEMENTS,
     MAX_EUCLIDEAN_DIM,
     ConfigError,
+    INITIAL_LAWS,
     DomainSpec,
     InitialLaw,
     RngStream,
@@ -29,6 +30,7 @@ from chaoslab.core import (
     torus_displacement,
     wrap_torus,
 )
+from chaoslab.kernels import DRIFTS, KERNELS, DriftSpec, build_drift
 
 SHIPPED_CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -317,14 +319,15 @@ class TestConfigParsing:
             ({"eps": float("inf")}, "key 'eps'"),
             ({"kernel": {"name": "smooth_divfree", "params": {}, "extra": 1}}, "kernel: unknown keys"),
             ({"n_particles": 1}, "n_particles must be >= 2"),
-            ({"domain": {"kind": "torus", "dim": 1}}, "kernel config requires d = 2"),
-            ({"domain": {"kind": "torus", "dim": 3}}, "kernel config requires d = 2"),
+            ({"domain": {"kind": "torus", "dim": 1}}, "smooth_divfree kernel lives on T"),
+            ({"domain": {"kind": "torus", "dim": 3}}, "smooth_divfree kernel lives on T"),
             ({"noise": {"kind": "brownian", "hurst": 0.3}}, "brownian noise has hurst 0.5, got 0.3"),
         ],
     )
     def test_malformed_values_name_the_key(self, over, message):
+        # parsed and resolved, as every command does before it runs
         with pytest.raises(ConfigError, match=message):
-            config_from_dict(make_config_dict(**over))
+            build_drift(config_from_dict(make_config_dict(**over)))
 
 
 class TestOneReader:
@@ -371,9 +374,10 @@ class TestOneReader:
         assert inner == {"a": 1}
 
     def test_unknown_keys_have_one_message(self):
-        _reject_unknown({"a": 1, "b": 2}, "knn", allowed=("a", "b", "c"))
+        # a reader pops the keys it knows; what is left is unknown
+        _reject_unknown({}, "knn")
         with pytest.raises(ConfigError, match=r"^knn: unknown keys \['b', 'd'\]$"):
-            _reject_unknown({"d": 1, "a": 1, "b": 2}, "knn", allowed=("a",))
+            _reject_unknown({"d": 1, "b": 2}, "knn")
 
     def test_an_initial_law_param_given_null_is_its_default(self):
         dom = DomainSpec(kind="euclidean", dim=2)
@@ -431,3 +435,117 @@ class TestSampleInitial:
         a = sample_initial(law, dom, (8, 1), np.random.default_rng(3))
         b = sample_initial(law, dom, (8, 1), np.random.default_rng(3))
         assert np.array_equal(a, b)
+
+    @staticmethod
+    def _ball(gen, size, d, radius):
+        z = gen.standard_normal(size + (d,))
+        norms = np.linalg.norm(z, axis=-1, keepdims=True)
+        norms[norms == 0] = 1.0
+        return radius * gen.uniform(size=size + (1,)) ** (1.0 / d) * z / norms
+
+    # law, its params, d, the draw written out: the variates in their order
+    PINNED = {
+        "uniform": ("uniform", {}, 2, lambda gen, size: gen.uniform(-0.5, 0.5, size=size + (2,))),
+        "gaussian-defaults": ("gaussian", {}, 3,
+                              lambda gen, size: np.zeros(3) + 1.0 * gen.standard_normal(size + (3,))),
+        "gaussian-null": ("gaussian", {"mean": None, "sigma": None}, 3,
+                          lambda gen, size: np.zeros(3) + 1.0 * gen.standard_normal(size + (3,))),
+        "gaussian-given": ("gaussian", {"mean": [1, -2.5], "sigma": 0.5}, 2,
+                           lambda gen, size: np.array([1.0, -2.5]) + 0.5 * gen.standard_normal(size + (2,))),
+        "uniform_ball-defaults": ("uniform_ball", {}, 3, lambda gen, size: TestSampleInitial._ball(gen, size, 3, 1.0)),
+        "uniform_ball-given": ("uniform_ball", {"radius": 2.5}, 2,
+                               lambda gen, size: TestSampleInitial._ball(gen, size, 2, 2.5)),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_draws_equal_the_direct_formula_bit_for_bit(self, case):
+        name, params, d, formula = self.PINNED[case]
+        dom = DomainSpec(kind="torus" if name == "uniform" else "euclidean", dim=d)
+        got = sample_initial(InitialLaw(name=name, params=params), dom, (7, 5), RngStream(11).generator())
+        want = formula(RngStream(11).generator(), (7, 5))
+        assert got.shape == want.shape == (7, 5, d) and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+# Every built-in a config names, one table per family: each entry is checked
+# by core.resolve_builtin, so a new entry is covered here with no new test.
+BUILTIN_TABLES = {"initial_law": INITIAL_LAWS, "drift": DRIFTS, "kernel": KERNELS}
+BUILTINS = [(family, name) for family, table in BUILTIN_TABLES.items() for name in table]
+
+
+def _domain(kind, d):
+    return {"kind": "torus" if kind == "T" else "euclidean", "dim": d}
+
+
+def lives_on(family, name):
+    """A domain the built-in lives on (d = 2 where any d goes; R^2 for any domain)."""
+    kind, dim = (BUILTIN_TABLES[family][name][0] or "R^d").split("^")
+    return _domain(kind, 2 if dim == "d" else int(dim))
+
+
+def does_not_live_on(family, name):
+    """The domains the built-in does not live on: its d on the other kind,
+    and for a fixed d another d on its own kind."""
+    kind, dim = BUILTIN_TABLES[family][name][0].split("^")
+    d = 2 if dim == "d" else int(dim)
+    wrong = [_domain("R" if kind == "T" else "T", d)]
+    if dim != "d":
+        wrong.append(_domain(kind, 1 if d != 1 else 2))
+    return wrong
+
+
+def builtin_config(family, name, domain, params=None):
+    """A config that names the built-in on domain; its other built-ins live there too."""
+    raw = make_config_dict(domain=domain, kernel=None, drift={"name": "zero"},
+                           initial_law={"name": "uniform" if domain["kind"] == "torus" else "gaussian"})
+    if family == "kernel":
+        raw["drift"] = None
+    raw[family] = {"name": name, "params": params or {}}
+    return raw
+
+
+def resolve(raw):
+    """Parse and resolve as every command does: the initial law in the
+    config, the kernel or drift in build_drift."""
+    return build_drift(config_from_dict(raw))
+
+
+class TestBuiltins:
+    @pytest.mark.parametrize("family,name", BUILTINS)
+    def test_each_entry_resolves_on_its_domain_with_default_params(self, family, name):
+        assert isinstance(resolve(builtin_config(family, name, lives_on(family, name))), DriftSpec)
+
+    @pytest.mark.parametrize("family,name", BUILTINS)
+    def test_an_unknown_param_is_named(self, family, name):
+        with pytest.raises(ConfigError) as info:
+            resolve(builtin_config(family, name, lives_on(family, name), {"bogus": 1}))
+        assert str(info.value) == f"{family}.params: unknown keys ['bogus']"
+
+    @pytest.mark.parametrize("family,name", [(f, n) for f, n in BUILTINS if BUILTIN_TABLES[f][n][0] is not None])
+    def test_a_domain_it_does_not_live_on_is_refused(self, family, name):
+        for domain in does_not_live_on(family, name):
+            with pytest.raises(ConfigError) as info:
+                resolve(builtin_config(family, name, domain))
+            assert str(info.value) == f"{name} {family} lives on {BUILTIN_TABLES[family][name][0]}"
+
+    @pytest.mark.parametrize("family,name", [(f, n) for f, n in BUILTINS if BUILTIN_TABLES[f][n][0] is None])
+    def test_an_entry_without_a_domain_lives_on_every_domain(self, family, name):
+        for domain in (_domain("T", 1), _domain("T", 2), _domain("R", 1), _domain("R", 3)):
+            assert isinstance(resolve(builtin_config(family, name, domain)), DriftSpec)
+
+    @pytest.mark.parametrize("family", list(BUILTIN_TABLES))
+    def test_an_unknown_name_lists_the_built_ins(self, family):
+        table = BUILTIN_TABLES[family]
+        with pytest.raises(ConfigError) as info:
+            resolve(builtin_config(family, "nope", lives_on(family, next(iter(table)))))
+        assert str(info.value) == f"unknown {family} 'nope'; built-ins: {sorted(table)}"
+
+    @pytest.mark.parametrize("family", list(BUILTIN_TABLES))
+    def test_run_exits_2_on_a_domain_the_entry_does_not_live_on(self, tmp_path, capsys, family):
+        name, where = next((n, w) for n, (w, _) in BUILTIN_TABLES[family].items() if w is not None)
+        base = builtin_config(family, name, does_not_live_on(family, name)[0])
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"base": base, "sweep": {"n": [4]}, "picard": {"m": 100}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {name} {family} lives on {where}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
