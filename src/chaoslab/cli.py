@@ -40,7 +40,7 @@ from .experiment import (
     _write_manifest,
     as_plan_data,
     bound_rows,
-    cascade_dt,
+    cascade_size,
     fit_rate,
     plan_from_dict,
     run_experiment,
@@ -152,8 +152,7 @@ def _cmd_bounds(args) -> int:
         # refused before anything sized by n is built: the cascade holds n (steps + 1) values, steps >= 1
         if not 2 <= n <= MAX_ENSEMBLE_ELEMENTS // 2:
             raise ConfigError(f"{where}: key 'n' = {n} must be in [2, {MAX_ENSEMBLE_ELEMENTS // 2}]")
-        steps = np.ceil(min(t_final / cascade_dt(n, gamma, dt), MAX_ENSEMBLE_ELEMENTS) - 1e-12)
-        if n * (steps + 1) > MAX_ENSEMBLE_ELEMENTS:
+        if cascade_size(n, gamma, dt, t_final) > MAX_ENSEMBLE_ELEMENTS:
             raise ConfigError(f"{where}: key 'n' = {n} needs a cascade of more than {MAX_ENSEMBLE_ELEMENTS} values")
         if any(k > n for k in ks_req or ()):
             raise ConfigError(f"k = {max(ks_req)} exceeds n = {n}")

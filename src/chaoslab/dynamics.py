@@ -138,9 +138,7 @@ class Block:
     driver: np.ndarray | None = None
     feats: np.ndarray | None = None  # Picard: features of the current states
     delta: np.ndarray | None = None  # weights: interaction minus mean field at this step
-    delta_store: np.ndarray | None = None  # fractional weights: delta at every step
-    log_z: np.ndarray | None = None  # weights: log Z at the current step
-    first_bad: np.ndarray | None = None  # weights: first non-finite step per replica, 0 for none
+    history: np.ndarray | None = None  # weights: delta at every step under fBm, else each step's log Z increment
 
 
 def integrate_blocks(config: SimConfig, rng: RngStream, purposes: tuple[int, int], total: int,

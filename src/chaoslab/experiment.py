@@ -113,6 +113,9 @@ class ExperimentPlan:
         for n in self.sweep_n:
             if n < 2:
                 raise ConfigError("swept n must be >= 2")
+            # bound_rows' cascade to the last swept time, which a point builds after its particle stages
+            if cascade_size(n, self.bound_gamma, self.base.grid.dt, max(self.sweep_t)) > MAX_ENSEMBLE_ELEMENTS:
+                raise ConfigError(f"swept n = {n} needs a bounds cascade of more than {MAX_ENSEMBLE_ELEMENTS} values")
         kmax = min(self.sweep_n)
         for k in self.sweep_k:
             if k < 1:
@@ -259,11 +262,13 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     gw = girsanov_weight(cfg, mf, rng, snapshot_times=plan.sweep_t) if "weights" in reads else None
     if gw is not None:
         # before the particle system: the frees of estimate_beta's (replicas, n) temporaries raise glibc's
-        # mmap and trim thresholds, which keeps the simulation's step temporaries from faulting in anew
+        # mmap and trim thresholds, which keeps the simulation's step temporaries from faulting in anew.
+        # On smooth_torus at n = 32, simulate_particle_system took 79-656 minor faults in 5 runs in this
+        # order and 7,952-280,108 in 3 runs after it (2 CPUs, glibc malloc); at n = 8 and 16 the counts
+        # vary from run to run in either order (32-24,960 and 200-135,142)
         regime = "fractional" if cfg.noise.fractional else "brownian"
-        energy = gw.volterra_energy if gw.volterra_energy is not None else gw.drift_energy
         hurst = cfg.noise.hurst if cfg.noise.fractional else None
-        bf = estimate_beta(energy, n=n, delta=grid.terminal - grid.t0, hurst=hurst)
+        bf = estimate_beta(gw.energy, n=n, delta=grid.terminal - grid.t0, hurst=hurst)
         hz = short_time_horizon(plan.kappa, bf.beta, regime=regime, hurst=hurst, C=_HORIZON_C)
         hurst_cell = "" if hurst is None else hurst
         row = table_row("horizons", n, regime, plan.kappa, bf.beta, hurst_cell, hz.delta_star, bf.residual)
@@ -317,6 +322,15 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
 def cascade_dt(n: int, gamma: float, dt: float) -> float:
     """The cascade's Euler step in bound_rows: dt clamped to the 1/(2 gamma n) stability limit."""
     return dt if gamma <= 0 else min(dt, 1.0 / (2.0 * gamma * n))
+
+
+def cascade_size(n: int, gamma: float, dt: float, t_final: float) -> int:
+    """Values bound_rows' cascade holds for n to t_final: n (steps + 1), its steps of cascade_dt(n, gamma, dt)
+    rounded as hierarchy_ode_solve rounds them, and counted no higher than MAX_ENSEMBLE_ELEMENTS."""
+    step = cascade_dt(n, gamma, dt)
+    ratio = t_final / step if step > 0 else math.inf  # a huge gamma n underflows the step to 0
+    steps = max(1, math.ceil(min(ratio, MAX_ENSEMBLE_ELEMENTS) - 1e-12))
+    return n * (steps + 1)
 
 
 def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: float) -> list[dict]:

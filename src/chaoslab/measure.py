@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .bounds import _delta_exponent
 from .core import RngStream, SimConfig, TimeGrid, sum_last_axis
-from .dynamics import Block, BlowupError, MeanFieldLaw, _P_WEIGHT, _P_WEIGHT_FBM, _snapshot_steps, integrate_blocks
+from .dynamics import BlowupError, MeanFieldLaw, _P_WEIGHT, _P_WEIGHT_FBM, _snapshot_steps, integrate_blocks
 from .kernels import build_drift
 from .noise import CHUNK_SERIES, sample_fbm_batch, volterra_inverse_apply
 
@@ -51,21 +51,20 @@ _ESS_FLOOR = 0.05
 
 @dataclass
 class GirsanovWeight:
-    """Per-replica log-weights log Z_t at the recorded grid steps.
-
-    log_z[:, j] holds step steps[j]; steps None means every step, so
-    log_z is (replicas, grid.steps + 1) and column j is step j.
-    """
+    """Per-replica log-weights log Z_t at the recorded grid steps: log_z[:, j]
+    holds step steps[j]. steps defaults to every step, column j then step j."""
 
     grid: TimeGrid
     log_z: np.ndarray
     n: int
     quality_flag: str | None = None
-    # per-(replica, particle) int_0^T |delta_b|^2 dt, for beta moment fits
-    drift_energy: np.ndarray | None = None  # (replicas, n)
-    # fractional only: same integral for the transformed integrand delta_K
-    volterra_energy: np.ndarray | None = None  # (replicas, n)
-    steps: tuple[int, ...] | None = None  # recorded grid steps, ascending
+    # per-(replica, particle) int_0^T |u|^2 dt, for beta moment fits, of the integrand u the
+    # weight integrates against its driver: delta_b under Brownian noise, K_H^{-1} delta_b under fBm
+    energy: np.ndarray | None = None  # (replicas, n)
+    steps: tuple[int, ...] = ()  # recorded grid steps, ascending
+
+    def __post_init__(self):
+        self.steps = self.steps or tuple(range(self.grid.steps + 1))
 
     @property
     def replicas(self) -> int:
@@ -73,8 +72,6 @@ class GirsanovWeight:
 
     def log_z_at(self, step: int) -> np.ndarray:
         """log Z at one grid step for every replica."""
-        if self.steps is None:
-            return self.log_z[:, step]
         if step not in self.steps:
             raise KeyError(f"step {step} was not recorded; request it via snapshot_times")
         return self.log_z[:, self.steps.index(step)]
@@ -117,37 +114,18 @@ def log_weights_from_deltas(delta: np.ndarray, dw: np.ndarray, dt: float) -> np.
     return np.concatenate([zeros, np.cumsum(incr, axis=-1)], axis=-1)
 
 
-def _fractional_log_weights(blk: Block, hurst: float, grid: TimeGrid, record: list[int], log_z: np.ndarray,
-                            energy: np.ndarray, k_energy: np.ndarray) -> None:
-    """One block's fractional log-weights, written into its rows of log_z,
-    energy and k_energy (columns: the recorded steps) and into
-    blk.first_bad.
-
-    blk.delta_store is the block's drift-difference history (b, n, d,
-    steps) and blk.driver its Brownian driver increments (b, n, steps, d).
-    The running integral of delta_b goes through the inverse Volterra map a
-    chunk of replicas at a time; every sum below is per replica. Nothing
-    here outlives the call, so no view keeps the block's arrays alive while
-    the next block samples its noise.
+def _record_log_weights(incr: np.ndarray, lo: int, later: list[int], log_z: np.ndarray) -> None:
+    """Record the log-weights of rows lo, lo + 1, ... of log_z from their log Z
+    step increments incr (replicas, steps): the running sums at the recorded
+    steps > 0, cumsum columns later. A non-finite running sum raises
+    BlowupError naming the lowest such replica at its first non-finite step.
     """
-    b, n, d, steps = blk.delta_store.shape
-    dt = grid.dt
-    chunk = max(1, CHUNK_SERIES // (n * d))
-    later = [s - 1 for s in record[1:]]  # recorded steps > 0, as cumsum columns
-    for c_lo in range(0, b, chunk):
-        c = slice(c_lo, min(c_lo + chunk, b))
-        ds = blk.delta_store[c]
-        h = np.concatenate([np.zeros(ds.shape[:-1] + (1,)), np.cumsum(ds * dt, axis=-1)], axis=-1)
-        dk = volterra_inverse_apply(h, hurst, grid)  # (chunk, n, d, steps)
-        dwt = blk.driver[c].transpose(0, 1, 3, 2)  # (chunk, n, d, steps)
-        incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
-        out_rows = slice(blk.rows.start + c.start, blk.rows.start + c.stop)
-        running = np.cumsum(incr, axis=-1)
-        bad = ~np.isfinite(running)
-        blk.first_bad[c] = np.where(bad.any(axis=-1), np.argmax(bad, axis=-1) + 1, 0)
-        log_z[out_rows, 1:] = running[:, later]
-        energy[out_rows] = dt * np.sum(ds * ds, axis=(2, 3))
-        k_energy[out_rows] = dt * np.sum(dk * dk, axis=(2, 3))
+    running = np.cumsum(incr, axis=-1)
+    bad = ~np.isfinite(running)
+    rows = np.flatnonzero(bad.any(axis=-1))
+    if rows.size:
+        raise BlowupError(int(np.argmax(bad[rows[0]])) + 1, replica=lo + int(rows[0]))
+    log_z[lo : lo + len(incr), 1:] = running[:, later]
 
 
 def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
@@ -169,7 +147,8 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     snapshot_times is None; the recorded values do not depend on that
     choice. Every step is checked: a non-finite log-weight raises
     BlowupError naming the lowest such replica of its block at its first
-    non-finite step.
+    non-finite step. Under either noise a delta_b first non-finite at step
+    s makes log Z non-finite from step s + 1.
     """
     drift = mean_field.drift
     if drift.name != build_drift(config).name:
@@ -181,11 +160,10 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     steps = grid.steps
     fractional = config.noise.fractional
     record = list(range(steps + 1)) if snapshot_times is None else sorted(_snapshot_steps(grid, snapshot_times))
-    column = {s: j for j, s in enumerate(record)}
+    later = [s - 1 for s in record[1:]]  # recorded steps > 0, as cumsum columns of the step increments
 
     log_z = np.zeros((r_total, len(record)))
     energy = np.zeros((r_total, n))
-    k_energy = np.empty((r_total, n)) if fractional else None
     quality = "fractional weight: inverse Volterra transform carries O(dt) quadrature error" if fractional else None
 
     def drift_at(blk, s, t, x):
@@ -193,36 +171,45 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
         mf = mean_field.mean_drift_at(s, t, x, feats)
         blk.delta = drift.pair_mean_generic(t, x, feats) - mf
         if fractional:
-            blk.delta_store[..., s] = blk.delta
+            blk.history[..., s] = blk.delta
         return mean_field.reference_drift_at(s, t, x, mf)
 
     def observe(blk, s, x, dw):
         if s == 0:
-            b = len(x)
-            blk.log_z = np.zeros(b)
-            blk.first_bad = np.zeros(b, dtype=int)
-            if fractional:
-                blk.delta_store = np.empty((b, n, d, steps))
-            return
-        if fractional:
-            return
-        # left-point Ito sums: delta is from step s - 1, dw drives it
-        dd = blk.delta * blk.delta
-        blk.log_z += np.sum(blk.delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
-        energy[blk.rows] += dt * sum_last_axis(dd)
-        bad = ~np.isfinite(blk.log_z)
-        if bad.any():
-            blk.first_bad[bad & (blk.first_bad == 0)] = s
-        if s in column:
-            log_z[blk.rows, column[s]] = blk.log_z
+            blk.history = np.empty((len(x), n, d, steps) if fractional else (len(x), steps))
+        elif not fractional:
+            # left-point Ito sums: delta is from step s - 1, dw drives it
+            dd = blk.delta * blk.delta
+            blk.history[:, s - 1] = np.sum(blk.delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
+            energy[blk.rows] += dt * sum_last_axis(dd)
 
     def finish(blk):
-        if fractional:
-            _fractional_log_weights(blk, config.noise.hurst, grid, record, log_z, energy, k_energy)
-        bad_rows = np.flatnonzero(blk.first_bad)
-        if bad_rows.size:
-            row = int(bad_rows[0])
-            raise BlowupError(int(blk.first_bad[row]), replica=blk.rows.start + row)
+        if not fractional:
+            _record_log_weights(blk.history, blk.rows.start, later, log_z)
+            return
+        # blk.history is the block's drift-difference history (b, n, d, steps) and blk.driver its
+        # Brownian driver increments (b, n, steps, d). The running integral of delta_b goes through
+        # the inverse Volterra map a chunk of replicas at a time; every sum below is per replica.
+        # Nothing here outlives the call, so no view keeps the block's arrays alive while the next
+        # block samples its noise.
+        b = len(blk.history)
+        chunk = max(1, CHUNK_SERIES // (n * d))
+        for c_lo in range(0, b, chunk):
+            c = slice(c_lo, min(c_lo + chunk, b))
+            ds = blk.history[c]
+            h = np.concatenate([np.zeros(ds.shape[:-1] + (1,)), np.cumsum(ds * dt, axis=-1)], axis=-1)
+            dk = volterra_inverse_apply(h, config.noise.hurst, grid)  # (chunk, n, d, steps)
+            dwt = blk.driver[c].transpose(0, 1, 3, 2)  # (chunk, n, d, steps)
+            incr = np.sum(dk * dwt, axis=(1, 2)) - 0.5 * dt * np.sum(dk * dk, axis=(1, 2))
+            if not np.isfinite(incr).all():
+                # K_H^{-1} is causal, but its FFT spreads a non-finite delta over the whole series:
+                # a delta first non-finite at step s drives log Z from step s + 1 on, as under Brownian noise
+                bad = ~np.isfinite(ds).all(axis=(1, 2))
+                rows = bad.any(axis=-1)
+                incr[rows] = np.where(np.cumsum(bad[rows], axis=-1) > 0, np.nan, 0.0)
+            lo = blk.rows.start + c_lo
+            _record_log_weights(incr, lo, later, log_z)
+            energy[lo : lo + len(incr)] = dt * np.sum(dk * dk, axis=(2, 3))
 
     integrate_blocks(
         config, rng, (_P_WEIGHT, _P_WEIGHT_FBM), r_total, n, drift_at, observe, sample_fbm_batch,
@@ -233,9 +220,8 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
         log_z=log_z,
         n=n,
         quality_flag=quality,
-        drift_energy=energy,
-        volterra_energy=k_energy,
-        steps=None if snapshot_times is None else tuple(record),
+        energy=energy,
+        steps=tuple(record),
     )
 
 

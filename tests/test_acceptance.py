@@ -292,7 +292,7 @@ def test_criterion_6_short_time_entropy_scaling():
         rng = RngStream(cfg.seed, counter=n)
         mf = solve_mckean_vlasov_picard(cfg, rng, m=10_000, iters=3)
         gw = girsanov_weight(cfg, mf, rng)
-        fit = estimate_beta(gw.drift_energy, n, delta=cfg.grid.terminal)
+        fit = estimate_beta(gw.energy, n, delta=cfg.grid.terminal)
         horizon = short_time_horizon(1.0, fit.beta)
         t_star = min(0.1, horizon.delta_star / 2.0)
         times = cfg.grid.times()

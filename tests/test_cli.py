@@ -169,6 +169,29 @@ class TestExitCodes:
         assert peak < 1_000_000
         assert not (tmp_path / "out").exists()
 
+    def test_an_oversized_bounds_cascade_fails_closed_without_allocating(self, tmp_path, capsys):
+        # n = 100000 to T = 1 steps the cascade at 1/(2 n): about 2e10 values, 160 GB,
+        # which a point would build after its particle stages; the plan is refused
+        data = {"base": sim_config(), "sweep": {"n": [4, 100_000], "t": [0.1]}, "picard": {"m": 100}}
+        data["base"]["grid"] = {"t0": 0.0, "dt": 0.05, "steps": 20}
+        cfg = write_json(tmp_path, "p.json", data)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "swept n = 100000 needs a bounds cascade of more than 8000000 values" in err
+        assert "Traceback" not in err
+        assert peak < 1_000_000
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "simulate", "noise-check"])
     @pytest.mark.parametrize(
         "over,message",
@@ -453,6 +476,13 @@ class TestBoundsCommand:
         cfg = write_json(tmp_path, "b.json", {"C0": 0.05, "gamma": 0.0, "M": 1.0, "T": 2.0, "n": [4000], "k": [1]})
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "key 'n' = 4000 needs a cascade of more than 8000000 values" in capsys.readouterr().err
+
+    def test_a_step_that_underflows_is_an_oversized_cascade(self, tmp_path, capsys):
+        # gamma n overflows, so the stability limit 1/(2 gamma n) underflows to a zero step
+        cfg = write_json(tmp_path, "b.json", {"C0": 0.05, "gamma": 1e308, "M": 1.0, "T": 1.0, "n": [32]})
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "key 'n' = 32 needs a cascade of more than 8000000 values" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key,value", [("T", 0.0), ("T", -0.5), ("dt", 0.0), ("dt", -1e-3)])
     def test_a_non_positive_horizon_or_step_is_refused(self, tmp_path, capsys, key, value):

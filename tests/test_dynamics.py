@@ -419,7 +419,7 @@ class TestBlockKeying:
             assert np.array_equal(ens_l.snapshots[s][:BLOCK_REPLICAS], pos)
         w_s, w_l = (girsanov_weight(c, law, RngStream(root_seed=3)) for c in (short, long))
         assert np.array_equal(w_l.log_z[:BLOCK_REPLICAS], w_s.log_z)
-        assert np.array_equal(w_l.drift_energy[:BLOCK_REPLICAS], w_s.drift_energy)
+        assert np.array_equal(w_l.energy[:BLOCK_REPLICAS], w_s.energy)
 
     def test_path_blocks(self, noise):
         cfg = self.cfg(noise, 10)

@@ -171,6 +171,20 @@ class TestPlanParsing:
         with pytest.raises(ConfigError, match=message):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize("steps,refused", [(1999, False), (2000, True)])
+    def test_the_bounds_cascade_is_counted_as_chaoslab_bounds_counts_it(self, steps, refused):
+        # gamma = 0 keeps the grid's dt: T = steps / 1000 is n (steps + 1) values, the
+        # 4000 x 2001 cascade that `chaoslab bounds` refuses one step over the bound
+        data = make_plan_dict()
+        data["base"]["grid"] = {"t0": 0.0, "dt": 1e-3, "steps": steps}
+        data["sweep"] = {"n": [4, 4000], "k": [1]}
+        data["bounds"]["gamma"] = 0.0
+        if refused:
+            with pytest.raises(ConfigError, match="swept n = 4000 needs a bounds cascade of more than 8000000 values"):
+                plan_from_dict(data)
+        else:
+            assert plan_from_dict(data).sweep_n == (4, 4000)
+
     def test_knn_replica_floor_only_binds_the_knn_estimator(self):
         data = make_plan_dict()
         data["base"]["replicas"] = 50
@@ -462,10 +476,8 @@ class TestEstimators:
             return out
 
         first, last = stages(True), stages(False)
-        assert (first["weights"].volterra_energy is None) == (noise["kind"] == "brownian")
-        for name in ("log_z", "drift_energy", "volterra_energy"):
-            a, b = getattr(first["weights"], name), getattr(last["weights"], name)
-            assert (a is None and b is None) or np.array_equal(a, b), name
+        for name in ("log_z", "energy"):
+            assert np.array_equal(getattr(first["weights"], name), getattr(last["weights"], name)), name
         assert first["particles"].snapshots.keys() == last["particles"].snapshots.keys()
         for step, x in first["particles"].snapshots.items():
             assert np.array_equal(x, last["particles"].snapshots[step])

@@ -136,9 +136,8 @@ class TestGirsanovWeight:
         w = girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
         _, _, z = w.martingale_check()
         assert abs(z) < 4.0
-        assert w.drift_energy.shape == (3000, 8)
-        assert (w.drift_energy >= 0).all()
-        assert w.volterra_energy is None
+        assert w.energy.shape == (3000, 8)
+        assert (w.energy >= 0).all()
         assert w.quality_flag is None
 
     def test_biot_savart_weight_is_martingale(self):
@@ -168,7 +167,7 @@ class TestGirsanovWeight:
         w = girsanov_weight(replace(cfg, n_particles=4, replicas=150), law, RngStream(root_seed=2))
         assert w.n == 4
         assert w.log_z.shape == (150, cfg.grid.steps + 1)
-        assert w.drift_energy.shape == (150, 4)
+        assert w.energy.shape == (150, 4)
 
     @pytest.mark.parametrize("hurst,seed", [(0.75, 52), (0.3, 61)])
     def test_fractional_weight_is_martingale(self, hurst, seed):
@@ -177,8 +176,8 @@ class TestGirsanovWeight:
         w = girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
         _, _, z = w.martingale_check()
         assert abs(z) < 4.0
-        assert w.volterra_energy.shape == (2000, 4)
-        assert (w.volterra_energy >= 0).all()
+        assert w.energy.shape == (2000, 4)
+        assert (w.energy >= 0).all()
         assert "Volterra" in w.quality_flag
 
     def test_determinism(self):
@@ -209,24 +208,27 @@ class TestGirsanovWeight:
         girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
         assert calls == [(BLOCK_REPLICAS, 2, 1)] * 3 + [(6, 2, 1)] * 3
 
+    @pytest.mark.parametrize("noise", [{"kind": "brownian"}, {"kind": "fbm", "hurst": 0.3}], ids=["brownian", "fbm"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_nonfinite_log_weight_names_the_replica(self, monkeypatch):
-        cfg = make_cfg(n_particles=2, replicas=BLOCK_REPLICAS + 6, grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 3})
+    def test_nonfinite_log_weight_names_the_replica(self, monkeypatch, noise):
+        # delta at step s drives log Z at step s + 1 under either noise; under fBm
+        # the inverse Volterra map's FFT spreads a non-finite delta over its series
+        cfg = make_cfg(noise=noise, n_particles=2, replicas=BLOCK_REPLICAS + 6,
+                       grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 6})
         law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=100, iters=1)
         pair_mean = law.drift.pair_mean_generic
 
         def poisoned(t, states, feats=None):
             out = pair_mean(t, states, feats)
-            if states.shape[0] == 6:  # the second replica block
-                out[3] = np.inf
+            if states.shape[0] == 6 and round(t * 64) >= 3:  # the second replica block, from step 3
+                out[4] = np.inf
             return out
 
         monkeypatch.setattr(law.drift, "pair_mean_generic", poisoned)
-        message = f"non-finite log-weight at step 1, replica {BLOCK_REPLICAS + 3}"
+        message = f"non-finite log-weight at step 4, replica {BLOCK_REPLICAS + 4}"
         with pytest.raises(BlowupError, match=message) as exc:
             girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
-        assert (exc.value.step, exc.value.replica, exc.value.particle) == (1, BLOCK_REPLICAS + 3, None)
-
+        assert (exc.value.step, exc.value.replica, exc.value.particle) == (4, BLOCK_REPLICAS + 4, None)
 
     @pytest.mark.parametrize("noise", [{"kind": "brownian"}, {"kind": "fbm", "hurst": 0.3}], ids=["brownian", "fbm"])
     def test_recorded_subset_equals_the_full_record(self, noise):
@@ -240,9 +242,7 @@ class TestGirsanovWeight:
         for step in sub.steps:
             assert np.array_equal(sub.log_z_at(step), full.log_z[:, step])
             assert np.array_equal(sub.weights_at(step), full.weights_at(step))
-        assert np.array_equal(sub.drift_energy, full.drift_energy)
-        if full.volterra_energy is not None:
-            assert np.array_equal(sub.volterra_energy, full.volterra_energy)
+        assert np.array_equal(sub.energy, full.energy)
         assert entropy_girsanov(sub, 2, step=8).value == entropy_girsanov(full, 2, step=8).value
         with pytest.raises(KeyError, match="snapshot_times"):
             sub.weights_at(5)
