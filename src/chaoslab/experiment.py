@@ -263,9 +263,9 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     if gw is not None:
         # before the particle system: the frees of estimate_beta's (replicas, n) temporaries raise glibc's
         # mmap and trim thresholds, which keeps the simulation's step temporaries from faulting in anew.
-        # On smooth_torus at n = 32, simulate_particle_system took 79-656 minor faults in 5 runs in this
-        # order and 7,952-280,108 in 3 runs after it (2 CPUs, glibc malloc); at n = 8 and 16 the counts
-        # vary from run to run in either order (32-24,960 and 200-135,142)
+        # On smooth_torus at n = 32, simulate_particle_system took 399-812 minor faults in 5 runs in this
+        # order and 7,249-280,530 in 5 runs after it (2 CPUs, glibc malloc); at n = 8 and 16 the counts
+        # vary from run to run in either order (49-25,059 and 484-7,761)
         regime = "fractional" if cfg.noise.fractional else "brownian"
         hurst = cfg.noise.hurst if cfg.noise.fractional else None
         bf = estimate_beta(gw.energy, n=n, delta=grid.terminal - grid.t0, hurst=hurst)

@@ -119,8 +119,9 @@ def _record_log_weights(incr: np.ndarray, lo: int, later: list[int], log_z: np.n
     step increments incr (replicas, steps): the running sums at the recorded
     steps > 0, cumsum columns later. A non-finite running sum raises
     BlowupError naming the lowest such replica at its first non-finite step.
+    incr is overwritten with the running sums: no block-sized array is made.
     """
-    running = np.cumsum(incr, axis=-1)
+    running = np.cumsum(incr, axis=-1, out=incr)
     bad = ~np.isfinite(running)
     rows = np.flatnonzero(bad.any(axis=-1))
     if rows.size:
