@@ -95,7 +95,7 @@ def hierarchy_ode_solve(
     inequality system as equalities upper-bounds every solution with the
     same data (comparison principle). Explicit Euler; the requested dt is
     refused above the 1/(2 gamma n) stability limit and shrunk slightly so
-    an integer number of steps lands exactly on T.
+    an integer number of steps lands exactly on T. At T = 0 every value is H0.
     """
     H0 = np.asarray(H0, dtype=float)
     if H0.shape != (n,):
@@ -104,8 +104,8 @@ def hierarchy_ode_solve(
         raise ValueError("H0 must be nonnegative")
     if n < 2:
         raise ValueError("hierarchy needs n >= 2")
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
+    if T < 0 or dt <= 0:
+        raise ValueError("T must be >= 0 and dt positive")
     if gamma > 0 and dt > 1.0 / (2.0 * gamma * n):
         raise ValueError(
             f"dt = {dt} unstable for explicit Euler; need dt <= 1/(2*gamma*n) = {1.0 / (2.0 * gamma * n):.6g}"

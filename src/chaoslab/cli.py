@@ -4,9 +4,11 @@ Subcommands: simulate, bounds, noise-check, kernel-probe, rate-fit, run.
 Every subcommand takes --config <path> and --out <dir>, and only the flags
 it reads besides: --seed overrides the config seed on the four that draw
 random numbers (simulate, noise-check, kernel-probe, run), and --threads
-sets run's worker count. Outputs are plain CSV files and a JSON manifest in
-the --out directory, each manifest headed by the command, the version and
-the environment. run takes a plan or a bare simulation config (parsed as a
+sets run's worker count. Outputs are plain CSV files and manifest.json in
+the --out directory. Each manifest is headed by the command, the version and
+the environment, and holds the command's input as read (run's plan with
+every default filled in, the others' config), then what the command found.
+run takes a plan or a bare simulation config (parsed as a
 one-point plan) and runs every estimator unless the plan names its own
 ("estimators": ["girsanov", "knn"] is the entropy-only pipeline);
 simulate, noise-check and kernel-probe read a plan's base, or a bare
@@ -23,21 +25,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .bounds import short_time_horizon
 from .core import MAX_ENSEMBLE_ELEMENTS, ConfigError, RngStream, SimConfig, config_from_dict, load_json
-from .core import _as_integral, _pop_key, _reject_unknown
+from .core import _pop_key, _reject_unknown
 from .dynamics import BlowupError, simulate_particle_system
 from .experiment import (
     _HORIZON_C,
     TABLES,
-    _write_manifest,
     as_plan_data,
     bound_rows,
     cascade_size,
@@ -47,7 +47,7 @@ from .experiment import (
     write_outputs,
     write_result,
 )
-from .kernels import build_drift, divergence_fd, grid_lp_norm, kernel_from_ref
+from .kernels import divergence_fd, grid_lp_norm, kernel_from_ref
 from .noise import empirical_covariance_table
 
 EXIT_OK = 0
@@ -59,12 +59,9 @@ EXIT_CONSISTENCY = 5
 
 def _seeded_config(args) -> SimConfig:
     """The --config simulation config (data with "sweep" is a plan, parsed
-    fail-closed, and its base is the config), with --seed applied; its
-    kernel or drift is resolved once, so a malformed one fails before any
-    output."""
+    fail-closed, and its base is the config), with --seed applied."""
     data = load_json(args.config)
     cfg = plan_from_dict(data).base if "sweep" in data else config_from_dict(data)
-    build_drift(cfg)
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
@@ -87,15 +84,7 @@ def _cmd_simulate(args) -> int:
         args.out,
         "simulate",
         {"positions.csv": (rows, cols)},
-        {
-            "seed": cfg.seed,
-            "n": cfg.n_particles,
-            "replicas": cfg.replicas,
-            "dt": cfg.grid.dt,
-            "steps": cfg.grid.steps,
-            "eps": cfg.effective_eps,
-            "noise": {"kind": cfg.noise.kind, "hurst": cfg.noise.hurst},
-        },
+        {"config": asdict(cfg), "eps": cfg.effective_eps},
     )
     print(f"wrote {len(rows)} position rows to {args.out}/positions.csv")
     return EXIT_OK
@@ -132,6 +121,22 @@ def _cmd_run(args) -> int:
     return _finish_run(result, args.out)
 
 
+def _horizon_spec(item, where: str) -> dict:
+    """One horizons entry of a bounds config as read: short_time_horizon's arguments."""
+    if not isinstance(item, dict):
+        raise ConfigError(f"{where} expects an object, got {item!r}")
+    spec = dict(item)
+    read = {
+        "kappa": _pop_key(spec, "kappa", float, where=where),
+        "beta": _pop_key(spec, "beta", float, where=where),
+        "regime": _pop_key(spec, "regime", str, "brownian", where),
+        "hurst": _pop_key(spec, "hurst", float, None, where),
+        "C": _pop_key(spec, "C", float, _HORIZON_C, where),
+    }
+    _reject_unknown(spec, where)
+    return read
+
+
 def _cmd_bounds(args) -> int:
     data = load_json(args.config)
     where = "bounds config"
@@ -139,13 +144,12 @@ def _cmd_bounds(args) -> int:
     gamma = _pop_key(data, "gamma", float, where=where)
     m_const = _pop_key(data, "M", float, where=where)
     t_final = _pop_key(data, "T", float, where=where)
-    ns = [_as_integral(v, f"{where}: key 'n'") for v in _pop_key(data, "n", list, where=where)]
-    ks_req = _pop_key(data, "k", list, None, where)
-    if ks_req is not None:
-        ks_req = [_as_integral(v, f"{where}: key 'k'") for v in ks_req]
+    ns = _pop_key(data, "n", list[int], where=where)
+    ks_req = _pop_key(data, "k", list[int], None, where)
     dt = _pop_key(data, "dt", float, 1e-3, where)
     horizons = _pop_key(data, "horizons", list, [], where)
     _reject_unknown(data, where)
+    horizons = [_horizon_spec(item, f"{where}: horizons[{i}]") for i, item in enumerate(horizons)]
     if t_final <= 0 or dt <= 0:
         raise ConfigError(f"{where}: keys 'T' and 'dt' must be > 0")
     for n in ns:
@@ -161,27 +165,10 @@ def _cmd_bounds(args) -> int:
     for n in ns:
         rows += bound_rows(n, range(1, n + 1) if ks_req is None else ks_req, [t_final], c0, gamma, m_const, dt)
     horizon_rows = []
-    for i, item in enumerate(horizons):
-        where = f"bounds config: horizons[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where} expects an object, got {item!r}")
-        spec = dict(item)
-        kappa = _pop_key(spec, "kappa", float, where=where)
-        beta = _pop_key(spec, "beta", float, where=where)
-        regime = _pop_key(spec, "regime", str, "brownian", where)
-        hurst = _pop_key(spec, "hurst", float, None, where)
-        c_h = _pop_key(spec, "C", float, _HORIZON_C, where)
-        _reject_unknown(spec, where)
-        hz = short_time_horizon(kappa, beta, regime=regime, hurst=hurst, C=c_h)
-        horizon_rows.append(
-            {
-                "kappa": kappa,
-                "beta": beta,
-                "hurst": "" if hurst is None else hurst,
-                "regime": regime,
-                "delta_star": hz.delta_star,
-            }
-        )
+    for spec in horizons:
+        hz = short_time_horizon(**spec)
+        hurst = "" if spec["hurst"] is None else spec["hurst"]
+        horizon_rows.append({**spec, "hurst": hurst, "delta_star": hz.delta_star})
     write_outputs(
         args.out,
         "bounds",
@@ -189,13 +176,8 @@ def _cmd_bounds(args) -> int:
             "bounds.csv": (rows, TABLES["bounds"][0]),
             "horizons.csv": (horizon_rows, ["kappa", "beta", "hurst", "regime", "delta_star"]),
         },
-        {
-            "C0": c0,
-            "gamma": gamma,
-            "M": m_const,
-            "T": t_final,
-            "n": ns,
-        },
+        {"config": {"C0": c0, "gamma": gamma, "M": m_const, "T": t_final, "n": ns, "k": ks_req, "dt": dt,
+                    "horizons": horizons}},
     )
     print(f"wrote {len(rows)} bound rows, {len(horizon_rows)} horizon rows to {args.out}")
     return EXIT_OK
@@ -225,13 +207,7 @@ def _cmd_noise_check(args) -> int:
         args.out,
         "noise-check",
         {"noise_covariance.csv": (rows, ["t", "s", "hurst", "empirical", "exact", "stderr", "z"])},
-        {
-            "seed": cfg.seed,
-            "hurst": hurst,
-            "paths": cfg.replicas,
-            "worst_z": worst,
-            "threshold": 4.0,
-        },
+        {"config": asdict(cfg), "worst_z": worst, "threshold": 4.0},
     )
     print(f"covariance table: {len(rows)} entries, worst |z| = {worst:.3f} (threshold 4)")
     return EXIT_OK if worst <= 4.0 else EXIT_CONSISTENCY
@@ -280,12 +256,8 @@ def _cmd_kernel_probe(args) -> int:
         args.out,
         "kernel-probe",
         tables,
-        {
-            "kernel": kind,
-            "probes": probes.shape[0],
-            "antisymmetry_exact": anti_exact,
-            "max_abs_divergence": max_div,
-        },
+        {"config": asdict(cfg), "probes": probes.shape[0], "antisymmetry_exact": anti_exact,
+         "max_abs_divergence": max_div},
     )
     print(f"kernel {kind}: antisymmetry_exact={anti_exact}, max |div| = {max_div:.2e}")
     return EXIT_OK if anti_exact and max_div < 1e-3 else EXIT_CONSISTENCY
@@ -296,14 +268,13 @@ def _cmd_rate_fit(args) -> int:
     input_path = _pop_key(data, "input", str, where="rate-fit config")
     axis = _pop_key(data, "axis", str, "n", "rate-fit config")
     filt = _pop_key(data, "filter", dict, {}, "rate-fit config")
-    estimator = _pop_key(filt, "estimator", str, "girsanov", "rate-fit filter")
-    filters = {}  # column -> required value
+    wanted = {"estimator": _pop_key(filt, "estimator", str, "girsanov", "rate-fit filter")}
     for key, kind in (("k", int), ("t", float), ("n", int)):
-        value = _pop_key(filt, key, kind, None, "rate-fit filter")
-        if value is not None:
-            filters[key] = value
+        wanted[key] = _pop_key(filt, key, kind, None, "rate-fit filter")
     _reject_unknown(filt, "rate-fit filter")
     _reject_unknown(data, "rate-fit config")
+    estimator = wanted["estimator"]
+    filters = {key: v for key, v in wanted.items() if key != "estimator" and v is not None}  # column -> value
     if axis not in ("n", "k"):
         raise ConfigError("axis must be 'n' or 'k'")
     try:
@@ -336,9 +307,7 @@ def _cmd_rate_fit(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     payload = {
-        "input": input_path,
-        "axis": axis,
-        "estimator": estimator,
+        "config": {"input": input_path, "axis": axis, "filter": wanted},
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
@@ -347,7 +316,7 @@ def _cmd_rate_fit(args) -> int:
         "no_trend": fit.no_trend,
         "residuals": [float(r) for r in fit.residuals],
     }
-    _write_manifest(os.path.join(args.out, "rate_fit.json"), "rate-fit", payload)
+    write_outputs(args.out, "rate-fit", {}, payload)
     print(
         f"slope = {fit.slope:.4f}, intercept = {fit.intercept:.4f}, R^2 = {fit.r_squared:.4f} "
         f"({fit.n_points} points, {fit.n_excluded} excluded)"

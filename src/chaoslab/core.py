@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_args
 
 import numpy as np
 
@@ -221,8 +221,9 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class InteractionRef:
-    """A built-in's name and its parameters, as a config declares them:
-    resolved and checked by resolve_builtin against the table of its family."""
+    """A built-in's name and its parameters: resolved and checked by
+    resolve_builtin against the table of its family. SimConfig keeps the
+    params as the built-in's factory read them."""
 
     name: str
     params: dict[str, Any] = field(default_factory=dict)
@@ -237,13 +238,24 @@ class InitialLaw(InteractionRef):
     """The initial law a config names, one of INITIAL_LAWS."""
 
 
-def resolve_builtin(family: str, table: dict, ref: InteractionRef, domain: DomainSpec, *args: Any) -> Any:
-    """What the built-in ref names builds on domain: the one check of a name,
-    a domain and unknown params, for each family's table (INITIAL_LAWS,
-    kernels.DRIFTS, kernels.KERNELS). A table maps a name to (the domain it
-    lives on, "T^d" or "R^d" or with a fixed d such as "T^2", or None for
-    any; a factory). factory(params, domain, *args) pops the params it reads
-    from a copy and returns what the family builds; any param left is unknown."""
+class _Params(dict):
+    """A copy of a built-in's params for its factory to pop from: _pop_key
+    keeps each value it pops here in read, as it read it."""
+
+    def __init__(self, params: dict):
+        super().__init__(params)
+        self.read: dict[str, Any] = {}
+
+
+def resolve_builtin(family: str, table: dict, ref: InteractionRef, domain: DomainSpec, *args: Any) -> tuple:
+    """What the built-in ref names builds on domain, and ref with its params
+    as the factory read them: the one check of a name, a domain and unknown
+    params, for each family's table (INITIAL_LAWS, kernels.DRIFTS,
+    kernels.KERNELS). A table maps a name to (the domain it lives on, "T^d"
+    or "R^d" or with a fixed d such as "T^2", or None for any; a factory).
+    factory(params, domain, *args) pops the params it reads and returns what
+    the family builds; any param left is unknown. An int param given as 1.0
+    reads 1, a real given as 1 reads 1.0, and an absent param stays absent."""
     if ref.name not in table:
         raise ConfigError(f"unknown {family} {ref.name!r}; built-ins: {sorted(table)}")
     lives_on, factory = table[ref.name]
@@ -251,10 +263,10 @@ def resolve_builtin(family: str, table: dict, ref: InteractionRef, domain: Domai
         kind, dim = lives_on.split("^")
         if (kind == "T") != domain.is_torus or dim not in ("d", str(domain.dim)):
             raise ConfigError(f"{ref.name} {family} lives on {lives_on}")
-    params = dict(ref.params)
+    params = _Params(ref.params)
     built = factory(params, domain, *args)
     _reject_unknown(params, f"{family}.params")
-    return built
+    return built, replace(ref, params=params.read)
 
 
 @dataclass(frozen=True)
@@ -286,7 +298,14 @@ class SimConfig:
             raise ConfigError("eps must be >= 0")
         if self.truncation_radius < 1:
             raise ConfigError("truncation_radius must be >= 1")
-        resolve_builtin("initial_law", INITIAL_LAWS, self.initial_law, self.domain)
+        from .kernels import DRIFTS, KERNELS  # kernels imports this module
+
+        # each built-in keeps its params as read, so configs that run the same bytes write the same manifest
+        for family, table, args in (("initial_law", INITIAL_LAWS, ()), ("kernel", KERNELS, (self,)),
+                                    ("drift", DRIFTS, ())):
+            if getattr(self, family) is not None:
+                ref = resolve_builtin(family, table, getattr(self, family), self.domain, *args)[1]
+                object.__setattr__(self, family, ref)
 
     @property
     def effective_eps(self) -> float:
@@ -303,24 +322,34 @@ def _pop_key(d: dict, key: str, kind: type | None, default: Any = _MISSING, wher
     """Pop one JSON value from a mutable mapping, failing closed: the one
     reader of every config, plan and command value.
 
-    Kind int applies _as_integral, float applies _as_real, and str, list and
-    dict check that JSON type (a dict comes back as a copy the caller may
-    pop from in turn); None accepts any value. An explicit null counts as
-    absent. Callers pop every key they understand and then pass the rest to
-    _reject_unknown, so unknown keys surface as errors.
+    Kind int applies _as_integral, float applies _as_real, list[int] and
+    list[float] apply them to each item of a list, and str, list and dict
+    check that JSON type (a dict comes back as a copy the caller may pop from
+    in turn); None accepts any value. An explicit null counts as absent.
+    Callers pop every key they understand and then pass the rest to
+    _reject_unknown, so unknown keys surface as errors. A value popped from a
+    built-in's params is kept as read (see resolve_builtin).
     """
     v = d.pop(key, None)
     if v is None:
         if default is _MISSING:
             raise ConfigError(f"{where}: missing required key {key!r}")
         return default
-    if kind is int:
-        return _as_integral(v, f"{where}: key {key!r}")
-    if kind is float:
-        return _as_real(v, f"{where}: key {key!r}")
-    if kind is not None and not isinstance(v, kind):
-        raise ConfigError(f"{where}: key {key!r} expects {kind.__name__}, got {type(v).__name__}")
-    return dict(v) if kind is dict else v
+    what = f"{where}: key {key!r}"
+    items = get_args(kind)  # (int,) for list[int]
+    if items:
+        kind = list
+    if kind in _READERS:
+        value = _READERS[kind](v, what)
+    elif kind is not None and not isinstance(v, kind):
+        raise ConfigError(f"{what} expects {kind.__name__}, got {type(v).__name__}")
+    else:
+        value = dict(v) if kind is dict else v
+    if items:
+        value = [_READERS[items[0]](item, what) for item in value]
+    if isinstance(d, _Params):
+        d.read[key] = value
+    return value
 
 
 def _reject_unknown(d: dict, where: str) -> None:
@@ -353,6 +382,9 @@ def _as_real(v: Any, where: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{where}: expected a finite number, got {v!r}")
     return x
+
+
+_READERS = {int: _as_integral, float: _as_real}  # _pop_key's numeric kinds
 
 
 def config_from_dict(raw: dict[str, Any]) -> SimConfig:
@@ -437,8 +469,7 @@ def _uniform(params: dict, domain: DomainSpec) -> Callable:
 def _gaussian(params: dict, domain: DomainSpec) -> Callable:
     d = domain.dim
     sigma = _width(params, "sigma")
-    mean = np.array([_as_real(v, "initial_law.params: key 'mean'")
-                     for v in _pop_key(params, "mean", list, [0.0] * d, "initial_law.params")])
+    mean = np.array(_pop_key(params, "mean", list[float], [0.0] * d, "initial_law.params"))
     if mean.shape != (d,):
         raise ConfigError(f"initial_law.params: key 'mean' needs one entry per dimension (d = {d})")
     return lambda size, gen: mean + sigma * gen.standard_normal(tuple(size) + (d,))
@@ -465,4 +496,4 @@ INITIAL_LAWS = {"uniform": ("T^d", _uniform), "gaussian": ("R^d", _gaussian),
 
 def sample_initial(law: InitialLaw, domain: DomainSpec, size: tuple[int, ...], gen: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. initial positions with shape size + (d,)."""
-    return resolve_builtin("initial_law", INITIAL_LAWS, law, domain)(size, gen)
+    return resolve_builtin("initial_law", INITIAL_LAWS, law, domain)[0](size, gen)

@@ -27,7 +27,7 @@ import scipy
 from . import __version__
 from .bounds import constant_C, estimate_beta, hierarchy_ode_solve, short_time_horizon, theorem_bound
 from .core import MAX_ENSEMBLE_ELEMENTS, ConfigError, RngStream, SimConfig, config_from_dict, load_json
-from .core import _as_integral, _as_real, _pop_key, _reject_unknown
+from .core import _pop_key, _reject_unknown
 from .dynamics import (
     MAX_PICARD_ITERS,
     BlowupError,
@@ -78,8 +78,8 @@ ESTIMATORS = {
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A validated sweep plan; build it with plan_from_dict, which holds
-    every default."""
+    """A validated sweep plan; build it with plan_from_dict, which sets
+    every default, and write it with plan_as_dict."""
 
     base: SimConfig
     sweep_n: tuple[int, ...]
@@ -98,8 +98,7 @@ class ExperimentPlan:
     label: str
 
     def __post_init__(self):
-        # every sweep point resolves the same kernel or drift: check it once here
-        drift = build_drift(self.base)
+        drift = build_drift(self.base)  # for the Picard guard below
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}; valid: {tuple(ESTIMATORS)}")
@@ -110,11 +109,18 @@ class ExperimentPlan:
                 raise ConfigError(f"{axis} must not be empty")
             if len(set(values)) != len(values):
                 raise ConfigError(f"{axis} lists a value twice: {list(values)}")
+        grid = self.base.grid
+        for t in self.sweep_t:
+            # nearest grid point by arithmetic: the grid may be too long to list
+            idx = np.clip(np.rint((t - grid.t0) / grid.dt), 0, grid.steps)
+            if abs(grid.t0 + grid.dt * idx - t) > 1e-9:
+                raise ConfigError(f"sweep time {t} is not a grid point")
+        elapsed = grid.dt * max(grid.index_of(t) for t in self.sweep_t)
         for n in self.sweep_n:
             if n < 2:
                 raise ConfigError("swept n must be >= 2")
             # bound_rows' cascade to the last swept time, which a point builds after its particle stages
-            if cascade_size(n, self.bound_gamma, self.base.grid.dt, max(self.sweep_t)) > MAX_ENSEMBLE_ELEMENTS:
+            if cascade_size(n, self.bound_gamma, grid.dt, elapsed) > MAX_ENSEMBLE_ELEMENTS:
                 raise ConfigError(f"swept n = {n} needs a bounds cascade of more than {MAX_ENSEMBLE_ELEMENTS} values")
         kmax = min(self.sweep_n)
         for k in self.sweep_k:
@@ -122,12 +128,6 @@ class ExperimentPlan:
                 raise ConfigError("swept k must be >= 1")
             if k > kmax:
                 raise ConfigError(f"swept k = {k} exceeds the smallest swept n = {kmax}")
-        grid = self.base.grid
-        for t in self.sweep_t:
-            # nearest grid point by arithmetic: the grid may be too long to list
-            idx = np.clip(np.rint((t - grid.t0) / grid.dt), 0, grid.steps)
-            if abs(grid.t0 + grid.dt * idx - t) > 1e-9:
-                raise ConfigError(f"sweep time {t} is not a grid point")
         if self.picard_m < 100:
             raise ConfigError("picard_m must be >= 100")
         if self.picard_iters < 1:
@@ -154,55 +154,52 @@ class ExperimentPlan:
             raise ConfigError("tv bins must be >= 2")
 
 
+# a plan's sections of constants, each key -> (the ExperimentPlan field it sets, its kind, its default):
+# plan_from_dict reads them and plan_as_dict writes them
+PLAN_SECTIONS = {
+    "picard": {"m": ("picard_m", int, 10_000), "iters": ("picard_iters", int, 3)},
+    "knn": {"neighbors": ("knn_neighbors", int, 4), "samples": ("knn_samples", int, 10_000)},
+    "tv": {"bins": ("tv_bins", int, 32)},
+    "bounds": {"C0": ("bound_c0", float, 0.05), "gamma": ("bound_gamma", float, 1.0), "M": ("bound_m", float, 1.0),
+               "kappa": ("kappa", float, 1.0)},
+}
+
+
 def plan_from_dict(data: dict) -> ExperimentPlan:
     """Fail-closed plan parsing: unknown keys are errors, types checked,
-    and every default of a plan is set here."""
+    and every default of a plan is set here or in PLAN_SECTIONS."""
     if not isinstance(data, dict):
         raise ConfigError("plan must be a JSON object")
     work = dict(data)
     base = config_from_dict(_pop_key(work, "base", dict, where="plan"))
     sweep = _pop_key(work, "sweep", dict, where="plan")
-    sweep_n = tuple(_as_integral(v, "sweep: key 'n'") for v in _pop_key(sweep, "n", list, where="sweep"))
-    sweep_k = tuple(_as_integral(v, "sweep: key 'k'") for v in _pop_key(sweep, "k", list, [1], "sweep"))
-    sweep_t = tuple(_as_real(v, "sweep: key 't'") for v in _pop_key(sweep, "t", list, [base.grid.terminal], "sweep"))
+    sweep_n = tuple(_pop_key(sweep, "n", list[int], where="sweep"))
+    sweep_k = tuple(_pop_key(sweep, "k", list[int], [1], "sweep"))
+    sweep_t = tuple(_pop_key(sweep, "t", list[float], [base.grid.terminal], "sweep"))
     _reject_unknown(sweep, "sweep")
     estimators = tuple(str(v) for v in _pop_key(work, "estimators", list, list(ESTIMATORS), "plan"))
-    picard = _pop_key(work, "picard", dict, {}, "plan")
-    picard_m = _pop_key(picard, "m", int, 10_000, "picard")
-    picard_iters = _pop_key(picard, "iters", int, 3, "picard")
-    _reject_unknown(picard, "picard")
-    knn = _pop_key(work, "knn", dict, {}, "plan")
-    knn_neighbors = _pop_key(knn, "neighbors", int, 4, "knn")
-    knn_samples = _pop_key(knn, "samples", int, 10_000, "knn")
-    _reject_unknown(knn, "knn")
-    tv = _pop_key(work, "tv", dict, {}, "plan")
-    tv_bins = _pop_key(tv, "bins", int, 32, "tv")
-    _reject_unknown(tv, "tv")
-    bounds = _pop_key(work, "bounds", dict, {}, "plan")
-    bound_c0 = _pop_key(bounds, "C0", float, 0.05, "bounds")
-    bound_gamma = _pop_key(bounds, "gamma", float, 1.0, "bounds")
-    bound_m = _pop_key(bounds, "M", float, 1.0, "bounds")
-    kappa = _pop_key(bounds, "kappa", float, 1.0, "bounds")
-    _reject_unknown(bounds, "bounds")
+    constants = {}
+    for section, keys in PLAN_SECTIONS.items():
+        node = _pop_key(work, section, dict, {}, "plan")
+        for key, (name, kind, default) in keys.items():
+            constants[name] = _pop_key(node, key, kind, default, section)
+        _reject_unknown(node, section)
     label = _pop_key(work, "label", str, "run", "plan")
     _reject_unknown(work, "plan")
-    return ExperimentPlan(
-        base=base,
-        sweep_n=sweep_n,
-        sweep_k=sweep_k,
-        sweep_t=sweep_t,
-        estimators=estimators,
-        picard_m=picard_m,
-        picard_iters=picard_iters,
-        knn_neighbors=knn_neighbors,
-        knn_samples=knn_samples,
-        tv_bins=tv_bins,
-        bound_c0=bound_c0,
-        bound_gamma=bound_gamma,
-        bound_m=bound_m,
-        kappa=kappa,
-        label=label,
-    )
+    return ExperimentPlan(base=base, sweep_n=sweep_n, sweep_k=sweep_k, sweep_t=sweep_t, estimators=estimators,
+                          label=label, **constants)
+
+
+def plan_as_dict(plan: ExperimentPlan) -> dict:
+    """The plan as plan_from_dict reads it back, to an equal plan, with every default filled in."""
+    return {
+        "base": asdict(plan.base),
+        "sweep": {"n": list(plan.sweep_n), "k": list(plan.sweep_k), "t": list(plan.sweep_t)},
+        "estimators": list(plan.estimators),
+        **{section: {key: getattr(plan, name) for key, (name, _, _) in keys.items()}
+           for section, keys in PLAN_SECTIONS.items()},
+        "label": plan.label,
+    }
 
 
 def as_plan_data(data: dict) -> dict:
@@ -241,20 +238,7 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     out = {
         **{name: [] for name in TABLES},
         "unreliable": False,
-        "provenance": {
-            "n": n,
-            "seed": cfg.seed,
-            "dt": grid.dt,
-            "eps": cfg.effective_eps,
-            "replicas": cfg.replicas,
-            "picard_m": plan.picard_m,
-            "picard_iters": plan.picard_iters,
-            "knn_neighbors": plan.knn_neighbors,
-            "knn_samples": plan.knn_samples,
-            "tv_bins": plan.tv_bins,
-            "picard_residuals": [float(r) for r in mf.residuals],
-            "picard_non_convergent": mf.non_convergent,
-        },
+        "point": {"picard_residuals": [float(r) for r in mf.residuals], "picard_non_convergent": mf.non_convergent},
     }
     # after Picard, each stage a listed estimator reads runs once, in this order,
     # so the first BlowupError of a point does not depend on the estimators' order
@@ -268,7 +252,7 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
         # vary from run to run in either order (49-25,059 and 484-7,761)
         regime = "fractional" if cfg.noise.fractional else "brownian"
         hurst = cfg.noise.hurst if cfg.noise.fractional else None
-        bf = estimate_beta(gw.energy, n=n, delta=grid.terminal - grid.t0, hurst=hurst)
+        bf = estimate_beta(gw.energy, n=n, delta=grid.dt * grid.steps, hurst=hurst)
         hz = short_time_horizon(plan.kappa, bf.beta, regime=regime, hurst=hurst, C=_HORIZON_C)
         hurst_cell = "" if hurst is None else hurst
         row = table_row("horizons", n, regime, plan.kappa, bf.beta, hurst_cell, hz.delta_star, bf.residual)
@@ -314,8 +298,10 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
             out["checks"].append(table_row("checks", n, k, t, "subadditivity", sub >= 0, sub, d["h_k"],
                                            d["subadditivity_rhs"]))
 
-    # closed-form and cascade envelopes on the same (k, t) lattice
-    out["bounds"] = bound_rows(n, plan.sweep_k, plan.sweep_t, plan.bound_c0, plan.bound_gamma, plan.bound_m, grid.dt)
+    # closed-form and cascade envelopes on the same (k, t) lattice, at the time elapsed since the grid start
+    elapsed = [grid.dt * step for step in steps]
+    out["bounds"] = bound_rows(n, plan.sweep_k, elapsed, plan.bound_c0, plan.bound_gamma, plan.bound_m, grid.dt,
+                               grid.t0)
     return out
 
 
@@ -333,8 +319,10 @@ def cascade_size(n: int, gamma: float, dt: float, t_final: float) -> int:
     return n * (steps + 1)
 
 
-def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: float) -> list[dict]:
-    """Closed-form and cascade envelope rows for one n on the (k, t) lattice.
+def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: float,
+               t0: float = 0.0) -> list[dict]:
+    """Closed-form and cascade envelope rows for one n on the (k, t) lattice,
+    t the times elapsed since the start t0, which labels the rows t0 + t.
 
     The cascade starts from H^k_0 = c0 k^2 / n^2 and runs to max(times) with
     step dt, clamped to the 1/(2 gamma n) stability limit; each row reads it
@@ -350,7 +338,7 @@ def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: f
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 closed = theorem_bound(c_t, gamma, t, n, k)
-            rows.append(table_row("bounds", n, k, t, closed, cascade.at(k, ci), c_t, gamma, m_const))
+            rows.append(table_row("bounds", n, k, t0 + t, closed, cascade.at(k, ci), c_t, gamma, m_const))
     return rows
 
 
@@ -384,7 +372,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
             outcomes = list(pool.map(_safe, plan.sweep_n))
 
     # outcomes are in plan order whatever the thread count
-    provenance = {}
+    points = {}
     for n, rows, err in outcomes:
         if err is not None:
             result.errors.append(err)
@@ -392,24 +380,13 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RunResult:
         for name in TABLES:
             result.tables[name].extend(rows[name])
         result.any_unreliable |= rows["unreliable"]
-        provenance[str(n)] = rows["provenance"]
+        points[str(n)] = rows["point"]
     for name, (_, order) in TABLES.items():
         result.tables[name].sort(key=itemgetter(*order))
 
-    # the model under the config's own keys; the sweep names the n that ran
-    model = {key: v for key, v in asdict(plan.base).items() if v is not None and key != "n_particles"}
     result.manifest = {
-        "label": plan.label,
-        **model,
-        "sweep": {"n": list(plan.sweep_n), "k": list(plan.sweep_k), "t": list(plan.sweep_t)},
-        "estimators": list(plan.estimators),
-        "bounds": {
-            "C0": plan.bound_c0,
-            "gamma": plan.bound_gamma,
-            "M": plan.bound_m,
-            "kappa": plan.kappa,
-        },
-        "points": provenance,
+        "plan": plan_as_dict(plan),
+        "points": points,
         "errors": result.errors,
         "row_counts": {name: len(rows) for name, rows in result.tables.items()},
     }
@@ -441,10 +418,15 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([_fmt(row.get(c, "")) for c in columns])
 
 
-def _write_manifest(path: str, command: str, payload: dict) -> None:
-    """Write payload as JSON under the header every manifest carries: the
-    command, the chaoslab version and the environment that made the bytes
-    (the fBm bytes depend on numpy's FFT)."""
+def write_outputs(out_dir: str, command: str, tables: dict, manifest: dict) -> dict[str, str]:
+    """Write each table, file name -> (rows, columns), as a CSV in out_dir,
+    then manifest.json last: the manifest under the header every manifest
+    carries, the command, the chaoslab version and the environment that made
+    the bytes (the fBm bytes depend on numpy's FFT). Returns the written
+    paths by file name."""
+    paths = {name: os.path.join(out_dir, name) for name in (*tables, "manifest.json")}
+    for name, (rows, columns) in tables.items():
+        _write_csv(paths[name], rows, columns)
     header = {
         "command": command,
         "version": __version__,
@@ -455,19 +437,9 @@ def _write_manifest(path: str, command: str, payload: dict) -> None:
             "cpu_count": os.cpu_count(),
         },
     }
-    with _open_output(path) as fh:
-        json.dump({**payload, **header}, fh, indent=2, sort_keys=True)
+    with _open_output(paths["manifest.json"]) as fh:
+        json.dump({**manifest, **header}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_outputs(out_dir: str, command: str, tables: dict, manifest: dict) -> dict[str, str]:
-    """Write each table, file name -> (rows, columns), as a CSV in out_dir,
-    then manifest.json last, stamped with the command's header; returns the
-    written paths by file name."""
-    paths = {name: os.path.join(out_dir, name) for name in (*tables, "manifest.json")}
-    for name, (rows, columns) in tables.items():
-        _write_csv(paths[name], rows, columns)
-    _write_manifest(paths["manifest.json"], command, manifest)
     return paths
 
 

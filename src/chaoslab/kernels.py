@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainSpec, InteractionRef, SimConfig, _as_real, _pop_key, resolve_builtin
+from .core import ConfigError, DomainSpec, InteractionRef, SimConfig, _pop_key, resolve_builtin
 from .core import sum_last_axis, torus_displacement, wrap_torus
 
 TWO_PI = 2.0 * math.pi
@@ -312,13 +312,12 @@ class DriftSpec:
 
 
 def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
-    where = "drift.params: key 'c'"
-    raw = _pop_key(params, "c", None, 1.0, "drift.params")
-    if not isinstance(raw, list):
-        raw = [raw] * domain.dim
-    elif len(raw) != domain.dim:
-        raise ConfigError(f"{where}: expected one number or a list of {domain.dim}, got {raw!r}")
-    c = np.array([_as_real(v, where) for v in raw])
+    c = _pop_key(params, "c", list[float] if isinstance(params.get("c"), list) else float, 1.0, "drift.params")
+    if not isinstance(c, list):
+        c = [c] * domain.dim
+    elif len(c) != domain.dim:
+        raise ConfigError(f"drift.params: key 'c': expected one number or a list of {domain.dim}, got {c!r}")
+    c = np.array(c)
 
     def b0(t: float, x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(c, x.shape).copy()
@@ -521,11 +520,11 @@ KERNELS = {
 def kernel_from_ref(ref: InteractionRef, config: SimConfig) -> Callable[..., np.ndarray]:
     """The kernel the config names, as its function with the parameters
     bound: K(x), and K(x, freeze_inside=True) for the singular kernels."""
-    return resolve_builtin("kernel", KERNELS, ref, config.domain, config)[0]
+    return resolve_builtin("kernel", KERNELS, ref, config.domain, config)[0][0]
 
 
 def build_drift(config: SimConfig) -> DriftSpec:
     """Resolve the config's kernel-or-drift declaration to a new DriftSpec."""
     if config.kernel is not None:
-        return resolve_builtin("kernel", KERNELS, config.kernel, config.domain, config)[1]
-    return resolve_builtin("drift", DRIFTS, config.drift, config.domain)
+        return resolve_builtin("kernel", KERNELS, config.kernel, config.domain, config)[0][1]
+    return resolve_builtin("drift", DRIFTS, config.drift, config.domain)[0]

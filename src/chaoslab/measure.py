@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,11 @@ __all__ = [
 
 _JITTER_SEED = 12345
 _ESS_FLOOR = 0.05
+# steps of Brownian log Z increments a Girsanov block holds at a time, so its memory does not grow with the
+# grid: every benchmark plan fits one window. At 256 steps (a 2 KiB row stride) each step's column write into
+# the window took 7.9 us against 2.2 us at 200 (1024 replicas, 2-CPU x86 host), as the column's rows alias in
+# the cache
+_WINDOW = 200
 
 
 @dataclass
@@ -114,19 +120,23 @@ def log_weights_from_deltas(delta: np.ndarray, dw: np.ndarray, dt: float) -> np.
     return np.concatenate([zeros, np.cumsum(incr, axis=-1)], axis=-1)
 
 
-def _record_log_weights(incr: np.ndarray, lo: int, later: list[int], log_z: np.ndarray) -> None:
+def _record_log_weights(incr: np.ndarray, lo: int, first: int, later: list[int], log_z: np.ndarray) -> None:
     """Record the log-weights of rows lo, lo + 1, ... of log_z from their log Z
-    step increments incr (replicas, steps): the running sums at the recorded
-    steps > 0, cumsum columns later. A non-finite running sum raises
-    BlowupError naming the lowest such replica at its first non-finite step.
-    incr is overwritten with the running sums: no block-sized array is made.
+    increments incr (replicas, w) of steps first + 1 .. first + w, the first
+    column with the running sum to step first already added: the running
+    sums at the recorded steps in that span, whose increment indices later
+    lists (ascending, one per log_z column from 1). A non-finite running sum
+    raises BlowupError naming the lowest such replica at its first
+    non-finite step. incr is overwritten with the running sums: no
+    block-sized array is made.
     """
     running = np.cumsum(incr, axis=-1, out=incr)
     bad = ~np.isfinite(running)
     rows = np.flatnonzero(bad.any(axis=-1))
     if rows.size:
-        raise BlowupError(int(np.argmax(bad[rows[0]])) + 1, replica=lo + int(rows[0]))
-    log_z[lo : lo + len(incr), 1:] = running[:, later]
+        raise BlowupError(first + int(np.argmax(bad[rows[0]])) + 1, replica=lo + int(rows[0]))
+    a, b = bisect_left(later, first), bisect_left(later, first + running.shape[1])
+    log_z[lo : lo + len(incr), 1 + a : 1 + b] = running[:, [s - first for s in later[a:b]]]
 
 
 def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
@@ -148,8 +158,9 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     snapshot_times is None; the recorded values do not depend on that
     choice. Every step is checked: a non-finite log-weight raises
     BlowupError naming the lowest such replica of its block at its first
-    non-finite step. Under either noise a delta_b first non-finite at step
-    s makes log Z non-finite from step s + 1.
+    non-finite step (under Brownian noise, the lowest among the replicas of
+    the first window of _WINDOW steps that holds one). Under either noise a
+    delta_b first non-finite at step s makes log Z non-finite from step s + 1.
     """
     drift = mean_field.drift
     if drift.name != build_drift(config).name:
@@ -165,6 +176,7 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
 
     log_z = np.zeros((r_total, len(record)))
     energy = np.zeros((r_total, n))
+    window = min(steps, _WINDOW)
     quality = "fractional weight: inverse Volterra transform carries O(dt) quadrature error" if fractional else None
 
     def drift_at(blk, s, t, x):
@@ -177,17 +189,20 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
 
     def observe(blk, s, x, dw):
         if s == 0:
-            blk.history = np.empty((len(x), n, d, steps) if fractional else (len(x), steps))
+            blk.history = np.empty((len(x), n, d, steps) if fractional else (len(x), window))
         elif not fractional:
             # left-point Ito sums: delta is from step s - 1, dw drives it
+            col = (s - 1) % window
             dd = blk.delta * blk.delta
-            blk.history[:, s - 1] = np.sum(blk.delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
+            blk.history[:, col] = np.sum(blk.delta * dw, axis=(1, 2)) - 0.5 * dt * np.sum(dd, axis=(1, 2))
             energy[blk.rows] += dt * sum_last_axis(dd)
+            if col == 0 and s > 1:
+                # the last column still holds the running sum to step s - 1: the cumsum's own addition
+                blk.history[:, 0] += blk.history[:, -1]
+            if col == window - 1 or s == steps:
+                _record_log_weights(blk.history[:, : col + 1], blk.rows.start, s - 1 - col, later, log_z)
 
     def finish(blk):
-        if not fractional:
-            _record_log_weights(blk.history, blk.rows.start, later, log_z)
-            return
         # blk.history is the block's drift-difference history (b, n, d, steps) and blk.driver its
         # Brownian driver increments (b, n, steps, d). The running integral of delta_b goes through
         # the inverse Volterra map a chunk of replicas at a time; every sum below is per replica.
@@ -209,12 +224,12 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
                 rows = bad.any(axis=-1)
                 incr[rows] = np.where(np.cumsum(bad[rows], axis=-1) > 0, np.nan, 0.0)
             lo = blk.rows.start + c_lo
-            _record_log_weights(incr, lo, later, log_z)
+            _record_log_weights(incr, lo, 0, later, log_z)
             energy[lo : lo + len(incr)] = dt * np.sum(dk * dk, axis=(2, 3))
 
     integrate_blocks(
         config, rng, (_P_WEIGHT, _P_WEIGHT_FBM), r_total, n, drift_at, observe, sample_fbm_batch,
-        with_driver=fractional, finish=finish,
+        with_driver=fractional, finish=finish if fractional else None,
     )
     return GirsanovWeight(
         grid=grid,

@@ -234,9 +234,10 @@ def volterra_inverse_apply(h: np.ndarray, hurst: float, grid: TimeGrid) -> np.nd
     For H = 1/2 this is exactly the forward-difference derivative. For
     H != 1/2 the integrand u is recovered by differencing and pushed
     through s^{H-1/2} D^{H-1/2}(r^{1/2-H} u)(s) (fractional integral for
-    H < 1/2), with the radial prefactors evaluated at interval midpoints to
-    avoid the r = 0 endpoint. Consistency is first order in dt for smooth
-    u away from 0; the H = 1/2 branch is exact. The series along the last
+    H < 1/2), s the time since the grid start, with the radial prefactors
+    evaluated at the midpoints (j + 1/2) dt to avoid the r = 0 endpoint.
+    Consistency is first order in dt for smooth u away from 0; the H = 1/2
+    branch is exact. The series along the last
     axis are processed CHUNK_SERIES at a time.
     """
     if not 0.0 < hurst < 1.0:
@@ -247,8 +248,6 @@ def volterra_inverse_apply(h: np.ndarray, hurst: float, grid: TimeGrid) -> np.nd
     if np.any(h[..., 0] != 0.0):
         raise ValueError("volterra transform requires h(0) = 0")
     fractional = hurst != 0.5
-    if fractional and grid.t0 != 0.0:
-        raise ValueError("fractional transform is anchored at t0 = 0")
     dt, n = grid.dt, grid.steps
     if fractional:
         alpha = hurst - 0.5

@@ -16,6 +16,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from chaoslab.cli import (
     main,
 )
 from chaoslab.core import config_from_dict, load_json
-from chaoslab.experiment import TABLES, RunResult, load_plan
+from chaoslab.experiment import TABLES, RunResult, load_plan, plan_from_dict
 from chaoslab.kernels import biot_savart_periodic
 
 SHIPPED_CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -292,7 +293,7 @@ class TestEntropyAndRun:
         assert {r["estimator"] for r in rows} == {"girsanov", "knn", "histogram_tv"}
         assert {(r["n"], r["k"], r["t"]) for r in rows} == {("4", "1", "0.1")}
         man = json.loads((out / "manifest.json").read_text())
-        assert man["estimators"] == ["girsanov", "knn", "histogram_tv"]
+        assert man["plan"]["estimators"] == ["girsanov", "knn", "histogram_tv"]
 
     def test_manifest_names_the_model(self, tmp_path):
         data = load_json(SHIPPED_CONFIG_DIR / "smooth_torus.json")
@@ -301,12 +302,12 @@ class TestEntropyAndRun:
                     knn={"neighbors": 4, "samples": 100}, estimators=["girsanov"])
         cfg = write_json(tmp_path, "p.json", data)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_CONSISTENCY)
-        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert man["kernel"] == {"name": "smooth_divfree", "params": {"frequency": 1}}
-        assert man["domain"] == {"kind": "torus", "dim": 2}
-        assert man["initial_law"] == {"name": "uniform", "params": {}}
-        assert man["truncation_radius"] == 8
-        assert "drift" not in man and "n_particles" not in man
+        base = json.loads((tmp_path / "out" / "manifest.json").read_text())["plan"]["base"]
+        assert base["kernel"] == {"name": "smooth_divfree", "params": {"frequency": 1}}
+        assert base["domain"] == {"kind": "torus", "dim": 2}
+        assert base["initial_law"] == {"name": "uniform", "params": {}}
+        assert base["truncation_radius"] == 8
+        assert base["drift"] is None and base["n_particles"] == data["base"]["n_particles"]
 
     def test_run_uses_all_estimators(self, tmp_path):
         cfg = write_json(tmp_path, "p.json", self.plan_dict())
@@ -358,6 +359,19 @@ class TestEntropyAndRun:
         for fname in ("entropy.csv", "bounds.csv", "checks.csv",
                       "horizons.csv", "manifest.json"):
             assert (tmp_path / "bare" / fname).read_bytes() == (tmp_path / "plan" / fname).read_bytes()
+
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    def test_a_sweep_at_the_grid_start_alone_runs(self, tmp_path, t0):
+        # the bounds cascade there is its start, C0 k^2 / n^2
+        data = self.plan_dict()
+        data["base"]["grid"] = {"t0": t0, "dt": 0.01, "steps": 10}
+        data["sweep"]["t"] = [t0]
+        cfg = write_json(tmp_path, "p.json", data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = read_rows(out / "bounds.csv")
+        assert [(r["n"], r["t"]) for r in rows] == [("4", repr(t0)), ("6", repr(t0))]
+        assert [float(r["cascade"]) for r in rows] == [0.05 * 1 * 1 / (n * n) for n in (4, 6)]
 
 
 class TestFinishRunPriority:
@@ -520,7 +534,7 @@ class TestNoiseCheckCommand:
         assert set(rows[0]) == {"t", "s", "hurst", "empirical", "exact", "stderr", "z"}
         man = json.loads((out / "manifest.json").read_text())
         assert man["worst_z"] <= 4.0
-        assert man["hurst"] == 0.5
+        assert man["config"]["noise"]["hurst"] == 0.5
         assert "worst |z|" in capsys.readouterr().out
 
     def test_fractional_hurst_from_config(self, tmp_path):
@@ -531,7 +545,7 @@ class TestNoiseCheckCommand:
         out = tmp_path / "out"
         assert main(["noise-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
         man = json.loads((out / "manifest.json").read_text())
-        assert man["hurst"] == 0.3
+        assert man["config"]["noise"]["hurst"] == 0.3
 
     def test_covariance_mismatch_exits_consistency(self, tmp_path, monkeypatch):
         import chaoslab.cli as cli_mod
@@ -582,7 +596,7 @@ class TestKernelProbeCommand:
         # the probe evaluates the configured kernel, radius and eps bound
         assert np.array_equal(vals, biot_savart_periodic(probes, truncation_radius=1, eps=0.0))
         assert len(read_rows(out / "kernel_lp.csv")) == 8
-        assert json.loads((out / "manifest.json").read_text())["kernel"] == "biot_savart_periodic"
+        assert json.loads((out / "manifest.json").read_text())["config"]["kernel"]["name"] == "biot_savart_periodic"
 
     def test_requires_kernel_config(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", sim_config())
@@ -679,10 +693,10 @@ class TestRateFitCommand:
         })
         out = tmp_path / "out"
         assert main(["rate-fit", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        fit = json.loads((out / "rate_fit.json").read_text())
+        fit = json.loads((out / "manifest.json").read_text())
         assert abs(fit["slope"] + 2.0) < 1e-9
         assert fit["n_points"] == 4
-        assert fit["axis"] == "n"
+        assert fit["config"]["axis"] == "n"
         assert "slope = -2.0000" in capsys.readouterr().out
 
     def test_missing_input_and_bad_keys(self, tmp_path, capsys):
@@ -762,6 +776,14 @@ def torus_kernel_config():
     return cfg
 
 
+def torus_plan():
+    """small_plan on the torus, under the smooth_divfree kernel at frequency 1."""
+    data = small_plan()
+    data["base"] = {**torus_kernel_config(), "replicas": 100, "grid": data["base"]["grid"]}
+    data["base"]["kernel"]["params"]["frequency"] = 1
+    return data
+
+
 def bounds_config():
     return {"C0": 0.05, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [6], "k": [2],
             "horizons": [{"kappa": 1.0, "beta": 2.0}]}
@@ -779,14 +801,14 @@ def rate_fit_config(tmp_path, axis="n", filt=None):
     return {"input": str(path), "axis": axis, "filter": filt if filt is not None else {"k": 2}}
 
 
-# command -> (config builder, file holding its manifest)
+# command -> its config builder; every command writes manifest.json
 COMMAND_CONFIGS = {
-    "run": (lambda tmp_path: small_plan(), "manifest.json"),
-    "simulate": (lambda tmp_path: sim_config(replicas=3), "manifest.json"),
-    "noise-check": (lambda tmp_path: sim_config(replicas=200, grid={"t0": 0.0, "dt": 0.01, "steps": 4}), "manifest.json"),
-    "kernel-probe": (lambda tmp_path: torus_kernel_config(), "manifest.json"),
-    "bounds": (lambda tmp_path: bounds_config(), "manifest.json"),
-    "rate-fit": (rate_fit_config, "rate_fit.json"),
+    "run": lambda tmp_path: small_plan(),
+    "simulate": lambda tmp_path: sim_config(replicas=3),
+    "noise-check": lambda tmp_path: sim_config(replicas=200, grid={"t0": 0.0, "dt": 0.01, "steps": 4}),
+    "kernel-probe": lambda tmp_path: torus_kernel_config(),
+    "bounds": lambda tmp_path: bounds_config(),
+    "rate-fit": rate_fit_config,
 }
 
 
@@ -833,7 +855,7 @@ class TestOneReader:
         ],
     )
     def test_unknown_key_has_one_message(self, tmp_path, capsys, command, path, where):
-        data = COMMAND_CONFIGS[command][0](tmp_path)
+        data = COMMAND_CONFIGS[command](tmp_path)
         node, key = _at(data, path)
         node[key] = 1
         assert _run_command(tmp_path, command, data, "out") == EXIT_CONFIG
@@ -861,13 +883,15 @@ class TestOneReader:
             ("bounds", ("k", 0)),
             ("rate-fit", ("filter", "k")),
             ("rate-fit", ("filter", "n")),
+            ("run", ("base", "kernel", "params", "frequency")),
         ],
     )
     def test_integer_keys_take_integral_numbers_only(self, tmp_path, capsys, command, path):
-        build, manifest = COMMAND_CONFIGS[command]
-        data = build(tmp_path)
+        data = COMMAND_CONFIGS[command](tmp_path)
         if path == ("filter", "n"):
             data = rate_fit_config(tmp_path, axis="k", filt={"n": 32})
+        if path[:2] == ("base", "kernel"):
+            data = torus_plan()
         node, key = _at(data, path)
         value = node[key]
         assert type(value) is int
@@ -876,7 +900,7 @@ class TestOneReader:
         codes["float"] = _run_command(tmp_path, command, data, "float")
         assert codes["float"] == codes["int"] in (EXIT_OK, EXIT_CONSISTENCY)
         files = sorted(os.listdir(tmp_path / "int"))
-        assert manifest in files and files == sorted(os.listdir(tmp_path / "float"))
+        assert "manifest.json" in files and files == sorted(os.listdir(tmp_path / "float"))
         for fname in files:
             assert (tmp_path / "int" / fname).read_bytes() == (tmp_path / "float" / fname).read_bytes(), fname
         name = next(k for k in reversed(path) if isinstance(k, str))
@@ -902,7 +926,7 @@ class TestOneReader:
         ],
     )
     def test_null_on_an_optional_key_is_absent(self, tmp_path, capsys, command, path):
-        data = COMMAND_CONFIGS[command][0](tmp_path)
+        data = COMMAND_CONFIGS[command](tmp_path)
         node, key = _at(data, path)
         node.pop(key, None)
         absent = _run_command(tmp_path, command, data, "absent")
@@ -926,7 +950,7 @@ class TestOneReader:
         ],
     )
     def test_null_on_a_required_key_is_missing(self, tmp_path, capsys, command, path, where):
-        data = COMMAND_CONFIGS[command][0](tmp_path)
+        data = COMMAND_CONFIGS[command](tmp_path)
         node, key = _at(data, path)
         node[key] = None
         assert _run_command(tmp_path, command, data, "out") == EXIT_CONFIG
@@ -967,10 +991,65 @@ class TestOneReader:
             "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
         }
-        for command, (build, manifest) in COMMAND_CONFIGS.items():
+        for command, build in COMMAND_CONFIGS.items():
             assert _run_command(tmp_path, command, build(tmp_path), command) in (EXIT_OK, EXIT_CONSISTENCY)
-            man = json.loads((tmp_path / command / manifest).read_text())
+            man = json.loads((tmp_path / command / "manifest.json").read_text())
             assert (man["command"], man["version"], man["environment"]) == (command, __version__, env)
+
+
+class TestManifests:
+    """Every manifest holds the command's input as read, then what the command found."""
+
+    @pytest.mark.filterwarnings("ignore:only \\d+ replicas")
+    @pytest.mark.parametrize("command", list(COMMAND_CONFIGS))
+    def test_a_manifests_input_runs_to_the_same_files(self, tmp_path, command):
+        data = COMMAND_CONFIGS[command](tmp_path)
+        assert _run_command(tmp_path, command, data, "first") in (EXIT_OK, EXIT_CONSISTENCY)
+        man = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        again = man["plan" if command == "run" else "config"]
+        assert _run_command(tmp_path, command, again, "again") in (EXIT_OK, EXIT_CONSISTENCY)
+        files = sorted(os.listdir(tmp_path / "first"))
+        assert files == sorted(os.listdir(tmp_path / "again"))
+        for fname in files:
+            assert (tmp_path / "first" / fname).read_bytes() == (tmp_path / "again" / fname).read_bytes(), fname
+
+    @pytest.mark.filterwarnings("ignore:only \\d+ replicas")
+    def test_runs_plan_parses_back_to_the_plan_that_ran(self, tmp_path):
+        path = write_json(tmp_path, "p.json", small_plan())
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"), "--seed", "5"]) == EXIT_OK
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        plan = load_plan(path)
+        assert plan_from_dict(man["plan"]) == replace(plan, base=replace(plan.base, seed=5))
+        assert set(man) == {"command", "version", "environment", "plan", "points", "errors", "row_counts"}
+        assert set(man["points"]) == {"4"}
+        assert set(man["points"]["4"]) == {"picard_residuals", "picard_non_convergent"}
+
+    @pytest.mark.parametrize("command", ["simulate", "noise-check", "kernel-probe"])
+    def test_a_simulation_config_parses_back_to_the_config_that_ran(self, tmp_path, command):
+        data = COMMAND_CONFIGS[command](tmp_path)
+        assert _run_command(tmp_path, command, data, "out") in (EXIT_OK, EXIT_CONSISTENCY)
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert config_from_dict(man["config"]) == config_from_dict(data)
+
+    def test_bounds_writes_its_config_as_read(self, tmp_path):
+        data = {**bounds_config(), "n": [6.0], "C0": 1, "horizons": [{"kappa": 1, "beta": 2.0}]}
+        assert _run_command(tmp_path, "bounds", data, "out") == EXIT_OK
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        horizon = {"kappa": 1.0, "beta": 2.0, "regime": "brownian", "hurst": None, "C": 16.0}
+        assert man["config"] == {"C0": 1.0, "gamma": 1.0, "M": 1.0, "T": 0.5, "n": [6], "k": [2], "dt": 1e-3,
+                                 "horizons": [horizon]}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_a_failing_point_is_named_by_its_n(self, tmp_path):
+        # perfbench reads the failed points from the top-level errors
+        data = small_plan()
+        # per-step growth factor ~1e28 overflows the state within 20 steps
+        data["base"].update(drift={"name": "restoring_b0", "params": {"rate": -1e30}},
+                            grid={"t0": 0.0, "dt": 0.01, "steps": 20})
+        assert _run_command(tmp_path, "run", data, "out") == EXIT_BLOWUP
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [(err["n"], err["kind"]) for err in man["errors"]] == [(4, "blowup")]
+        assert man["points"] == {} and man["row_counts"]["entropy"] == 0
 
 
 class TestPublicSurface:

@@ -24,11 +24,17 @@ from chaoslab.experiment import (
     _fmt,
     fit_rate,
     load_plan,
+    plan_as_dict,
     plan_from_dict,
     run_experiment,
     table_row,
     write_result,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+# the shipped plans and the benchmark's own
+PLAN_FILES = [*sorted((ROOT / "scripts" / "configs").glob("*.json")),
+              ROOT / "perfbench" / "configs" / "generic_pair.json"]
 
 
 def make_plan_dict():
@@ -119,6 +125,13 @@ class TestPlanParsing:
         assert plan.sweep_t == (0.05, 0.1)
         assert plan.estimators == ("girsanov", "knn", "histogram_tv")
         assert plan.picard_m == 300
+
+    @pytest.mark.parametrize("path", PLAN_FILES, ids=lambda path: path.stem)
+    def test_plan_as_dict_reads_back_to_the_plan(self, path):
+        plan = load_plan(path)
+        data = json.loads(json.dumps(plan_as_dict(plan)))
+        assert plan_from_dict(data) == plan
+        assert plan_as_dict(plan_from_dict(data)) == data
 
     def test_input_dict_not_mutated(self):
         data = make_plan_dict()
@@ -364,8 +377,8 @@ class TestRunExperiment:
         plan = plan_from_dict(make_plan_dict())
         result = run_experiment(plan)
         man = result.manifest
-        assert man["label"] == "toy"
-        assert man["sweep"] == {"n": [4, 6], "k": [1, 2], "t": [0.05, 0.1]}
+        assert man["plan"]["label"] == "toy"
+        assert man["plan"]["sweep"] == {"n": [4, 6], "k": [1, 2], "t": [0.05, 0.1]}
         assert set(man["points"]) == {"4", "6"}
         assert man["points"]["4"]["picard_residuals"]
         assert man["row_counts"]["entropy"] == len(result.tables["entropy"])
@@ -406,6 +419,24 @@ class TestRunExperiment:
         assert "non-finite" in result.errors[0]["error"]
         assert result.tables["entropy"] == []
         assert result.manifest["errors"] == result.errors
+
+    @pytest.mark.parametrize("noise", [{"kind": "brownian"}, {"kind": "fbm", "hurst": 0.3}], ids=["brownian", "fbm"])
+    def test_the_grid_start_labels_the_rows_only(self, noise):
+        # everything after the grid start reads the time elapsed since it: a plan
+        # shifted to t0 = 0.5 writes the rows of t0 = 0 bit for bit, apart from t
+        written = {}
+        for t0, times in ((0.0, [0.05, 0.1]), (0.5, [0.55, 0.6])):
+            data = make_plan_dict()
+            data["base"].update(noise=noise, replicas=200, grid={"t0": t0, "dt": 0.01, "steps": 10})
+            data.update(sweep={"n": [4], "k": [1, 2], "t": times}, knn={"neighbors": 4, "samples": 200})
+            result = run_experiment(plan_from_dict(data))
+            assert not result.errors
+            written[t0] = {name: [[_fmt(r[c]) for c in TABLES[name][0] if c != "t"] for r in rows]
+                           for name, rows in result.tables.items()}
+            if t0:
+                assert {r["t"] for r in result.tables["bounds"]} == {r["t"] for r in result.tables["entropy"]}
+        for name in TABLES:
+            assert written[0.5][name] and written[0.5][name] == written[0.0][name], name
 
 
 def _run_with(estimators):

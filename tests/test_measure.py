@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from chaoslab import measure
 from chaoslab.bounds import estimate_beta
 from chaoslab.core import RngStream, TimeGrid, config_from_dict
 from chaoslab.dynamics import BLOCK_REPLICAS, BlowupError, solve_mckean_vlasov_picard
@@ -289,6 +290,37 @@ class TestGirsanovWeight:
         })
         with pytest.raises(BlowupError, match="non-finite log-weight at step 3, replica 3"):
             _point_rows(plan, 2)
+
+    @pytest.mark.parametrize("snapshot_times", [None, (0.11, 0.25, 0.5)], ids=["every-step", "swept"])
+    def test_a_window_of_steps_records_the_bits_of_the_whole_record(self, monkeypatch, snapshot_times):
+        # a Brownian block holds its log Z increments _WINDOW steps at a time; the running sum
+        # carried into each window is the cumsum's own addition, so no bit moves
+        cfg = make_cfg(n_particles=3, replicas=BLOCK_REPLICAS + 6, grid={"t0": 0.0, "dt": 1.0 / 100, "steps": 50})
+        law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=100, iters=1)
+        whole = girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1), snapshot_times=snapshot_times)
+        monkeypatch.setattr(measure, "_WINDOW", 7)
+        windowed = girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1), snapshot_times=snapshot_times)
+        assert windowed.steps == whole.steps
+        assert windowed.log_z.tobytes() == whole.log_z.tobytes()
+        assert windowed.energy.tobytes() == whole.energy.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_a_blowup_beyond_the_first_window_names_its_step(self, monkeypatch):
+        # [brownian]: delta poisoned from step 9 drives log Z non-finite from step 10, in the second window
+        monkeypatch.setattr(measure, "_WINDOW", 4)
+        cfg = make_cfg(n_particles=2, replicas=BLOCK_REPLICAS + 6, grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 12})
+        law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=100, iters=1)
+        pair_mean = law.drift.pair_mean_generic
+
+        def poisoned(t, states, feats=None):
+            out = pair_mean(t, states, feats)
+            if states.shape[0] == 6 and round(t * 64) >= 9:  # the second replica block, from step 9
+                out[4] = np.inf
+            return out
+
+        monkeypatch.setattr(law.drift, "pair_mean_generic", poisoned)
+        with pytest.raises(BlowupError, match=f"non-finite log-weight at step 10, replica {BLOCK_REPLICAS + 4}"):
+            girsanov_weight(cfg, law, RngStream(root_seed=cfg.seed, counter=1))
 
 
 class TestEntropyGirsanov:

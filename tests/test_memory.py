@@ -181,3 +181,27 @@ def test_generic_paths_stay_within_their_evaluation_budget(traced):
         fn()
         peak = tracemalloc.get_traced_memory()[1] - before
         assert peak <= 8 * budget, peak / budget
+
+
+def test_brownian_weights_do_not_hold_every_step(traced):
+    # a Brownian block records its log Z increments a fixed window of steps at a
+    # time: one block's increments at every step of this grid would take 164 MB
+    steps = 20_000
+    cfg = config_from_dict({
+        "domain": {"kind": "euclidean", "dim": 1},
+        "drift": {"name": "linear_pair", "params": {}},
+        "n_particles": 2,
+        "grid": {"t0": 0.0, "dt": 1e-5, "steps": steps},
+        "noise": {"kind": "brownian"},
+        "initial_law": {"name": "gaussian", "params": {"sigma": 0.5}},
+        "seed": 5,
+        "replicas": BLOCK_REPLICAS,
+    })
+    law = solve_mckean_vlasov_picard(cfg, RngStream(1), m=100, iters=1)
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    weights = girsanov_weight(cfg, law, RngStream(2), snapshot_times=[cfg.grid.terminal])
+    peak = tracemalloc.get_traced_memory()[1] - before
+    print({"brownian_weights_peak_mb": round(peak / 1e6, 2)})
+    assert weights.steps == (0, steps)
+    assert peak < 16e6, peak
