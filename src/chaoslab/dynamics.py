@@ -24,7 +24,7 @@ computes the features once per step and passes them to each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -81,16 +81,15 @@ class ParticleEnsemble:
         raise KeyError(f"step {step} was not recorded; request it via snapshot_times")
 
 
-def extract_marginal(ensemble: ParticleEnsemble, k: int, t: float) -> np.ndarray:
-    """Positions of the first k particles at time t, one row per replica.
+def extract_marginal(ensemble: ParticleEnsemble, k: int, step: int) -> np.ndarray:
+    """Positions of the first k particles at a grid step, one row per replica.
 
     Shape (replicas, k*d); exchangeability makes the choice of the first k
     representative. k may not exceed the particles the snapshot recorded.
     """
     if not 1 <= k <= ensemble.n:
         raise ValueError("need 1 <= k <= n")
-    idx = ensemble.grid.index_of(t)
-    pos = ensemble.positions_at(idx)
+    pos = ensemble.positions_at(step)
     r, recorded = pos.shape[:2]
     if k > recorded:
         raise ValueError(f"k = {k} exceeds the {recorded} particles recorded; request them via particles")
@@ -105,7 +104,7 @@ def _snapshot_steps(grid: TimeGrid, snapshot_times) -> set[int]:
 
 
 def integrate_block(states: np.ndarray, grid: TimeGrid, torus: bool, drift_at, increment, observe) -> np.ndarray:
-    """Euler-Maruyama steps X_{s+1} = X_s + dt drift_at(s, t_s, X_s) + increment(s)
+    """Euler-Maruyama steps X_{s+1} = X_s + dt drift_at(s, X_s) + increment(s)
     for one block of paths; returns the terminal states.
 
     Torus states are wrapped after every step, and a non-finite state raises
@@ -113,10 +112,9 @@ def integrate_block(states: np.ndarray, grid: TimeGrid, torus: bool, drift_at, i
     states at every step s = 0..steps (dw is None at s = 0).
     """
     dt = grid.dt
-    times = grid.times()
     observe(0, states, None)
     for s in range(grid.steps):
-        total = drift_at(s, float(times[s]), states)
+        total = drift_at(s, states)
         dw = increment(s)
         states = states + dt * total + dw
         if torus:
@@ -157,7 +155,7 @@ def integrate_blocks(config: SimConfig, rng: RngStream, purposes: tuple[int, int
     (blk.driver); each caller passes the sample_fbm_batch its own module
     imports, so patching that name reaches its draws.
 
-    drift_at(blk, s, t, x) and observe(blk, s, x, dw) are integrate_block's
+    drift_at(blk, s, x) and observe(blk, s, x, dw) are integrate_block's
     callbacks with the block first. finish(blk), when given, runs after the
     block's last step, once the block's noise is freed.
     """
@@ -218,10 +216,10 @@ def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=N
     for s in snap_steps:
         ens.snapshots[s] = np.empty((r_total, kept, d))
 
-    def drift_at(blk, s, t, x):
-        total = drift.pair_mean_generic(t, x) if drift.pair_state is not None else np.zeros_like(x)
+    def drift_at(blk, s, x):
+        total = drift.pair_mean_generic(x)
         if drift.b0_state is not None:
-            total = total + drift.b0_state(t, x)
+            total = total + drift.b0_state(x)
         return total
 
     def observe(blk, s, x, dw):
@@ -249,6 +247,7 @@ class MeanFieldLaw:
     """
 
     grid: TimeGrid
+    config: SimConfig  # the config the law was solved for
     drift: DriftSpec
     m: int
     iters: int
@@ -257,27 +256,30 @@ class MeanFieldLaw:
     summaries: np.ndarray | None  # (steps+1, q)
     ens_paths: np.ndarray | None  # (m, steps+1, d)
 
-    def mean_drift_at(self, idx: int, t: float, x: np.ndarray, feats=None) -> np.ndarray:
-        """<b(t, x, .), mu_t-hat>: the interaction averaged over the ensemble.
+    def check_config(self, config: SimConfig) -> None:
+        """Refuse a config that differs from the law's in more than the fields the Picard solve does not read."""
+        unread = {key: getattr(self.config, key) for key in ("n_particles", "replicas", "seed")}
+        if replace(config, **unread) != self.config:
+            raise ValueError("mean_field was solved for a different drift, domain, grid, noise or initial law")
+
+    def mean_drift_at(self, idx: int, x: np.ndarray, feats=None) -> np.ndarray:
+        """<b(x, .), mu_t-hat> at grid step idx: the interaction averaged over the ensemble.
 
         feats, when given, is drift.feature_map(x) already computed this step.
         """
-        if self.drift.pair_state is None:
-            return np.zeros_like(x)
-        if self.summaries is not None:
-            return self.drift.mean_field_drift(t, x, None, self.summaries[idx], feats)
-        assert self.ens_paths is not None
-        return self.drift.mean_field_drift(t, x, self.ens_paths[:, idx, :], None)
+        members = None if self.ens_paths is None else self.ens_paths[:, idx, :]
+        summary = None if self.summaries is None else self.summaries[idx]
+        return self.drift.mean_field_drift(x, members, summary, feats)
 
-    def reference_drift_at(self, idx: int, t: float, x: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
-        """Drift of a fresh independent copy: b0 + <b(t, x, .), mu_t-hat>.
+    def reference_drift_at(self, idx: int, x: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
+        """Drift of a fresh independent copy: b0 + <b(x, .), mu_t-hat>.
 
-        mean, when given, is mean_drift_at(idx, t, x) already computed this
+        mean, when given, is mean_drift_at(idx, x) already computed this
         step; a caller that needs both evaluates the mean field only once.
         """
-        total = self.mean_drift_at(idx, t, x) if mean is None else mean
+        total = self.mean_drift_at(idx, x) if mean is None else mean
         if self.drift.b0_state is not None:
-            total = total + self.drift.b0_state(t, x)
+            total = total + self.drift.b0_state(x)
         return total
 
 
@@ -301,8 +303,8 @@ def ensemble_too_large(drift: DriftSpec, m: int, steps: int, d: int) -> bool:
 def solve_mckean_vlasov_picard(
     config: SimConfig,
     rng: RngStream,
-    m: int = 10_000,
-    iters: int = 3,
+    m: int,
+    iters: int,
 ) -> MeanFieldLaw:
     """Picard iteration over empirical laws.
 
@@ -338,13 +340,13 @@ def solve_mckean_vlasov_picard(
 
     residuals: list[float] = []
     law = MeanFieldLaw(
-        grid=grid, drift=drift, m=m, iters=0, residuals=residuals, non_convergent=False,
+        grid=grid, config=config, drift=drift, m=m, iters=0, residuals=residuals, non_convergent=False,
         summaries=np.tile(drift.mf_summary(drift.feature_map(init_states)), (grid.steps + 1, 1)) if separable else None,
         ens_paths=np.broadcast_to(init_states[:, None, :], (m, grid.steps + 1, d)) if keep_paths else None,
     )
 
-    def drift_at(blk, s, t, x):
-        return law.reference_drift_at(s, t, x, law.mean_drift_at(s, t, x, blk.feats))
+    def drift_at(blk, s, x):
+        return law.reference_drift_at(s, x, law.mean_drift_at(s, x, blk.feats))
 
     def observe(blk, s, x, dw):
         if keep_paths:
@@ -372,7 +374,7 @@ def solve_mckean_vlasov_picard(
             residuals.append(_w1_marginal(prev_terminal, terminal))
         prev_terminal = terminal
         law = MeanFieldLaw(
-            grid=grid, drift=drift, m=m, iters=it, residuals=residuals,
+            grid=grid, config=config, drift=drift, m=m, iters=it, residuals=residuals,
             non_convergent=len(residuals) >= 2 and residuals[-1] > residuals[-2],
             summaries=summary_acc / m if separable else None, ens_paths=cur_paths,
         )
@@ -392,8 +394,8 @@ def sample_reference_marginals(
     These are the comparison samples for nonparametric divergence
     estimates: the same law the change-of-measure reference uses.
     """
-    grid = mean_field.grid
-    snap_steps = _snapshot_steps(grid, snapshot_times)
+    mean_field.check_config(config)
+    snap_steps = _snapshot_steps(config.grid, snapshot_times)
     out = {s: np.empty((count, config.domain.dim)) for s in snap_steps}
 
     def observe(blk, s, x, dw):
@@ -402,6 +404,6 @@ def sample_reference_marginals(
 
     integrate_blocks(
         config, rng, (_P_REF, _P_REF_FBM), count, None,
-        lambda blk, s, t, x: mean_field.reference_drift_at(s, t, x), observe, sample_fbm_batch,
+        lambda blk, s, x: mean_field.reference_drift_at(s, x), observe, sample_fbm_batch,
     )
     return out

@@ -195,19 +195,19 @@ def grid_lp_norm(p: float, n_cells: int, truncation_radius: int = 8) -> float:
 
 @dataclass
 class DriftSpec:
-    """Drift pair (b0, b): b0_state(t, x) and pair_state(t, x, y).
+    """Drift pair (b0, b): b0_state(x) and pair_state(x, y).
 
-    Built-ins are state drifts: they read the states at the current time
-    only, which keeps the integrator O(1) in memory.
+    Drifts are autonomous: they read the current states only, never the
+    time, which keeps the integrator O(1) in memory.
 
     pair_mean, mf_summary and mf_drift are optional O(n) fast paths that
     _separable derives from one declaration, features(x): for each block of
     output columns, b(x, y) = own(x) + sum_r a_r(x) g_r(y). An integrator
     computes the features once per step and hands them to every fast path
-    of that step. pair_mean(t, f) computes (n-1)^{-1} sum_{j != i}
-    b(t, X^i, X^j) for all i without forming the pairwise tensor;
+    of that step. pair_mean(f) computes (n-1)^{-1} sum_{j != i}
+    b(X^i, X^j) for all i without forming the pairwise tensor;
     mf_summary(f) reduces an ensemble to the means of its g_r, and
-    mf_drift(t, f, summary) evaluates the drift averaged against that
+    mf_drift(f, summary) evaluates the drift averaged against that
     ensemble. All are exact rearrangements of the pairwise sums, not
     approximations.
 
@@ -220,20 +220,20 @@ class DriftSpec:
     """
 
     name: str
-    b0_state: Callable[[float, np.ndarray], np.ndarray] | None = None
-    pair_state: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
+    b0_state: Callable[[np.ndarray], np.ndarray] | None = None
+    pair_state: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     features: Callable[[np.ndarray], Any] | None = None
-    pair_mean: Callable[[float, Any], np.ndarray] | None = None
+    pair_mean: Callable[[Any], np.ndarray] | None = None
     mf_summary: Callable[[Any], np.ndarray] | None = None
-    mf_drift: Callable[[float, Any, np.ndarray], np.ndarray] | None = None
+    mf_drift: Callable[[Any, np.ndarray], np.ndarray] | None = None
 
     def feature_map(self, x: np.ndarray) -> Any:
         """Features of the states x that the fast paths read (x itself for a
         drift without fast paths)."""
         return x if self.features is None else self.features(x)
 
-    def pair_mean_generic(self, t: float, states: np.ndarray, feats: Any = None) -> np.ndarray:
-        """(n-1)^{-1} sum_{j != i} b(t, X^i, X^j), O(n^2) fallback.
+    def pair_mean_generic(self, states: np.ndarray, feats: Any = None) -> np.ndarray:
+        """(n-1)^{-1} sum_{j != i} b(X^i, X^j), O(n^2) fallback; 0 without b.
 
         feats, when given, is feature_map(states) already computed this step.
         The pair tensor is evaluated for about _BATCH / (n^2 d) replicas at a
@@ -246,13 +246,13 @@ class DriftSpec:
         if n < 2:
             raise ValueError("pairwise drift needs n >= 2")
         if self.pair_mean is not None:
-            return self.pair_mean(t, self.feature_map(states) if feats is None else feats)
+            return self.pair_mean(self.feature_map(states) if feats is None else feats)
         flat = states.reshape((-1, n, d))
         out = np.empty_like(flat)
         rows = max(1, _BATCH // (n * n * d))
         for lo in range(0, flat.shape[0], rows):
             blk = flat[lo : lo + rows]
-            vals = self.pair_state(t, blk[:, :, None, :], blk[:, None, :, :])
+            vals = self.pair_state(blk[:, :, None, :], blk[:, None, :, :])
             # remove the diagonal i = j before averaging; np.diagonal puts it last
             diag = np.moveaxis(np.diagonal(vals, axis1=-3, axis2=-2), -1, -2)
             out[lo : lo + rows] = (np.add.reduce(vals, axis=-2) - diag) / (n - 1)
@@ -260,13 +260,12 @@ class DriftSpec:
 
     def mean_field_drift(
         self,
-        t: float,
         x: np.ndarray,
         ensemble_states: np.ndarray | None,
         summary: np.ndarray | None,
         feats: Any = None,
     ) -> np.ndarray:
-        """Drift of x averaged against an ensemble: (1/m) sum_l b(t, x, Y_l).
+        """Drift of x averaged against an ensemble: (1/m) sum_l b(x, Y_l), 0 without b.
 
         feats, when given, is feature_map(x) already computed this step.
         The generic path sums the members in chunks of step = _CHUNK / |lead|
@@ -278,7 +277,7 @@ class DriftSpec:
         if self.pair_state is None:
             return np.zeros_like(x)
         if self.mf_drift is not None and summary is not None:
-            return self.mf_drift(t, self.feature_map(x) if feats is None else feats, summary)
+            return self.mf_drift(self.feature_map(x) if feats is None else feats, summary)
         if ensemble_states is None:
             raise ValueError("generic mean-field drift needs ensemble states")
         m, d = ensemble_states.shape
@@ -295,7 +294,7 @@ class DriftSpec:
             calls.append((full, m, m - full))
         for lo, hi, width in calls:
             blk = ensemble_states[lo:hi].reshape((-1,) + (1,) * len(lead) + (width, d))
-            vals = self.pair_state(t, x_lead, blk)  # (chunks, lead..., width, d)
+            vals = self.pair_state(x_lead, blk)  # (chunks, lead..., width, d)
             for chunk in vals:
                 # A one-member reduce is 0.0 + v, which turns -0.0 into +0.0;
                 # adding v itself gives the same bits, because acc starts at
@@ -319,7 +318,7 @@ def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
         raise ConfigError(f"drift.params: key 'c': expected one number or a list of {domain.dim}, got {c!r}")
     c = np.array(c)
 
-    def b0(t: float, x: np.ndarray) -> np.ndarray:
+    def b0(x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(c, x.shape).copy()
 
     return DriftSpec(name="constant_b0", b0_state=b0)
@@ -328,7 +327,7 @@ def _drift_constant_b0(params: dict, domain: DomainSpec) -> DriftSpec:
 def _drift_restoring_b0(params: dict, domain: DomainSpec) -> DriftSpec:
     rate = _pop_key(params, "rate", float, 1.0, "drift.params")
 
-    def b0(t: float, x: np.ndarray) -> np.ndarray:
+    def b0(x: np.ndarray) -> np.ndarray:
         return -rate * x
 
     return DriftSpec(name="restoring_b0", b0_state=b0)
@@ -360,7 +359,7 @@ def _columns(blocks: list[np.ndarray]) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
 
 
-def _separable_pair_mean(t: float, feats: tuple) -> np.ndarray:
+def _separable_pair_mean(feats: tuple) -> np.ndarray:
     """(n-1)^{-1} sum_{j != i} b(X^i, X^j): the full sum over j minus the
     i = j term, which is exactly 0.0 when the a_r g_r cancel."""
     blocks = []
@@ -382,7 +381,7 @@ def _separable_summary(feats: tuple) -> np.ndarray:
     return np.concatenate([np.mean(g, axis=0) for _, terms in feats for _, g in terms if isinstance(g, np.ndarray)])
 
 
-def _separable_mf_drift(t: float, feats: tuple, summary: np.ndarray) -> np.ndarray:
+def _separable_mf_drift(feats: tuple, summary: np.ndarray) -> np.ndarray:
     """own(x) + sum_r a_r(x) <g_r, mu>, the means read from summary."""
     blocks, k = [], 0
     for own, terms in feats:
@@ -409,14 +408,12 @@ def _separable(name: str, pair: Callable, features: Callable[[np.ndarray], tuple
 
 
 def _drift_linear_pair(params: dict, domain: DomainSpec) -> DriftSpec:
-    def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x + y
-
-    return _separable("linear_pair", pair, lambda x: ((x, ((1.0, x),)),))
+    # b(x, y) = x + y
+    return _separable("linear_pair", np.add, lambda x: ((x, ((1.0, x),)),))
 
 
 def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
-    def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return y - x
 
     return _separable("attract_pair", pair, lambda x: ((None, ((1.0, x), (-x, 1.0))),))
@@ -457,7 +454,7 @@ def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     # h(u) = u 1{sin u > 0}: satisfies the linear growth condition with
     # K = 1 but is discontinuous in the pair displacement.
 
-    def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         u = x - y
         return u * sin_positive(u)
 
@@ -483,7 +480,7 @@ def _kernel_smooth_divfree(params: dict, domain: DomainSpec, config: SimConfig) 
     kernel = partial(smooth_divfree_kernel, frequency=frequency)
     w = TWO_PI * frequency
 
-    def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return kernel(torus_displacement(x, y))
 
     def column(wu: np.ndarray) -> tuple:
@@ -502,7 +499,7 @@ def _singular(name: str, function: Callable[..., np.ndarray], *fields: str) -> C
     def factory(params: dict, domain: DomainSpec, config: SimConfig) -> tuple[Callable, DriftSpec]:
         kernel = partial(function, eps=config.effective_eps, **{f: getattr(config, f) for f in fields})
 
-        def pair(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        def pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             return kernel(torus_displacement(x, y), freeze_inside=True)
 
         return kernel, DriftSpec(name=f"kernel:{name}", pair_state=pair)

@@ -5,7 +5,7 @@ The central construction simulates n independent copies of the
 (approximate) mean-field law and tilts them by the exponential martingale
 of the drift difference
 
-    delta_b(t, X) = (n-1)^{-1} sum_{j != i} b(t, X^i, X^j) - <b(t, X^i, .), mu_t>.
+    delta_b(X) = (n-1)^{-1} sum_{j != i} b(X^i, X^j) - <b(X^i, .), mu_t>.
 
 Because delta_b is evaluated at the current reference state, the tilted
 law is exactly the interacting particle law (up to Euler error), so
@@ -30,7 +30,6 @@ from scipy.spatial import cKDTree
 from .bounds import _delta_exponent
 from .core import RngStream, SimConfig, TimeGrid, sum_last_axis
 from .dynamics import BlowupError, MeanFieldLaw, _P_WEIGHT, _P_WEIGHT_FBM, _snapshot_steps, integrate_blocks
-from .kernels import build_drift
 from .noise import CHUNK_SERIES, sample_fbm_batch, volterra_inverse_apply
 
 __all__ = [
@@ -145,7 +144,7 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     independent mean-field copies and accumulate the exponential-martingale
     log-weight of the interacting system relative to them.
 
-    The reference copies evolve with drift b0 + <b(t, x, .), mu_t-hat>;
+    The reference copies evolve with drift b0 + <b(x, .), mu_t-hat>;
     the weight integrand is the pairwise interaction evaluated on those
     same copies minus the mean-field term (b0 cancels). Each step evaluates
     the mean-field term once, for both uses, and the drift's features once
@@ -162,9 +161,8 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     the first window of _WINDOW steps that holds one). Under either noise a
     delta_b first non-finite at step s makes log Z non-finite from step s + 1.
     """
+    mean_field.check_config(config)
     drift = mean_field.drift
-    if drift.name != build_drift(config).name:
-        raise ValueError("mean_field was built for a different drift")
     n, r_total = config.n_particles, config.replicas
     grid = config.grid
     d = config.domain.dim
@@ -179,13 +177,13 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     window = min(steps, _WINDOW)
     quality = "fractional weight: inverse Volterra transform carries O(dt) quadrature error" if fractional else None
 
-    def drift_at(blk, s, t, x):
+    def drift_at(blk, s, x):
         feats = drift.feature_map(x)
-        mf = mean_field.mean_drift_at(s, t, x, feats)
-        blk.delta = drift.pair_mean_generic(t, x, feats) - mf
+        mf = mean_field.mean_drift_at(s, x, feats)
+        blk.delta = drift.pair_mean_generic(x, feats) - mf
         if fractional:
             blk.history[..., s] = blk.delta
-        return mean_field.reference_drift_at(s, t, x, mf)
+        return mean_field.reference_drift_at(s, x, mf)
 
     def observe(blk, s, x, dw):
         if s == 0:

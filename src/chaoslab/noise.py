@@ -204,7 +204,7 @@ def empirical_covariance_table(
             prod = x[:, i] * x[:, j]
             emp = float(np.mean(prod))
             stderr = float(np.std(prod, ddof=1) / math.sqrt(n_paths))
-            exact = float(fbm_covariance(times[i + 1], times[j + 1], hurst))
+            exact = float(fbm_covariance(grid.dt * (i + 1), grid.dt * (j + 1), hurst))  # the series start at t0
             t, s = float(times[i + 1]), float(times[j + 1])
             rows.append({"t": t, "s": s, "H": hurst, "emp": emp, "exact": exact, "stderr": stderr})
     return rows

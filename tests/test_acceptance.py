@@ -242,7 +242,7 @@ def test_criterion_5_torus_chaos_decay():
         mf = solve_mckean_vlasov_picard(cfg, rng, m=10_000, iters=3)
         ens = simulate_particle_system(cfg, rng, snapshot_times=(0.25,))
         refs = sample_reference_marginals(cfg, mf, 10_000, rng, snapshot_times=(0.25,))
-        rep = entropy_knn(extract_marginal(ens, 1, 0.25), refs[cfg.grid.steps],
+        rep = entropy_knn(extract_marginal(ens, 1, cfg.grid.steps), refs[cfg.grid.steps],
                           neighbors=4, torus=True)
         table.append((n, rep.value, rep.stderr))
         print(f"  n={n:>3}: knn entropy = {rep.value:+.5f} +/- {rep.stderr:.5f}", flush=True)

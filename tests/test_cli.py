@@ -547,6 +547,20 @@ class TestNoiseCheckCommand:
         man = json.loads((out / "manifest.json").read_text())
         assert man["config"]["noise"]["hurst"] == 0.3
 
+    def test_the_grid_start_labels_the_rows_only(self, tmp_path):
+        # the sampled series start at the grid start, so only t and s move with t0
+        columns = {}
+        for t0 in (0.0, 0.5):
+            cfg = write_json(tmp_path, f"c{t0}.json",
+                             sim_config(noise={"kind": "fbm", "hurst": 0.3}, replicas=2000,
+                                        grid={"t0": t0, "dt": 0.01, "steps": 8}))
+            out = tmp_path / f"out{t0}"
+            assert main(["noise-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            rows = read_rows(out / "noise_covariance.csv")
+            columns[t0] = [[row[c] for c in ("empirical", "exact", "stderr", "z")] for row in rows]
+            assert float(rows[0]["t"]) == t0 + 0.01
+        assert columns[0.0] == columns[0.5]
+
     def test_covariance_mismatch_exits_consistency(self, tmp_path, monkeypatch):
         import chaoslab.cli as cli_mod
 

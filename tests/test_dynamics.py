@@ -49,10 +49,10 @@ def zscore(samples, exact):
 class TestIntegrateBlock:
     def run(self, increments, torus=False, grid=None):
         grid = grid or TimeGrid(t0=0.5, dt=0.25, steps=increments.shape[0])
-        seen, times = [], []
+        seen, steps = [], []
 
-        def zero_drift(s, t, x):
-            times.append((s, t))
+        def zero_drift(s, x):
+            steps.append(s)
             return np.zeros_like(x)
 
         def observe(s, x, dw):
@@ -61,18 +61,18 @@ class TestIntegrateBlock:
         out = integrate_block(
             np.zeros(increments.shape[1:]), grid, torus, zero_drift, lambda s: increments[s], observe
         )
-        return out, seen, times
+        return out, seen, steps
 
     def test_zero_drift_returns_cumulative_increments(self):
         incr = np.random.default_rng(0).standard_normal((6, 3, 2, 1))
-        out, seen, times = self.run(incr)
+        out, seen, steps = self.run(incr)
         assert np.array_equal(out, np.cumsum(incr, axis=0)[-1])
         assert [s for s, _, _ in seen] == list(range(7))
         assert seen[0][2] is None and np.array_equal(seen[0][1], np.zeros((3, 2, 1)))
         for s, x, dw in seen[1:]:
             assert np.array_equal(x, np.cumsum(incr, axis=0)[s - 1])
             assert np.array_equal(dw, incr[s - 1])
-        assert times == [(s, 0.5 + 0.25 * s) for s in range(6)]
+        assert steps == list(range(6))
 
     def test_torus_states_wrapped(self):
         incr = np.full((5, 4, 2), 0.3)
@@ -154,13 +154,13 @@ class TestSimulate:
                        initial_law={"name": "gaussian", "params": {"sigma": 1.0}},
                        replicas=30, grid={"t0": 0.0, "dt": 0.01, "steps": 10})
         ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
-        marg = extract_marginal(ens, 3, 0.1)
+        marg = extract_marginal(ens, 3, 10)
         assert marg.shape == (30, 6)
         full = ens.positions_at(10)
         assert np.array_equal(marg, full[:, :3, :].reshape(30, 6))
         for bad in (0, 9):
             with pytest.raises(ValueError):
-                extract_marginal(ens, bad, 0.1)
+                extract_marginal(ens, bad, 10)
 
     def test_snapshots_of_the_first_particles_equal_the_full_prefix(self):
         cfg = make_cfg(domain={"kind": "euclidean", "dim": 2},
@@ -172,9 +172,9 @@ class TestSimulate:
         for step, pos in part.snapshots.items():
             assert pos.shape == (30, 3, 2)
             assert np.array_equal(pos, full.snapshots[step][:, :3])
-        assert np.array_equal(extract_marginal(part, 3, 0.05), extract_marginal(full, 3, 0.05))
+        assert np.array_equal(extract_marginal(part, 3, 5), extract_marginal(full, 3, 5))
         with pytest.raises(ValueError, match="3 particles recorded"):
-            extract_marginal(part, 4, 0.05)
+            extract_marginal(part, 4, 5)
         for bad in (0, 9):
             with pytest.raises(ValueError, match="particles must lie in 1..8"):
                 simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), particles=bad)
@@ -201,7 +201,7 @@ class TestSimulate:
                 np.maximum(sup_x, np.linalg.norm(x, axis=-1), out=sup_x)
                 np.maximum(sup_w, np.linalg.norm(w_cum, axis=-1), out=sup_w)
 
-        integrate_block(states, cfg.grid, False, lambda s, t, x: drift.pair_mean_generic(t, x),
+        integrate_block(states, cfg.grid, False, lambda s, x: drift.pair_mean_generic(x),
                         lambda s: dws[s], observe)
         t_end = dt * steps
         rhs = (m0 + t_end + sup_w.max(axis=1)) * math.exp(2 * t_end)
@@ -326,8 +326,8 @@ class TestMeanFieldLaw:
         assert law.residuals == []
         assert law.summaries is None and law.ens_paths is None
         x = np.linspace(-1, 1, 7)[:, None]
-        assert np.array_equal(law.mean_drift_at(3, 0.0, x), np.zeros_like(x))
-        assert np.allclose(law.reference_drift_at(3, 0.0, x), -x)
+        assert np.array_equal(law.mean_drift_at(3, x), np.zeros_like(x))
+        assert np.allclose(law.reference_drift_at(3, x), -x)
 
     def test_mean_drift_is_state_plus_ensemble_mean(self):
         cfg = make_cfg()
@@ -335,7 +335,7 @@ class TestMeanFieldLaw:
         x = np.linspace(-2, 2, 9)[:, None]
         for idx in (0, 50, 100):
             want = x + law.summaries[idx]
-            assert np.allclose(law.mean_drift_at(idx, 0.0, x), want, atol=1e-14)
+            assert np.allclose(law.mean_drift_at(idx, x), want, atol=1e-14)
 
     def test_generic_drift_retains_ensemble(self):
         cfg = make_cfg(drift={"name": "sign_gated_pair", "params": {}},
@@ -344,8 +344,8 @@ class TestMeanFieldLaw:
         assert law.summaries is None
         assert law.ens_paths.shape == (500, 21, 1)
         x = np.array([[0.3], [-0.7]])
-        want = law.drift.mean_field_drift(0.0, x, law.ens_paths[:, 4, :], None)
-        assert np.array_equal(law.mean_drift_at(4, 0.0, x), want)
+        want = law.drift.mean_field_drift(x, law.ens_paths[:, 4, :], None)
+        assert np.array_equal(law.mean_drift_at(4, x), want)
 
     def test_generic_drift_memory_guard(self):
         cfg = make_cfg(drift={"name": "sign_gated_pair", "params": {}},

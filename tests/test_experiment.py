@@ -479,7 +479,8 @@ class TestEstimators:
         data["estimators"] = ["girsanov", "histogram_tv"]
         data["sweep"]["k"] = [1, 4]
         tables = run_experiment(plan_from_dict(data)).tables
-        assert any(r["check"] == "subadditivity" for r in tables["checks"])
+        checks = {r["check"] for r in tables["checks"]}
+        assert "pinsker" in checks and "subadditivity" not in checks
         assert len(calls) == len(set(calls))
         # per n and t: k = 1 and 4, and the full system (k = n = 4 is one report)
         assert sorted({(n, k) for n, k, _ in calls}) == [(4, 1), (4, 4), (6, 1), (6, 4), (6, 6)]

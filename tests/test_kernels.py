@@ -160,7 +160,7 @@ class TestBiotSavartAtCoincidentPoints:
     def test_coincident_particles_pair_mean_is_finite(self):
         drift = build_drift(torus_kernel_cfg("biot_savart_periodic"))
         states = np.array([[[0.1, 0.2], [0.1, 0.2], [-0.3, 0.4]]])
-        out = drift.pair_mean_generic(0.0, states)
+        out = drift.pair_mean_generic(states)
         assert np.all(np.isfinite(out))
         # particles 0 and 1 coincide, so each sees only particle 2
         assert np.array_equal(out[0, 0], out[0, 1])
@@ -249,17 +249,17 @@ class TestDriftSpecs:
         def close(got, want):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
-        vals = drift.pair_state(0.3, states[:, :, None, :], states[:, None, :, :])  # (R, i, j, d)
+        vals = drift.pair_state(states[:, :, None, :], states[:, None, :, :])  # (R, i, j, d)
         off_diagonal = ~np.eye(n, dtype=bool)[:, :, None]
-        close(drift.pair_mean(0.3, drift.feature_map(states)), np.sum(vals * off_diagonal, axis=2) / (n - 1))
+        close(drift.pair_mean(drift.feature_map(states)), np.sum(vals * off_diagonal, axis=2) / (n - 1))
         summary = drift.mf_summary(drift.feature_map(ens))
-        want = np.mean(drift.pair_state(0.3, states[:, :, None, :], ens), axis=2)
-        close(drift.mf_drift(0.3, drift.feature_map(states), summary), want)
+        want = np.mean(drift.pair_state(states[:, :, None, :], ens), axis=2)
+        close(drift.mf_drift(drift.feature_map(states), summary), want)
 
     def test_smooth_kernel_pair_mean_matches_double_loop(self):
         drift = build_drift(torus_kernel_cfg("smooth_divfree", {"frequency": 1}))
         states = RNG.uniform(-0.5, 0.5, size=(3, 4, 2))
-        got = drift.pair_mean_generic(0.0, states)
+        got = drift.pair_mean_generic(states)
         n = states.shape[1]
         want = np.zeros_like(states)
         for r in range(states.shape[0]):
@@ -277,29 +277,29 @@ class TestDriftSpecs:
         drift = build_drift(lin_cfg("sign_gated_pair"))
         pair, calls = drift.pair_state, []
 
-        def counted(t, x, y):
+        def counted(x, y):
             calls.append(np.broadcast_shapes(x.shape, y.shape))
-            return pair(t, x, y)
+            return pair(x, y)
 
         drift.pair_state = counted
         states = RNG.normal(size=(3, 5, 1))
-        got = drift.pair_mean_generic(0.2, states)
+        got = drift.pair_mean_generic(states)
         assert calls == [(3, 5, 5, 1)]
         want = np.zeros_like(states)
         for r in range(3):
             for i in range(5):
-                want[r, i] = sum(pair(0.2, states[r, i], states[r, j]) for j in range(5) if j != i) / 4
+                want[r, i] = sum(pair(states[r, i], states[r, j]) for j in range(5) if j != i) / 4
         assert np.allclose(got, want, atol=1e-12)
 
     def test_zero_drift(self):
         drift = build_drift(lin_cfg("zero"))
         states = RNG.normal(size=(2, 4, 1))
-        assert np.array_equal(drift.pair_mean_generic(0.0, states), np.zeros_like(states))
+        assert np.array_equal(drift.pair_mean_generic(states), np.zeros_like(states))
 
     def test_constant_b0(self):
         drift = build_drift(lin_cfg("constant_b0", {"c": [2.5]}))
         x = RNG.normal(size=(6, 1))
-        assert np.allclose(drift.b0_state(0.0, x), 2.5)
+        assert np.allclose(drift.b0_state(x), 2.5)
 
     def test_unknown_drift_param_rejected(self):
         with pytest.raises(Exception, match=r"drift.params: unknown keys \['value'\]"):
@@ -310,7 +310,7 @@ class TestDriftSpecs:
     @pytest.mark.parametrize("c,dim", [(-1.5, 2), ([2.0, -1], 2)])
     def test_constant_b0_takes_one_number_or_d_numbers(self, c, dim):
         drift = build_drift(lin_cfg("constant_b0", {"c": c}, dim=dim))
-        assert np.array_equal(drift.b0_state(0.0, np.zeros((3, dim))), np.broadcast_to(c, (3, dim)))
+        assert np.array_equal(drift.b0_state(np.zeros((3, dim))), np.broadcast_to(c, (3, dim)))
 
     @pytest.mark.parametrize(
         "name,params,message",
@@ -336,7 +336,7 @@ class TestDriftSpecs:
         drift = build_drift(lin_cfg("linear_pair"))
         x = np.array([[1.0], [2.0]])
         summary = np.array([0.5])
-        out = drift.mean_field_drift(0.0, x, None, summary)
+        out = drift.mean_field_drift(x, None, summary)
         assert np.allclose(out, x + 0.5)
 
 
@@ -383,7 +383,7 @@ class TestSignGate:
                 assert np.array_equal(got, want)
                 assert np.array_equal(u.view(np.int64), kept.view(np.int64))
                 # u - 0.0 is u bit for bit, -0.0 included
-                out = pair(0.0, u, 0.0)
+                out = pair(u, 0.0)
                 assert np.array_equal(out.view(np.int64), (u * want).view(np.int64))
 
     def test_sin_decides_at_the_zeros(self):
@@ -454,28 +454,28 @@ class TestFeatureFastPaths:
         feats = drift.feature_map(states)
         got_summary = drift.mf_summary(drift.feature_map(ens))
         assert np.array_equal(got_summary, summary(ens))
-        assert np.array_equal(drift.pair_mean(0.1, feats), pair_mean(states))
-        assert np.array_equal(drift.mf_drift(0.1, feats, got_summary), mf_drift(states, got_summary))
+        assert np.array_equal(drift.pair_mean(feats), pair_mean(states))
+        assert np.array_equal(drift.mf_drift(feats, got_summary), mf_drift(states, got_summary))
         # the entry points give the same bits with and without features at hand
-        assert np.array_equal(drift.pair_mean_generic(0.1, states, feats), pair_mean(states))
-        assert np.array_equal(drift.pair_mean_generic(0.1, states), pair_mean(states))
-        assert np.array_equal(drift.mean_field_drift(0.1, states, None, got_summary), mf_drift(states, got_summary))
+        assert np.array_equal(drift.pair_mean_generic(states, feats), pair_mean(states))
+        assert np.array_equal(drift.pair_mean_generic(states), pair_mean(states))
+        assert np.array_equal(drift.mean_field_drift(states, None, got_summary), mf_drift(states, got_summary))
 
 
-def documented_mean_field(drift, t, x, ens):
+def documented_mean_field(drift, x, ens):
     """The generic mean field's documented order: chunks of step members,
     each reduced over axis -2 and added to a zero accumulator in member order."""
     step = max(1, _CHUNK // max(1, math.prod(x.shape[:-1])))
     acc = np.zeros_like(x)
     for lo in range(0, ens.shape[0], step):
-        acc += np.add.reduce(drift.pair_state(t, x[..., None, :], ens[lo : lo + step]), axis=-2)
+        acc += np.add.reduce(drift.pair_state(x[..., None, :], ens[lo : lo + step]), axis=-2)
     return acc / ens.shape[0]
 
 
-def documented_pair_mean(drift, t, states):
+def documented_pair_mean(drift, states):
     """The generic pair mean from the whole n x n tensor in one evaluation."""
     n = states.shape[-2]
-    vals = drift.pair_state(t, states[..., :, None, :], states[..., None, :, :])
+    vals = drift.pair_state(states[..., :, None, :], states[..., None, :, :])
     diag = np.moveaxis(np.diagonal(vals, axis1=-3, axis2=-2), -1, -2)
     return (np.add.reduce(vals, axis=-2) - diag) / (n - 1)
 
@@ -509,18 +509,18 @@ class TestGenericBatching:
         k = min(5, m, flat.shape[0])
         ens[:k] = flat[:k]  # zero displacements
         ens[k : 2 * k] = flat[:k] + 0.003  # inside the eps-ball on the torus
-        got = drift.mean_field_drift(0.3, x, ens, None)
-        assert same_bits(got, documented_mean_field(drift, 0.3, x, ens))
+        got = drift.mean_field_drift(x, ens, None)
+        assert same_bits(got, documented_mean_field(drift, x, ens))
 
     def test_sign_gate_negative_zeros_keep_their_bits(self):
         # u < 0 gated off gives -0.0; one-member chunks add it as it is
         drift, draw = _generic_drift_and_draw("sign_gated_pair")
         x = -np.abs(draw((1024, 8))) - 0.1
         ens = np.abs(draw((50,)))
-        vals = drift.pair_state(0.0, x[..., None, :], ens)
+        vals = drift.pair_state(x[..., None, :], ens)
         assert np.any((vals == 0.0) & np.signbit(vals))
-        got = drift.mean_field_drift(0.0, x, ens, None)
-        assert same_bits(got, documented_mean_field(drift, 0.0, x, ens))
+        got = drift.mean_field_drift(x, ens, None)
+        assert same_bits(got, documented_mean_field(drift, x, ens))
         assert not np.any(np.signbit(got) & (got == 0.0))
 
     @pytest.mark.parametrize("name", ["sign_gated_pair", "biot_savart_free"])
@@ -530,22 +530,22 @@ class TestGenericBatching:
         states = draw(lead + (n,))
         flat = states.reshape((-1,) + states.shape[-2:])
         flat[0, 1] = flat[0, 0]
-        got = drift.pair_mean_generic(0.3, states)
-        assert same_bits(got, documented_pair_mean(drift, 0.3, states))
+        got = drift.pair_mean_generic(states)
+        assert same_bits(got, documented_pair_mean(drift, states))
 
     def test_calls_stay_within_the_budget(self):
         drift, draw = _generic_drift_and_draw("sign_gated_pair")
         pair, sizes = drift.pair_state, []
 
-        def counted(t, x, y):
+        def counted(x, y):
             sizes.append(math.prod(np.broadcast_shapes(x.shape, y.shape)))
-            return pair(t, x, y)
+            return pair(x, y)
 
         drift.pair_state = counted
-        drift.mean_field_drift(0.0, draw((1024, 8)), draw((200,)), None)
+        drift.mean_field_drift(draw((1024, 8)), draw((200,)), None)
         assert sizes == [_BATCH] * 100
         sizes.clear()
-        drift.pair_mean_generic(0.0, draw((1024, 8)))
+        drift.pair_mean_generic(draw((1024, 8)))
         assert sizes == [_BATCH] * 4
 
 
@@ -579,11 +579,11 @@ class TestRigidShift:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         states = self.configurations(200, 8, seed=3)
-        close(drift.pair_mean_generic(0.0, shift(states)), drift.pair_mean_generic(0.0, states))
+        close(drift.pair_mean_generic(shift(states)), drift.pair_mean_generic(states))
         # one particle against a 50-member ensemble
         points = self.configurations(1, 51, seed=4)[0]
         x, ens = points[:1], points[1:]
-        close(drift.mean_field_drift(0.0, shift(x), shift(ens), None), drift.mean_field_drift(0.0, x, ens, None))
+        close(drift.mean_field_drift(shift(x), shift(ens), None), drift.mean_field_drift(x, ens, None))
 
 
 class TestKernelRefParsing:

@@ -6,6 +6,7 @@ so estimator output is tested against exact numbers at Monte Carlo
 tolerances.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -17,7 +18,7 @@ from hypothesis import given, strategies as st
 from chaoslab import measure
 from chaoslab.bounds import estimate_beta
 from chaoslab.core import RngStream, TimeGrid, config_from_dict
-from chaoslab.dynamics import BLOCK_REPLICAS, BlowupError, solve_mckean_vlasov_picard
+from chaoslab.dynamics import BLOCK_REPLICAS, BlowupError, sample_reference_marginals, solve_mckean_vlasov_picard
 from chaoslab.experiment import _point_rows, plan_from_dict
 from chaoslab.kernels import DriftSpec
 from chaoslab.measure import (
@@ -122,6 +123,23 @@ class TestGirsanovWeight:
         with pytest.raises(ValueError, match="different drift"):
             girsanov_weight(cfg, law, RngStream(root_seed=2))
 
+    @pytest.mark.parametrize("stage", ["weights", "references"])
+    @pytest.mark.parametrize("other", [
+        {"drift": {"name": "restoring_b0", "params": {"rate": 5.0}}},
+        {"initial_law": {"name": "gaussian", "params": {"mean": [0.0], "sigma": 3.0}}},
+    ], ids=["drift-param", "initial-law"])
+    def test_a_law_runs_only_with_the_model_it_was_solved_for(self, stage, other):
+        model = {"drift": {"name": "restoring_b0", "params": {"rate": 1.0}}, "replicas": 10,
+                 "initial_law": {"name": "gaussian", "params": {"mean": [0.0], "sigma": 1.0}}}
+        solved = make_cfg(**model)
+        law = solve_mckean_vlasov_picard(solved, RngStream(root_seed=1), m=100, iters=1)
+        run = {"weights": lambda cfg: girsanov_weight(cfg, law, RngStream(root_seed=2)),
+               "references": lambda cfg: sample_reference_marginals(cfg, law, 100, RngStream(root_seed=2))}[stage]
+        with pytest.raises(ValueError, match="different drift"):
+            run(make_cfg(**{**model, **other}))
+        # the Picard solve reads neither the particle count, the replicas nor the seed
+        run(replace(solved, n_particles=3, replicas=20, seed=7))
+
     def test_torus_kernel_weight_is_martingale(self):
         cfg = make_cfg(
             domain={"kind": "torus", "dim": 2},
@@ -202,7 +220,7 @@ class TestGirsanovWeight:
         original = DriftSpec.mean_field_drift
 
         def counted(self, *args, **kwargs):
-            calls.append(args[1].shape)
+            calls.append(args[0].shape)
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(DriftSpec, "mean_field_drift", counted)
@@ -217,11 +235,11 @@ class TestGirsanovWeight:
         cfg = make_cfg(noise=noise, n_particles=2, replicas=BLOCK_REPLICAS + 6,
                        grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 6})
         law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=100, iters=1)
-        pair_mean = law.drift.pair_mean_generic
+        pair_mean, second_block_steps = law.drift.pair_mean_generic, itertools.count()
 
-        def poisoned(t, states, feats=None):
-            out = pair_mean(t, states, feats)
-            if states.shape[0] == 6 and round(t * 64) >= 3:  # the second replica block, from step 3
+        def poisoned(states, feats=None):
+            out = pair_mean(states, feats)
+            if states.shape[0] == 6 and next(second_block_steps) >= 3:  # the second replica block, from step 3
                 out[4] = np.inf
             return out
 
@@ -257,11 +275,11 @@ class TestGirsanovWeight:
         # steps are recorded (step 3 is not recorded by the plan below)
         cfg = make_cfg(n_particles=2, replicas=8, grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 4})
         law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=100, iters=1)
-        pair_mean = DriftSpec.pair_mean_generic
+        pair_mean, calls = DriftSpec.pair_mean_generic, itertools.count()
 
-        def poisoned(self, t, states, feats=None):
-            out = pair_mean(self, t, states, feats)
-            step = round(t * 64)  # delta at step s enters log Z at step s + 1
+        def poisoned(self, states, feats=None):
+            out = pair_mean(self, states, feats)
+            step = next(calls) % 4  # one call per step of a 4-step run; delta at step s enters log Z at step s + 1
             if step == 2:
                 out[3] = np.inf
             if step == 0:
@@ -310,11 +328,11 @@ class TestGirsanovWeight:
         monkeypatch.setattr(measure, "_WINDOW", 4)
         cfg = make_cfg(n_particles=2, replicas=BLOCK_REPLICAS + 6, grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 12})
         law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=100, iters=1)
-        pair_mean = law.drift.pair_mean_generic
+        pair_mean, second_block_steps = law.drift.pair_mean_generic, itertools.count()
 
-        def poisoned(t, states, feats=None):
-            out = pair_mean(t, states, feats)
-            if states.shape[0] == 6 and round(t * 64) >= 9:  # the second replica block, from step 9
+        def poisoned(states, feats=None):
+            out = pair_mean(states, feats)
+            if states.shape[0] == 6 and next(second_block_steps) >= 9:  # the second replica block, from step 9
                 out[4] = np.inf
             return out
 

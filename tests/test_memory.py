@@ -175,7 +175,7 @@ def test_generic_paths_stay_within_their_evaluation_budget(traced):
     gen = np.random.default_rng(4)
     x, ens = gen.normal(size=(BLOCK_REPLICAS, N, 1)), gen.normal(size=(2000, 1))
     budget = _BATCH * 8
-    for fn in (lambda: drift.mean_field_drift(0.0, x, ens, None), lambda: drift.pair_mean_generic(0.0, x)):
+    for fn in (lambda: drift.mean_field_drift(x, ens, None), lambda: drift.pair_mean_generic(x)):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         fn()

@@ -4,10 +4,11 @@ The tracer wraps chaoslab names from outside and derives exact work counts
 from call shapes. A refactor that routes a non-separable evaluation around
 DriftSpec.pair_mean_generic or DriftSpec.mean_field_drift would silently
 falsify kernels.generic.pair_evals; these tests pin that count on a tiny
-generic-drift plan, and the fBm normal and call counts on two fractional
-plans, one within a block and one across block boundaries, to their closed
-forms. The tracer patches modules in place, so each run is in
-a fresh interpreter.
+generic-drift plan, the separable fast paths' span counts on two Brownian
+linear_pair plans, and the fBm normal and call counts on two fractional
+plans; of each pair of plans one runs within a block and one across block
+boundaries. Every count is pinned to its closed form. The tracer patches
+modules in place, so each run is in a fresh interpreter.
 """
 
 import json
@@ -23,19 +24,19 @@ from chaoslab.dynamics import BLOCK_REPLICAS, PATH_BLOCK
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
-import json, sys
+import collections, json, sys
 import tracing
 tracer = tracing.Tracer()
 tracing.install(tracer)
 from chaoslab.cli import main
 code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps({"code": code, "counts": dict(tracer.counts)}))
+print(json.dumps({"code": code, "counts": dict(tracer.counts), "spans": collections.Counter(tracer.names)}))
 """
 
 
 def traced_run(tmp_path, plan):
-    """Run the plan under the tracer in a fresh interpreter; its exit code
-    and the tracer's counts."""
+    """Run the plan under the tracer in a fresh interpreter; its exit code,
+    the tracer's counts and its spans counted by name."""
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
     env = dict(os.environ)
@@ -86,6 +87,47 @@ def test_generic_pair_evals_match_closed_form(tmp_path):
     assert result["counts"]["dynamics.particle_steps"] == sum(
         iters * m * steps + 2 * replicas * n * steps + samples * max(sweep_k) * steps for n in sweep_n
     )
+
+
+@pytest.mark.parametrize(
+    "replicas, m, samples",
+    [(100, 100, 100), (1030, 4100, 2100)],
+    ids=["one_block", "across_blocks"],
+)
+def test_separable_fast_path_spans_match_closed_form(tmp_path, replicas, m, samples):
+    # the Brownian separable path of torus_sweep and linear_sweep: one pair_mean span per
+    # step of each simulation and weight block, one mf_drift span per step of each Picard,
+    # reference and weight block (Picard and reference blocks of PATH_BLOCK paths)
+    steps, iters = 4, 2
+    sweep_n, sweep_k = [3, 4], [1, 2]
+    plan = {
+        "label": "trace_contract_separable",
+        "base": {
+            "domain": {"kind": "euclidean", "dim": 1},
+            "n_particles": 3,
+            "grid": {"t0": 0.0, "dt": 0.01, "steps": steps},
+            "noise": {"kind": "brownian"},
+            "initial_law": {"name": "gaussian", "params": {"mean": [0.0], "sigma": 1.0}},
+            "seed": 3,
+            "replicas": replicas,
+            "drift": {"name": "linear_pair", "params": {}},
+        },
+        "sweep": {"n": sweep_n, "k": sweep_k, "t": [steps * 0.01]},
+        "picard": {"m": m, "iters": iters},
+        "knn": {"neighbors": 2, "samples": samples},
+        "tv": {"bins": 4},
+    }
+    result = traced_run(tmp_path, plan)
+
+    s_k = samples * max(sweep_k)
+    assert result["counts"]["dynamics.particle_steps"] == sum(
+        (iters * m + 2 * replicas * n + s_k) * steps for n in sweep_n
+    )
+    replica_blocks = -(-replicas // BLOCK_REPLICAS)
+    assert result["spans"]["kernels.pair_mean"] == len(sweep_n) * 2 * steps * replica_blocks
+    path_blocks = iters * -(-m // PATH_BLOCK) + -(-s_k // PATH_BLOCK)
+    assert result["spans"]["kernels.mf_drift"] == len(sweep_n) * steps * (path_blocks + replica_blocks)
+    assert result["counts"].get("kernels.generic.pair_evals", 0) == 0
 
 
 @pytest.mark.parametrize(
