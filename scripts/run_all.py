@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full pipeline over every shipped config.
 
-Each config lands in <out>/<label>/ with entropy.csv, bounds.csv,
+Each config lands in <out>/<config file stem>/ with entropy.csv, bounds.csv,
 checks.csv, horizons.csv and manifest.json. After each config the wall
 time and the peak resident memory of its run are printed. The exit status
 is the worst per-config exit code, a run killed by signal s counting as

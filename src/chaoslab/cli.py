@@ -67,7 +67,7 @@ def _seeded_config(args) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _seeded_config(args)
-    ens = simulate_particle_system(cfg, RngStream(cfg.seed))
+    ens = simulate_particle_system(cfg, RngStream(cfg.seed), (0, cfg.grid.steps))
     times = cfg.grid.times()
     rows = []
     for step in sorted(ens.snapshots):

@@ -150,13 +150,13 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
     def index_of(self, t: float) -> int:
-        """Grid index nearest to t; warns rather than interpolating."""
-        idx = int(round((t - self.t0) / self.dt))
-        idx = min(max(idx, 0), self.steps)
-        if abs(self.t0 + idx * self.dt - t) > 1e-9 * max(1.0, abs(t)):
-            import warnings
-
-            warnings.warn(f"time {t} is off-grid; using nearest grid point {self.t0 + idx * self.dt}")
+        """The grid step at time t, the one conversion of a time to a step: a
+        t more than 1e-9 from every grid point raises ConfigError."""
+        # nearest grid point by arithmetic: the grid may be too long to list
+        pos = (t - self.t0) / self.dt
+        idx = min(max(round(pos), 0), self.steps) if math.isfinite(pos) else 0
+        if not abs(self.t0 + self.dt * idx - t) <= 1e-9:
+            raise ConfigError(f"time {t} is not a grid point")
         return idx
 
     def check_horizon(self, horizon: float) -> None:

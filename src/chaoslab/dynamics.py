@@ -24,6 +24,7 @@ computes the features once per step and passes them to each.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -78,7 +79,7 @@ class ParticleEnsemble:
     def positions_at(self, step: int) -> np.ndarray:
         if step in self.snapshots:
             return self.snapshots[step]
-        raise KeyError(f"step {step} was not recorded; request it via snapshot_times")
+        raise KeyError(f"step {step} was not recorded; request it via steps")
 
 
 def extract_marginal(ensemble: ParticleEnsemble, k: int, step: int) -> np.ndarray:
@@ -96,11 +97,13 @@ def extract_marginal(ensemble: ParticleEnsemble, k: int, step: int) -> np.ndarra
     return pos[:, :k, :].reshape(r, -1).copy()
 
 
-def _snapshot_steps(grid: TimeGrid, snapshot_times) -> set[int]:
-    """Grid steps to record: the requested times, the start and the end."""
-    if snapshot_times is None:
-        return {0, grid.steps}
-    return {grid.index_of(float(t)) for t in snapshot_times} | {0, grid.steps}
+def _recorded_steps(grid: TimeGrid, steps) -> tuple[int, ...]:
+    """The grid steps a stage records: steps sorted, each once. A step
+    outside 0..grid.steps raises ValueError."""
+    out = tuple(sorted({operator.index(s) for s in steps}))
+    if out and not 0 <= out[0] <= out[-1] <= grid.steps:
+        raise ValueError(f"steps must lie in 0..{grid.steps}, got {list(out)}")
+    return out
 
 
 def integrate_block(states: np.ndarray, grid: TimeGrid, torus: bool, drift_at, increment, observe) -> np.ndarray:
@@ -190,10 +193,10 @@ def integrate_blocks(config: SimConfig, rng: RngStream, purposes: tuple[int, int
             finish(blk)
 
 
-def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=None,
+def simulate_particle_system(config: SimConfig, rng: RngStream, steps,
                              particles: int | None = None) -> ParticleEnsemble:
     """Integrate the interacting n-particle system over all replicas and
-    record the positions at the requested grid times, the start and the end.
+    record the positions at the grid steps given, and only there.
 
     Each snapshot holds the first `particles` particles of every replica
     (all n when None); the paths do not depend on how many are kept.
@@ -207,13 +210,12 @@ def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=N
     grid = config.grid
     n, d = config.n_particles, config.domain.dim
     r_total = config.replicas
-    snap_steps = _snapshot_steps(grid, snapshot_times)
     kept = n if particles is None else particles
     if not 1 <= kept <= n:
         raise ValueError(f"particles must lie in 1..{n}, got {particles}")
 
     ens = ParticleEnsemble(grid=grid, n=n, replicas=r_total)
-    for s in snap_steps:
+    for s in _recorded_steps(grid, steps):
         ens.snapshots[s] = np.empty((r_total, kept, d))
 
     def drift_at(blk, s, x):
@@ -223,7 +225,7 @@ def simulate_particle_system(config: SimConfig, rng: RngStream, snapshot_times=N
         return total
 
     def observe(blk, s, x, dw):
-        if s in snap_steps:
+        if s in ens.snapshots:
             ens.snapshots[s][blk.rows] = x[:, :kept]
 
     integrate_blocks(config, rng, (_P_SIM, _P_SIM_FBM), r_total, n, drift_at, observe, sample_fbm_batch)
@@ -386,20 +388,19 @@ def sample_reference_marginals(
     mean_field: MeanFieldLaw,
     count: int,
     rng: RngStream,
-    snapshot_times=None,
+    steps,
 ) -> dict[int, np.ndarray]:
     """Marginal samples of a fresh independent copy driven by the frozen
-    mean-field drift, recorded at the requested grid steps.
+    mean-field drift, recorded at the grid steps given, and only there.
 
     These are the comparison samples for nonparametric divergence
     estimates: the same law the change-of-measure reference uses.
     """
     mean_field.check_config(config)
-    snap_steps = _snapshot_steps(config.grid, snapshot_times)
-    out = {s: np.empty((count, config.domain.dim)) for s in snap_steps}
+    out = {s: np.empty((count, config.domain.dim)) for s in _recorded_steps(config.grid, steps)}
 
     def observe(blk, s, x, dw):
-        if s in snap_steps:
+        if s in out:
             out[s][blk.rows] = x
 
     integrate_blocks(

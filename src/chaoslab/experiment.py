@@ -15,6 +15,7 @@ import json
 import math
 import os
 import platform
+import threading
 import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +50,9 @@ from .measure import (
 # universal constant of the fractional-horizon bound; the proof does not
 # pin a value, this matches the worked arithmetic examples
 _HORIZON_C = 16.0
+# warnings.catch_warnings swaps the process-wide filter list and restores it on exit; points run on threads,
+# so two overlapping blocks would restore out of order and leave a filter behind: one block at a time
+_WARNINGS_LOCK = threading.Lock()
 
 # run's tables, each written as <name>.csv: its columns and its row order
 TABLES = {
@@ -96,6 +100,7 @@ class ExperimentPlan:
     bound_m: float
     kappa: float
     label: str
+    sweep_steps: tuple[int, ...] = field(init=False)  # the grid steps of sweep_t, in its order
 
     def __post_init__(self):
         drift = build_drift(self.base)  # for the Picard guard below
@@ -110,12 +115,16 @@ class ExperimentPlan:
             if len(set(values)) != len(values):
                 raise ConfigError(f"{axis} lists a value twice: {list(values)}")
         grid = self.base.grid
+        steps = []
         for t in self.sweep_t:
-            # nearest grid point by arithmetic: the grid may be too long to list
-            idx = np.clip(np.rint((t - grid.t0) / grid.dt), 0, grid.steps)
-            if abs(grid.t0 + grid.dt * idx - t) > 1e-9:
-                raise ConfigError(f"sweep time {t} is not a grid point")
-        elapsed = grid.dt * max(grid.index_of(t) for t in self.sweep_t)
+            try:
+                steps.append(grid.index_of(t))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep {exc}") from None
+        if len(set(steps)) != len(steps):
+            raise ConfigError(f"sweep_t lists a grid step twice: {list(self.sweep_t)}")
+        object.__setattr__(self, "sweep_steps", tuple(steps))
+        elapsed = grid.dt * max(steps)
         for n in self.sweep_n:
             if n < 2:
                 raise ConfigError("swept n must be >= 2")
@@ -231,7 +240,7 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     cfg = replace(plan.base, n_particles=n)
     rng = RngStream(cfg.seed, counter=n)
     grid = cfg.grid
-    steps = [grid.index_of(t) for t in plan.sweep_t]
+    steps = plan.sweep_steps
     times = grid.times()
 
     mf = solve_mckean_vlasov_picard(cfg, rng, m=plan.picard_m, iters=plan.picard_iters)
@@ -243,7 +252,7 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     # after Picard, each stage a listed estimator reads runs once, in this order,
     # so the first BlowupError of a point does not depend on the estimators' order
     reads = {ESTIMATORS[name][0] for name in plan.estimators}
-    gw = girsanov_weight(cfg, mf, rng, snapshot_times=plan.sweep_t) if "weights" in reads else None
+    gw = girsanov_weight(cfg, mf, rng, steps) if "weights" in reads else None
     if gw is not None:
         # before the particle system: the frees of estimate_beta's (replicas, n) temporaries raise glibc's
         # mmap and trim thresholds, which keeps the simulation's step temporaries from faulting in anew.
@@ -261,8 +270,8 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
     samples = {}  # (k, step) -> the k-marginal samples of the particle system and of the reference law
     if "samples" in reads:
         max_k, count = max(plan.sweep_k), plan.knn_samples
-        ens = simulate_particle_system(cfg, rng, snapshot_times=plan.sweep_t, particles=max_k)
-        refs = sample_reference_marginals(cfg, mf, count * max_k, rng, snapshot_times=plan.sweep_t)
+        ens = simulate_particle_system(cfg, rng, steps, particles=max_k)
+        refs = sample_reference_marginals(cfg, mf, count * max_k, rng, steps)
         for step in steps:
             for k in plan.sweep_k:
                 samples[k, step] = extract_marginal(ens, k, step), refs[step][: count * k].reshape(count, -1)
@@ -276,7 +285,6 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
             for k in plan.sweep_k:
                 rep = reports[name, k, step] = make_report(plan, stages[stage], k, step)
                 if rep is not None:
-                    rep.k, rep.n, rep.t = k, n, t
                     out["unreliable"] |= rep.unreliable
                     out["entropy"].append(table_row("entropy", t, n, k, name, rep.value, rep.stderr,
                                                     rep.params.get("ess", ""), cfg.effective_eps, grid.dt, cfg.seed))
@@ -292,7 +300,7 @@ def _point_rows(plan: ExperimentPlan, n: int) -> dict:
             if tv is None or plan.tv_bins ** (k * cfg.domain.dim) * 10 > min(cfg.replicas, plan.knn_samples):
                 continue
             knn = reports.get(("knn", k, step))
-            rec = pinsker_and_subadditivity_check(knn or reports["girsanov", k, step], tv, full)
+            rec = pinsker_and_subadditivity_check(knn or reports["girsanov", k, step], tv, full, k, n)
             pin, sub, d = rec.pinsker_margin, rec.subadditivity_margin, rec.details
             out["checks"].append(table_row("checks", n, k, t, "pinsker", pin >= 0, pin, d["tv"], d["pinsker_ceiling"]))
             if knn is not None:  # the Girsanov surrogate is (k/n) H_full itself: its subadditivity cannot fail
@@ -336,7 +344,7 @@ def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: f
         c_t = constant_C(c0, gamma, m_const, t)
         ci = int(np.argmin(np.abs(cascade.times - t)))
         for k in ks:
-            with warnings.catch_warnings():
+            with _WARNINGS_LOCK, warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 closed = theorem_bound(c_t, gamma, t, n, k)
             rows.append(table_row("bounds", n, k, t0 + t, closed, cascade.at(k, ci), c_t, gamma, m_const))

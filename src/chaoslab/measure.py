@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .bounds import _delta_exponent
 from .core import RngStream, SimConfig, TimeGrid, sum_last_axis
-from .dynamics import BlowupError, MeanFieldLaw, _P_WEIGHT, _P_WEIGHT_FBM, _snapshot_steps, integrate_blocks
+from .dynamics import BlowupError, MeanFieldLaw, _P_WEIGHT, _P_WEIGHT_FBM, _recorded_steps, integrate_blocks
 from .noise import CHUNK_SERIES, sample_fbm_batch, volterra_inverse_apply
 
 __all__ = [
@@ -57,19 +57,16 @@ _WINDOW = 200
 @dataclass
 class GirsanovWeight:
     """Per-replica log-weights log Z_t at the recorded grid steps: log_z[:, j]
-    holds step steps[j]. steps defaults to every step, column j then step j."""
+    holds step steps[j]."""
 
     grid: TimeGrid
     log_z: np.ndarray
     n: int
+    steps: tuple[int, ...]  # recorded grid steps, ascending
     quality_flag: str | None = None
     # per-(replica, particle) int_0^T |u|^2 dt, for beta moment fits, of the integrand u the
     # weight integrates against its driver: delta_b under Brownian noise, K_H^{-1} delta_b under fBm
     energy: np.ndarray | None = None  # (replicas, n)
-    steps: tuple[int, ...] = ()  # recorded grid steps, ascending
-
-    def __post_init__(self):
-        self.steps = self.steps or tuple(range(self.grid.steps + 1))
 
     @property
     def replicas(self) -> int:
@@ -78,16 +75,15 @@ class GirsanovWeight:
     def log_z_at(self, step: int) -> np.ndarray:
         """log Z at one grid step for every replica."""
         if step not in self.steps:
-            raise KeyError(f"step {step} was not recorded; request it via snapshot_times")
+            raise KeyError(f"step {step} was not recorded; request it via steps")
         return self.log_z[:, self.steps.index(step)]
 
     def weights_at(self, step: int) -> np.ndarray:
         return np.exp(self.log_z_at(step))
 
-    def martingale_check(self, step: int | None = None) -> tuple[float, float, float]:
-        """(mean Z, stderr, z-score of the deviation from 1)."""
-        idx = self.grid.steps if step is None else step
-        z = self.weights_at(idx)
+    def martingale_check(self, step: int) -> tuple[float, float, float]:
+        """(mean Z, stderr, z-score of the deviation from 1) at a grid step."""
+        z = self.weights_at(step)
         mean = float(np.mean(z))
         stderr = float(np.std(z, ddof=1) / math.sqrt(z.size))
         score = 0.0 if stderr == 0 else (mean - 1.0) / stderr
@@ -96,13 +92,11 @@ class GirsanovWeight:
 
 @dataclass
 class EntropyReport:
-    kind: str  # "girsanov" | "knn" | "histogram_tv"
+    """What one estimator measured; the caller knows its k, n and step."""
+
     value: float
     stderr: float
-    k: int
-    n: int
-    t: float
-    params: dict = field(default_factory=dict)
+    params: dict
     unreliable: bool = False
 
 
@@ -124,7 +118,7 @@ def _record_log_weights(incr: np.ndarray, lo: int, first: int, later: list[int],
     increments incr (replicas, w) of steps first + 1 .. first + w, the first
     column with the running sum to step first already added: the running
     sums at the recorded steps in that span, whose increment indices later
-    lists (ascending, one per log_z column from 1). A non-finite running sum
+    lists (ascending, one per log_z column). A non-finite running sum
     raises BlowupError naming the lowest such replica at its first
     non-finite step. incr is overwritten with the running sums: no
     block-sized array is made.
@@ -135,11 +129,10 @@ def _record_log_weights(incr: np.ndarray, lo: int, first: int, later: list[int],
     if rows.size:
         raise BlowupError(first + int(np.argmax(bad[rows[0]])) + 1, replica=lo + int(rows[0]))
     a, b = bisect_left(later, first), bisect_left(later, first + running.shape[1])
-    log_z[lo : lo + len(incr), 1 + a : 1 + b] = running[:, [s - first for s in later[a:b]]]
+    log_z[lo : lo + len(incr), a:b] = running[:, [s - first for s in later[a:b]]]
 
 
-def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
-                    snapshot_times=None) -> GirsanovWeight:
+def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream, steps) -> GirsanovWeight:
     """Simulate config.replicas replicas of n = config.n_particles
     independent mean-field copies and accumulate the exponential-martingale
     log-weight of the interacting system relative to them.
@@ -152,14 +145,13 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     retains the underlying Brownian driver and pushes the running drift
     integral through the inverse Volterra transform first.
 
-    log Z is recorded at the grid steps of snapshot_times, the start and
-    the end (as for simulate_particle_system), or at every step when
-    snapshot_times is None; the recorded values do not depend on that
-    choice. Every step is checked: a non-finite log-weight raises
-    BlowupError naming the lowest such replica of its block at its first
-    non-finite step (under Brownian noise, the lowest among the replicas of
-    the first window of _WINDOW steps that holds one). Under either noise a
-    delta_b first non-finite at step s makes log Z non-finite from step s + 1.
+    log Z is recorded at the grid steps given, and only there; the recorded
+    values do not depend on which steps are given. Every step is checked: a
+    non-finite log-weight raises BlowupError naming the lowest such replica
+    of its block at its first non-finite step (under Brownian noise, the
+    lowest among the replicas of the first window of _WINDOW steps that
+    holds one). Under either noise a delta_b first non-finite at step s
+    makes log Z non-finite from step s + 1.
     """
     mean_field.check_config(config)
     drift = mean_field.drift
@@ -167,14 +159,14 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
     grid = config.grid
     d = config.domain.dim
     dt = grid.dt
-    steps = grid.steps
     fractional = config.noise.fractional
-    record = list(range(steps + 1)) if snapshot_times is None else sorted(_snapshot_steps(grid, snapshot_times))
-    later = [s - 1 for s in record[1:]]  # recorded steps > 0, as cumsum columns of the step increments
+    record = _recorded_steps(grid, steps)
+    later = [s - 1 for s in record if s > 0]  # recorded steps > 0, as cumsum columns of the step increments
 
     log_z = np.zeros((r_total, len(record)))
+    later_z = log_z[:, len(record) - len(later) :]  # their columns; log Z at step 0 is 0
     energy = np.zeros((r_total, n))
-    window = min(steps, _WINDOW)
+    window = min(grid.steps, _WINDOW)
     quality = "fractional weight: inverse Volterra transform carries O(dt) quadrature error" if fractional else None
 
     def drift_at(blk, s, x):
@@ -187,7 +179,7 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
 
     def observe(blk, s, x, dw):
         if s == 0:
-            blk.history = np.empty((len(x), n, d, steps) if fractional else (len(x), window))
+            blk.history = np.empty((len(x), n, d, grid.steps) if fractional else (len(x), window))
         elif not fractional:
             # left-point Ito sums: delta is from step s - 1, dw drives it
             col = (s - 1) % window
@@ -197,8 +189,8 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
             if col == 0 and s > 1:
                 # the last column still holds the running sum to step s - 1: the cumsum's own addition
                 blk.history[:, 0] += blk.history[:, -1]
-            if col == window - 1 or s == steps:
-                _record_log_weights(blk.history[:, : col + 1], blk.rows.start, s - 1 - col, later, log_z)
+            if col == window - 1 or s == grid.steps:
+                _record_log_weights(blk.history[:, : col + 1], blk.rows.start, s - 1 - col, later, later_z)
 
     def finish(blk):
         # blk.history is the block's drift-difference history (b, n, d, steps) and blk.driver its
@@ -222,24 +214,17 @@ def girsanov_weight(config: SimConfig, mean_field: MeanFieldLaw, rng: RngStream,
                 rows = bad.any(axis=-1)
                 incr[rows] = np.where(np.cumsum(bad[rows], axis=-1) > 0, np.nan, 0.0)
             lo = blk.rows.start + c_lo
-            _record_log_weights(incr, lo, 0, later, log_z)
+            _record_log_weights(incr, lo, 0, later, later_z)
             energy[lo : lo + len(incr)] = dt * np.sum(dk * dk, axis=(2, 3))
 
     integrate_blocks(
         config, rng, (_P_WEIGHT, _P_WEIGHT_FBM), r_total, n, drift_at, observe, sample_fbm_batch,
         with_driver=fractional, finish=finish if fractional else None,
     )
-    return GirsanovWeight(
-        grid=grid,
-        log_z=log_z,
-        n=n,
-        quality_flag=quality,
-        energy=energy,
-        steps=tuple(record),
-    )
+    return GirsanovWeight(grid=grid, log_z=log_z, n=n, steps=record, quality_flag=quality, energy=energy)
 
 
-def entropy_girsanov(weights: GirsanovWeight, k: int, step: int | None = None) -> EntropyReport:
+def entropy_girsanov(weights: GirsanovWeight, k: int, step: int) -> EntropyReport:
     """Importance-weighted entropy estimate E_Q[Z log Z] with the
     (k/n)-scaled subadditivity surrogate for the k-marginal.
 
@@ -255,9 +240,6 @@ def entropy_girsanov(weights: GirsanovWeight, k: int, step: int | None = None) -
     n = weights.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if step is None:
-        step = weights.grid.steps
-    t_val = float(weights.grid.times()[step])
     r = weights.replicas
     if r < 1000:
         warnings.warn(f"only {r} replicas; the estimator is designed for >= 1000", stacklevel=2)
@@ -278,12 +260,8 @@ def entropy_girsanov(weights: GirsanovWeight, k: int, step: int | None = None) -
     stderr_z = float(np.std(z, ddof=1) / math.sqrt(r))
     frac = k / n
     return EntropyReport(
-        kind="girsanov",
         value=frac * h_full,
         stderr=frac * stderr_full,
-        k=k,
-        n=n,
-        t=t_val,
         params={
             "replicas": r,
             "ess": ess,
@@ -310,7 +288,7 @@ def _knn_distances(tree: cKDTree, pts: np.ndarray, k: int, exclude_self: bool) -
 def entropy_knn(
     samples_p: np.ndarray,
     samples_q: np.ndarray,
-    neighbors: int = 4,
+    neighbors: int,
     torus: bool = False,
 ) -> EntropyReport:
     """k-nearest-neighbor KL divergence estimate D(P || Q) from samples.
@@ -351,12 +329,8 @@ def entropy_knn(
     value = float(dim * np.mean(logs) + math.log(n_q / (n_p - 1)))
     stderr = float(dim * np.std(logs, ddof=1) / math.sqrt(n_p))
     return EntropyReport(
-        kind="knn",
         value=value,
         stderr=stderr,
-        k=1,
-        n=0,
-        t=math.nan,
         params={
             "neighbors": neighbors,
             "size_p": n_p,
@@ -372,7 +346,7 @@ def entropy_knn(
 def tv_histogram(
     samples_p: np.ndarray,
     samples_q: np.ndarray,
-    bins_per_dim: int = 64,
+    bins_per_dim: int,
     torus: bool = False,
 ) -> EntropyReport:
     """Half-L1 distance between normalized histograms on shared bins.
@@ -405,12 +379,8 @@ def tv_histogram(
     var = np.sum(fp * (1 - fp)) / p.shape[0] + np.sum(fq * (1 - fq)) / q.shape[0]
     stderr = 0.5 * math.sqrt(max(var, 0.0))
     return EntropyReport(
-        kind="histogram_tv",
         value=value,
         stderr=stderr,
-        k=1,
-        n=0,
-        t=math.nan,
         params={
             "bins_per_dim": bins_per_dim,
             "size_p": p.shape[0],
@@ -478,23 +448,20 @@ def pinsker_and_subadditivity_check(
     report_h: EntropyReport,
     report_tv: EntropyReport,
     h_full: EntropyReport,
+    k: int,
+    n: int,
 ) -> CheckRecord:
-    """Assert TV <= sqrt(2 H_k) and H_k <= (k/n) H_full, with margins.
+    """Assert TV <= sqrt(2 H_k) and H_k <= (k/n) H_full, with margins, for
+    reports of the k-marginal and h_full of the n-particle system, all at
+    one grid step.
 
     Each comparison absorbs 3 standard errors of the quantities involved.
     """
-    if (report_h.k, report_h.n) != (report_tv.k, report_tv.n) and report_tv.n != 0:
-        raise ValueError("k/n metadata mismatch between entropy and TV reports")
-    if h_full.n != report_h.n or h_full.k != h_full.n:
-        raise ValueError("h_full must be the full-system report for the same n")
-    if not math.isnan(report_tv.t) and abs(report_tv.t - report_h.t) > 1e-9:
-        raise ValueError("time mismatch between entropy and TV reports")
-
     h_k = max(report_h.value, 0.0)
     ceiling = math.sqrt(2.0 * max(h_k + 3.0 * report_h.stderr, 0.0)) + 3.0 * report_tv.stderr
     pinsker_margin = ceiling - report_tv.value
 
-    frac = report_h.k / report_h.n
+    frac = k / n
     slack = 3.0 * (report_h.stderr + frac * h_full.params.get("stderr_full", h_full.stderr))
     sub_rhs = frac * h_full.params.get("h_full", h_full.value) + slack
     subadd_margin = sub_rhs - report_h.value
@@ -509,7 +476,7 @@ def pinsker_and_subadditivity_check(
             "pinsker_ceiling": ceiling,
             "h_k": report_h.value,
             "subadditivity_rhs": sub_rhs,
-            "k": report_h.k,
-            "n": report_h.n,
+            "k": k,
+            "n": n,
         },
     )

@@ -131,7 +131,7 @@ def _constant_shift_weight(c, replicas, steps, dt, seed):
     dw = math.sqrt(dt) * gen.standard_normal((replicas, steps, 1))
     delta = np.full((replicas, steps, 1), c)
     lz = log_weights_from_deltas(delta, dw, dt)
-    return GirsanovWeight(grid=grid, log_z=lz, n=1)
+    return GirsanovWeight(grid=grid, log_z=lz, n=1, steps=tuple(range(steps + 1)))
 
 
 def test_criterion_3_gaussian_shift_oracles():
@@ -158,11 +158,11 @@ def test_criterion_3_gaussian_shift_oracles():
     knn = entropy_knn(p_half, q_half, neighbors=4)
     p_unit = 1.0 + gen.standard_normal((10_000, 1))
     q_unit = gen.standard_normal((10_000, 1))
-    tv_unit = tv_histogram(p_unit, q_unit)
-    tv_half = tv_histogram(p_half, q_half)
+    tv_unit = tv_histogram(p_unit, q_unit, bins_per_dim=64)
+    tv_half = tv_histogram(p_half, q_half, bins_per_dim=64)
 
-    chk_half = pinsker_and_subadditivity_check(rep_half, tv_half, rep_half)
-    chk_unit = pinsker_and_subadditivity_check(rep_unit, tv_unit, rep_unit)
+    chk_half = pinsker_and_subadditivity_check(rep_half, tv_half, rep_half, 1, 1)
+    chk_unit = pinsker_and_subadditivity_check(rep_unit, tv_unit, rep_unit, 1, 1)
     elapsed = time.time() - t0
 
     girsanov_ok = abs(rep_half.value - 0.25) < 3.0 * rep_half.stderr
@@ -240,8 +240,8 @@ def test_criterion_5_torus_chaos_decay():
         cfg = replace(base, n_particles=n)
         rng = RngStream(cfg.seed, counter=n)
         mf = solve_mckean_vlasov_picard(cfg, rng, m=10_000, iters=3)
-        ens = simulate_particle_system(cfg, rng, snapshot_times=(0.25,))
-        refs = sample_reference_marginals(cfg, mf, 10_000, rng, snapshot_times=(0.25,))
+        ens = simulate_particle_system(cfg, rng, (cfg.grid.steps,))
+        refs = sample_reference_marginals(cfg, mf, 10_000, rng, (cfg.grid.steps,))
         rep = entropy_knn(extract_marginal(ens, 1, cfg.grid.steps), refs[cfg.grid.steps],
                           neighbors=4, torus=True)
         table.append((n, rep.value, rep.stderr))
@@ -291,7 +291,7 @@ def test_criterion_6_short_time_entropy_scaling():
         cfg = replace(base, n_particles=n)
         rng = RngStream(cfg.seed, counter=n)
         mf = solve_mckean_vlasov_picard(cfg, rng, m=10_000, iters=3)
-        gw = girsanov_weight(cfg, mf, rng)
+        gw = girsanov_weight(cfg, mf, rng, range(cfg.grid.steps + 1))
         fit = estimate_beta(gw.energy, n, delta=cfg.grid.terminal)
         horizon = short_time_horizon(1.0, fit.beta)
         t_star = min(0.1, horizon.delta_star / 2.0)

@@ -169,10 +169,10 @@ class TestTimeGrid:
         assert g.index_of(1.0) == 4
 
     def test_off_grid_warns(self):
+        # the one time-to-step conversion is strict: an off-grid time is a config error
         g = TimeGrid(t0=0.0, dt=0.25, steps=4)
-        with pytest.warns(UserWarning):
-            idx = g.index_of(0.51)
-        assert idx == 2
+        with pytest.raises(ConfigError, match="time 0.51 is not a grid point"):
+            g.index_of(0.51)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ConfigError):

@@ -41,6 +41,9 @@ def make_cfg(**over):
     return config_from_dict(base)
 
 
+NOISES = ({"kind": "brownian"}, {"kind": "fbm", "hurst": 0.3})
+
+
 def zscore(samples, exact):
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     return (samples.mean() - exact) / se
@@ -102,7 +105,7 @@ class TestSimulate:
             initial_law={"name": "gaussian", "params": {"mean": [1.0], "sigma": 0.5}},
             replicas=4000,
         )
-        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         term = ens.positions_at(50).ravel()
         exact = 1.0 * (1.0 - 0.8 * 0.01) ** 50
         assert abs(zscore(term, exact)) < 4.0
@@ -117,7 +120,7 @@ class TestSimulate:
             replicas=6000,
             seed=314,
         )
-        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         s_term = ens.positions_at(40).sum(axis=1)[:, 0]
         exact = 2.0 * (1.0 + 2 * 0.005) ** 40
         assert abs(zscore(s_term, exact)) < 4.0
@@ -135,7 +138,7 @@ class TestSimulate:
             replicas=2000,
             seed=2718,
         )
-        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         term = ens.positions_at(50)
         for fn in (np.cos, np.sin):
             # particles within a replica are dependent; reduce per replica
@@ -144,16 +147,16 @@ class TestSimulate:
 
     def test_positions_at_unrecorded_step_raises(self):
         cfg = make_cfg(replicas=10, grid={"t0": 0.0, "dt": 0.01, "steps": 20})
-        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (0, 20))
         assert set(ens.snapshots) == {0, 20}
-        with pytest.raises(KeyError, match="snapshot_times"):
+        with pytest.raises(KeyError, match="was not recorded"):
             ens.positions_at(10)
 
     def test_extract_marginal_shape_and_bounds(self):
         cfg = make_cfg(domain={"kind": "euclidean", "dim": 2},
                        initial_law={"name": "gaussian", "params": {"sigma": 1.0}},
                        replicas=30, grid={"t0": 0.0, "dt": 0.01, "steps": 10})
-        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         marg = extract_marginal(ens, 3, 10)
         assert marg.shape == (30, 6)
         full = ens.positions_at(10)
@@ -163,11 +166,11 @@ class TestSimulate:
                 extract_marginal(ens, bad, 10)
 
     def test_snapshots_of_the_first_particles_equal_the_full_prefix(self):
-        cfg = make_cfg(domain={"kind": "euclidean", "dim": 2},
-                       initial_law={"name": "gaussian", "params": {"sigma": 1.0}},
-                       replicas=30, grid={"t0": 0.0, "dt": 0.01, "steps": 10})
-        full = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), snapshot_times=(0.05,))
-        part = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), snapshot_times=(0.05,), particles=3)
+        shape = dict(domain={"kind": "euclidean", "dim": 2}, initial_law={"name": "gaussian", "params": {"sigma": 1.0}},
+                     replicas=30, grid={"t0": 0.0, "dt": 0.01, "steps": 10})
+        cfg = make_cfg(**shape)
+        full = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (0, 5, 10))
+        part = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (0, 5, 10), particles=3)
         assert set(part.snapshots) == set(full.snapshots) == {0, 5, 10}
         for step, pos in part.snapshots.items():
             assert pos.shape == (30, 3, 2)
@@ -177,7 +180,16 @@ class TestSimulate:
             extract_marginal(part, 4, 5)
         for bad in (0, 9):
             with pytest.raises(ValueError, match="particles must lie in 1..8"):
-                simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), particles=bad)
+                simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (10,), particles=bad)
+        # a step's snapshot does not depend on which other steps are recorded, under either noise
+        for noise in NOISES:
+            cfg = make_cfg(**shape, noise=noise)
+            every = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), range(11))
+            for steps in ((0, 5, 10), (3, 7)):
+                some = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), steps, particles=3)
+                assert tuple(some.snapshots) == steps
+                for s in steps:
+                    assert np.array_equal(some.snapshots[s], every.snapshots[s][:, :3])
 
     def test_running_sup_gronwall_envelope(self):
         # |x + y| <= 1 + |x| + |y| with beta = 1, so the discrete Gronwall
@@ -216,7 +228,7 @@ class TestSimulate:
             replicas=8,
         )
         with pytest.raises(BlowupError, match="non-finite state at step") as exc:
-            simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+            simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         assert exc.value.step > 0
         assert 0 <= exc.value.particle < 3
 
@@ -235,7 +247,7 @@ class TestSimulate:
                 "replicas": 4,
             }
         )
-        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         assert cfg.eps is None and cfg.effective_eps > 0
         assert np.all(np.isfinite(ens.positions_at(cfg.grid.steps)))
 
@@ -255,7 +267,7 @@ class TestSimulate:
                 "eps": 0.0,
             }
         )
-        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         assert cfg.effective_eps == 0.0
         assert np.all(np.isfinite(ens.positions_at(cfg.grid.steps)))
 
@@ -266,9 +278,9 @@ class TestSimulate:
             replicas=16,
             grid={"t0": 0.0, "dt": 0.01, "steps": 8},
         )
-        every_step = cfg.grid.times()
-        a = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), snapshot_times=every_step)
-        b = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), snapshot_times=every_step)
+        every_step = range(cfg.grid.steps + 1)
+        a = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), every_step)
+        b = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), every_step)
         assert set(a.snapshots) == set(range(9))
         for step in range(9):
             assert a.positions_at(step).shape == (16, 2, 1)
@@ -276,9 +288,9 @@ class TestSimulate:
 
     def test_determinism_and_seed_sensitivity(self):
         cfg = make_cfg(replicas=40, grid={"t0": 0.0, "dt": 0.01, "steps": 10})
-        a = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
-        b = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
-        c = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed + 1))
+        a = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
+        b = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
+        c = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed + 1), (cfg.grid.steps,))
         assert np.array_equal(a.positions_at(10), b.positions_at(10))
         assert not np.array_equal(a.positions_at(10), c.positions_at(10))
 
@@ -287,7 +299,7 @@ class TestSimulate:
         # particle 0 and particle 5 agree to sampling error
         cfg = make_cfg(n_particles=6, replicas=4000,
                        grid={"t0": 0.0, "dt": 0.002, "steps": 50}, seed=555)
-        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed))
+        ens = simulate_particle_system(cfg, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         term = ens.positions_at(50)[:, :, 0]
         for moment in (lambda v: v, np.square):
             diff = moment(term[:, 0]) - moment(term[:, 5])
@@ -371,7 +383,7 @@ class TestReferenceMarginals:
         )
         law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=200, iters=1)
         count = 8000
-        marg = sample_reference_marginals(cfg, law, count, RngStream(root_seed=cfg.seed))
+        marg = sample_reference_marginals(cfg, law, count, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         v = 1.0
         for _ in range(40):
             v = (1.0 - 0.0125) ** 2 * v + 0.0125
@@ -385,7 +397,7 @@ class TestReferenceMarginals:
         cfg = make_cfg(seed=11)
         law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=4000, iters=3)
         count = 6000
-        marg = sample_reference_marginals(cfg, law, count, RngStream(root_seed=cfg.seed))
+        marg = sample_reference_marginals(cfg, law, count, RngStream(root_seed=cfg.seed), (cfg.grid.steps,))
         x = 0.5
         for s in range(100):
             x = (1.0 + 0.001) * x + 0.001 * float(law.summaries[s, 0])
@@ -394,12 +406,22 @@ class TestReferenceMarginals:
     def test_snapshot_steps_and_determinism(self):
         cfg = make_cfg(replicas=10)
         law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=300, iters=2)
-        a = sample_reference_marginals(cfg, law, 500, RngStream(root_seed=9), snapshot_times=[0.05])
-        b = sample_reference_marginals(cfg, law, 500, RngStream(root_seed=9), snapshot_times=[0.05])
+        a = sample_reference_marginals(cfg, law, 500, RngStream(root_seed=9), (0, 50, 100))
+        b = sample_reference_marginals(cfg, law, 500, RngStream(root_seed=9), (0, 50, 100))
         assert set(a) == {0, 50, 100}
         assert all(a[s].shape == (500, 1) for s in a)
         for s in a:
             assert np.array_equal(a[s], b[s])
+        # a step's samples do not depend on which other steps are recorded, under either noise
+        for noise in NOISES:
+            cfg = make_cfg(replicas=10, noise=noise)
+            law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=cfg.seed), m=300, iters=2)
+            every = sample_reference_marginals(cfg, law, 500, RngStream(root_seed=9), range(101))
+            for steps in ((0, 50, 100), (30, 70)):
+                some = sample_reference_marginals(cfg, law, 500, RngStream(root_seed=9), steps)
+                assert tuple(some) == steps
+                for s in steps:
+                    assert np.array_equal(some[s], every[s])
 
 
 @pytest.mark.parametrize("noise", [{"kind": "brownian"}, {"kind": "fbm", "hurst": 0.3}], ids=["brownian", "fbm"])
@@ -413,11 +435,11 @@ class TestBlockKeying:
     def test_replica_blocks(self, noise):
         short, long = self.cfg(noise, BLOCK_REPLICAS), self.cfg(noise, BLOCK_REPLICAS + 6)
         law = solve_mckean_vlasov_picard(short, RngStream(root_seed=1), m=200, iters=2)
-        ens_s, ens_l = (simulate_particle_system(c, RngStream(root_seed=2)) for c in (short, long))
+        ens_s, ens_l = (simulate_particle_system(c, RngStream(root_seed=2), (0, c.grid.steps)) for c in (short, long))
         assert set(ens_s.snapshots) == set(ens_l.snapshots)
         for s, pos in ens_s.snapshots.items():
             assert np.array_equal(ens_l.snapshots[s][:BLOCK_REPLICAS], pos)
-        w_s, w_l = (girsanov_weight(c, law, RngStream(root_seed=3)) for c in (short, long))
+        w_s, w_l = (girsanov_weight(c, law, RngStream(root_seed=3), range(c.grid.steps + 1)) for c in (short, long))
         assert np.array_equal(w_l.log_z[:BLOCK_REPLICAS], w_s.log_z)
         assert np.array_equal(w_l.energy[:BLOCK_REPLICAS], w_s.energy)
 
@@ -425,8 +447,24 @@ class TestBlockKeying:
         cfg = self.cfg(noise, 10)
         law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=1), m=200, iters=2)
         short, long = (
-            sample_reference_marginals(cfg, law, count, RngStream(root_seed=4)) for count in (PATH_BLOCK, PATH_BLOCK + 5)
+            sample_reference_marginals(cfg, law, count, RngStream(root_seed=4), (0, cfg.grid.steps))
+            for count in (PATH_BLOCK, PATH_BLOCK + 5)
         )
         assert set(short) == set(long)
         for s, x in short.items():
             assert np.array_equal(long[s][:PATH_BLOCK], x)
+
+
+@pytest.mark.parametrize("step", [-1, 17], ids=["before", "after"])
+def test_each_stage_refuses_a_step_off_the_grid(step):
+    # an unchecked step would leave np.empty rows in a snapshot or a zero log Z column
+    cfg = make_cfg(replicas=10, grid={"t0": 0.0, "dt": 1.0 / 64, "steps": 16})
+    law = solve_mckean_vlasov_picard(cfg, RngStream(root_seed=1), m=100, iters=1)
+    stages = {
+        "particles": lambda steps: simulate_particle_system(cfg, RngStream(root_seed=2), steps),
+        "references": lambda steps: sample_reference_marginals(cfg, law, 100, RngStream(root_seed=2), steps),
+        "weights": lambda steps: girsanov_weight(cfg, law, RngStream(root_seed=2), steps),
+    }
+    for name, run in stages.items():
+        with pytest.raises(ValueError, match=r"steps must lie in 0\.\.16"):
+            run((0, step))

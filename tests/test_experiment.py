@@ -6,6 +6,8 @@ import json
 import math
 import os
 import platform
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -176,6 +178,7 @@ class TestPlanParsing:
             (lambda d: d.__setitem__("estimators", []), "estimators must not be empty"),
             (lambda d: d.__setitem__("estimators", ["knn", "knn"]), "estimators lists a value twice"),
             (lambda d: d.__setitem__("estimators", ["girsanov", "knn", "girsanov"]), "estimators lists a value twice"),
+            (lambda d: d["sweep"].__setitem__("t", [0.05, 0.0500000005]), r"sweep_t lists a grid step twice: \[0.05, "),
         ],
     )
     def test_fail_closed(self, mutate, message):
@@ -394,6 +397,45 @@ class TestRunExperiment:
         assert a.tables["checks"] == b.tables["checks"]
         assert a.manifest == b.manifest
 
+    def test_overlapping_points_leave_the_warning_filters_as_they_were(self, monkeypatch):
+        # bound_rows silences theorem_bound in a catch_warnings block, which swaps the process-wide
+        # filter list. The first point waits inside its block for the second point to enter its own,
+        # and the second leaves only after the first has returned: blocks that may overlap restore out
+        # of order. Every wait times out, so no fix can deadlock the test.
+        args = ((1,), [0.1], 0.05, 1.0, 1.0, 0.01)
+        serial = {n: experiment.bound_rows(n, *args) for n in (4, 5)}
+        original, timeout = experiment.theorem_bound, 2.0
+        first_inside, second_inside, first_done = threading.Event(), threading.Event(), threading.Event()
+
+        def overlapping(c, gamma, t, n, k):
+            if n == 4:
+                first_inside.set()
+                second_inside.wait(timeout)
+            else:
+                second_inside.set()
+                first_done.wait(timeout)
+            return original(c, gamma, t, n, k)
+
+        monkeypatch.setattr(experiment, "theorem_bound", overlapping)
+        rows = {}
+
+        def point(n):
+            rows[n] = experiment.bound_rows(n, *args)
+            if n == 4:
+                first_done.set()
+
+        before = list(warnings.filters)
+        first = threading.Thread(target=point, args=(4,))
+        first.start()
+        first_inside.wait(timeout)
+        second = threading.Thread(target=point, args=(5,))
+        second.start()
+        for thread in (first, second):
+            thread.join(4 * timeout)
+            assert not thread.is_alive()
+        assert warnings.filters == before
+        assert rows == serial
+
     def test_fbm_at_hurst_half_writes_the_brownian_rows(self, tmp_path):
         # fBm with H = 1/2 is Brownian motion: the sampler, the weights and
         # the horizons row all decide by NoiseSpec.fractional
@@ -493,18 +535,18 @@ class TestEstimators:
         data = make_plan_dict()
         data["base"]["noise"] = noise
         cfg = plan_from_dict(data).base
-        times = (0.05, 0.1)
+        steps = (0, 10, 20)
 
         def stages(weights_first):
             rng = RngStream(cfg.seed, counter=cfg.n_particles)
             mf = solve_mckean_vlasov_picard(cfg, rng, m=300, iters=2)
             out = {}
             if weights_first:
-                out["weights"] = experiment.girsanov_weight(cfg, mf, rng, snapshot_times=times)
-            out["particles"] = simulate_particle_system(cfg, rng, snapshot_times=times, particles=2)
-            out["references"] = sample_reference_marginals(cfg, mf, 600, rng, snapshot_times=times)
+                out["weights"] = experiment.girsanov_weight(cfg, mf, rng, steps)
+            out["particles"] = simulate_particle_system(cfg, rng, steps, particles=2)
+            out["references"] = sample_reference_marginals(cfg, mf, 600, rng, steps)
             if not weights_first:
-                out["weights"] = experiment.girsanov_weight(cfg, mf, rng, snapshot_times=times)
+                out["weights"] = experiment.girsanov_weight(cfg, mf, rng, steps)
             return out
 
         first, last = stages(True), stages(False)

@@ -70,9 +70,9 @@ def test_fractional_stage_peaks_within_budget(traced):
     cfg = fractional_config(BLOCK_REPLICAS)
     # Picard and reference paths come in two blocks of 4096 series each
     law, picard = peak_in_p(lambda: solve_mckean_vlasov_picard(cfg, RngStream(1), m=8192, iters=2))
-    _, simulate = peak_in_p(lambda: simulate_particle_system(cfg, RngStream(2)))
-    _, reference = peak_in_p(lambda: sample_reference_marginals(cfg, law, 8192, RngStream(3)))
-    _, weights = peak_in_p(lambda: girsanov_weight(cfg, law, RngStream(4)))
+    _, simulate = peak_in_p(lambda: simulate_particle_system(cfg, RngStream(2), (0, STEPS)))
+    _, reference = peak_in_p(lambda: sample_reference_marginals(cfg, law, 8192, RngStream(3), (0, STEPS)))
+    _, weights = peak_in_p(lambda: girsanov_weight(cfg, law, RngStream(4), range(STEPS + 1)))
     peaks = {"picard": picard, "simulate": simulate, "reference": reference, "girsanov": weights}
     print({k: round(v, 2) for k, v in peaks.items()})
     assert max(peaks.values()) <= BUDGET_P, peaks
@@ -87,7 +87,7 @@ def test_fractional_weights_free_each_block_before_the_next(traced):
     # before the second block samples its noise.
     cfg = fractional_config(2 * BLOCK_REPLICAS)
     law = solve_mckean_vlasov_picard(cfg, RngStream(1), m=4096, iters=1)
-    _, weights = peak_in_p(lambda: girsanov_weight(cfg, law, RngStream(4)))
+    _, weights = peak_in_p(lambda: girsanov_weight(cfg, law, RngStream(4), range(STEPS + 1)))
     print({"girsanov_two_blocks": round(weights, 2)})
     assert weights <= 4.0, weights
 
@@ -109,7 +109,7 @@ def test_volterra_step_never_sees_the_blocks_increments(traced, monkeypatch, blo
 
     monkeypatch.setattr(measure, "volterra_inverse_apply", spy)
     before = tracemalloc.get_traced_memory()[0]
-    girsanov_weight(cfg, law, RngStream(4))
+    girsanov_weight(cfg, law, RngStream(4), range(STEPS + 1))
     worst = (max(held) - before) / P_BYTES
     print({"volterra_step_held": round(worst, 2)})
     assert worst <= 2.5, worst
@@ -149,7 +149,7 @@ def test_sweep_point_keeps_only_what_its_rows_read(monkeypatch):
     experiment._point_rows(plan, N)
 
     replicas, k, d, f64 = 150, 2, 2, 8
-    recorded = (0, 5, 10, 20)  # the swept steps, the start and the end
+    recorded = (5, 10)  # the swept steps
     gw, ens = made["girsanov_weight"], made["simulate_particle_system"]
     assert gw.steps == recorded
     assert gw.log_z.nbytes == replicas * len(recorded) * f64
@@ -200,8 +200,8 @@ def test_brownian_weights_do_not_hold_every_step(traced):
     law = solve_mckean_vlasov_picard(cfg, RngStream(1), m=100, iters=1)
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
-    weights = girsanov_weight(cfg, law, RngStream(2), snapshot_times=[cfg.grid.terminal])
+    weights = girsanov_weight(cfg, law, RngStream(2), (steps,))
     peak = tracemalloc.get_traced_memory()[1] - before
     print({"brownian_weights_peak_mb": round(peak / 1e6, 2)})
-    assert weights.steps == (0, steps)
+    assert weights.steps == (steps,)
     assert peak < 16e6, peak
