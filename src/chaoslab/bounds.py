@@ -10,7 +10,6 @@ moment fit for the beta parameter the horizons consume.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,16 +58,11 @@ def theorem_bound(C: float, gamma: float, T: float, n: int, k: int) -> float:
     """Closed-form k-marginal entropy envelope at time T.
 
     2 C k^2 / n^2 + C exp(-2 n (e^{-gamma T} - k/n)_+^2). Valid constants
-    require n >= 6 e^{gamma T}; smaller n only triggers a warning because
-    the expression itself remains evaluable.
+    require n >= 6 e^{gamma T}; a smaller n is evaluated all the same, without
+    a warning, because the expression itself remains evaluable.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if n < 6.0 * math.exp(gamma * T):
-        warnings.warn(
-            f"n = {n} is below the validity threshold 6*exp(gamma*T) = {6.0 * math.exp(gamma * T):.3f}",
-            stacklevel=2,
-        )
     gap = max(math.exp(-gamma * T) - k / n, 0.0)
     return 2.0 * C * k * k / (n * n) + C * math.exp(-2.0 * n * gap * gap)
 

@@ -15,9 +15,7 @@ import json
 import math
 import os
 import platform
-import threading
 import traceback
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from operator import itemgetter
@@ -50,9 +48,6 @@ from .measure import (
 # universal constant of the fractional-horizon bound; the proof does not
 # pin a value, this matches the worked arithmetic examples
 _HORIZON_C = 16.0
-# warnings.catch_warnings swaps the process-wide filter list and restores it on exit; points run on threads,
-# so two overlapping blocks would restore out of order and leave a filter behind: one block at a time
-_WARNINGS_LOCK = threading.Lock()
 
 # run's tables, each written as <name>.csv: its columns and its row order
 TABLES = {
@@ -344,9 +339,7 @@ def bound_rows(n: int, ks, times, c0: float, gamma: float, m_const: float, dt: f
         c_t = constant_C(c0, gamma, m_const, t)
         ci = int(np.argmin(np.abs(cascade.times - t)))
         for k in ks:
-            with _WARNINGS_LOCK, warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                closed = theorem_bound(c_t, gamma, t, n, k)
+            closed = theorem_bound(c_t, gamma, t, n, k)
             rows.append(table_row("bounds", n, k, t0 + t, closed, cascade.at(k, ci), c_t, gamma, m_const))
     return rows
 

@@ -217,6 +217,14 @@ class DriftSpec:
     slower than one call per member, as each call faulted its 512 KiB
     temporaries in afresh. The batch size never moves a bit: the mean field
     adds the members in fixed chunks of _CHUNK / |lead| in member order.
+
+    sign_gated_pair's pair bounds |x - y| by max|x| + max|y|, read from
+    inputs that hold far fewer values than x - y, and, below 2pi 1e6, gates
+    by the phase with one edge band near the zeros of sin (sin_positive),
+    in place. One 16,384-value mean-field call took 53 us against 65 us
+    with a bound read from x - y and a two-sided band. The batch stays at
+    16,384: 32,768 values took about 700,000 minor faults per run against
+    about 14,300.
     """
 
     name: str
@@ -419,34 +427,46 @@ def _drift_attract_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     return _separable("attract_pair", pair, lambda x: ((None, ((1.0, x), (-x, 1.0))),))
 
 
-# Phase bounds of sin_positive: below |h| = 1e6 the float error of
+# Phase bound of sin_positive: below |u| = 2pi 1e6 the float error of
 # h = u/2pi is under 4e-10, well inside the 1e-9 margin.
 _INV_TWO_PI = 1.0 / TWO_PI
 _PHASE_MAX = 1e6
 _PHASE_MARGIN = 1e-9
 
 
-def sin_positive(u: np.ndarray) -> np.ndarray:
+def _abs_max(a) -> float:
+    """max |a| (0 for an empty array); NaN if a holds a NaN."""
+    return np.abs(a).max(initial=0.0)
+
+
+def sin_positive(u: np.ndarray, bound: float | None = None) -> np.ndarray:
     """np.sin(u) > 0.0, the same bool array, evaluating sin only near its zeros.
 
     With h = u/2pi and d = h - rint(h) in [-1/2, 1/2], sin u > 0 exactly
     when 0 < d < 1/2. An entry with |d| more than 1e-9 from 0 and from 1/2
-    takes the sign of d; the others, and every entry of a call with a
-    non-finite value or with |h| >= 1e6, are decided by np.sin.
+    takes the sign of d; the others, and every entry of a call whose bound
+    is not finite or reaches |h| = 1e6, are decided by np.sin.
+
+    bound, when given, is a known upper bound on max |u| (pair reads it from
+    its inputs, which hold fewer values than u); it is max |u| otherwise.
     """
-    h = u * _INV_TWO_PI
-    # NaN fails both comparisons, inf the bound
-    if not (h.max(initial=-np.inf) < _PHASE_MAX and h.min(initial=np.inf) > -_PHASE_MAX):
+    if bound is None:
+        bound = _abs_max(u)
+    # NaN and inf fail the comparison
+    if not bound * _INV_TWO_PI < _PHASE_MAX:
         return np.sin(u) > 0.0
-    d = np.subtract(h, np.rint(h), out=h)
+    d = u * _INV_TWO_PI
+    d -= np.rint(d)
     mask = d > 0.0
-    # ||d| - 1/4| is 1/4 at the zeros of sin and 0 halfway between them
+    # |d| is 0 at the zeros of sin at multiples of 2pi and 1/2 at the others
     np.abs(d, out=d)
-    d -= 0.25
-    np.abs(d, out=d)
-    edge = d > 0.25 - _PHASE_MARGIN
-    if edge.any():
-        mask[edge] = np.sin(u[edge]) > 0.0
+    if d.min(initial=1.0) < _PHASE_MARGIN or d.max(initial=0.0) > 0.5 - _PHASE_MARGIN:
+        edge = (d < _PHASE_MARGIN) | (d > 0.5 - _PHASE_MARGIN)
+        # sin(+-0) is +-0, which d > 0 already rejects: the pair mean's
+        # i = j diagonal needs no sin
+        edge &= u != 0.0
+        if edge.any():
+            mask[edge] = np.sin(u[edge]) > 0.0
     return mask
 
 
@@ -455,8 +475,11 @@ def _drift_sign_gated_pair(params: dict, domain: DomainSpec) -> DriftSpec:
     # K = 1 but is discontinuous in the pair displacement.
 
     def pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        u = x - y
-        return u * sin_positive(u)
+        # |x - y| <= max|x| + max|y| holds after rounding too, as rounding
+        # is monotone; u *= mask keeps -0.0 where u < 0 is gated off
+        u = np.subtract(x, y)
+        u *= sin_positive(u, _abs_max(x) + _abs_max(y))
+        return u
 
     return DriftSpec(name="sign_gated_pair", pair_state=pair)
 

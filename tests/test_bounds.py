@@ -53,9 +53,16 @@ class TestTheoremBound:
             with pytest.raises(ValueError, match="1 <= k <= n"):
                 theorem_bound(1.0, 1.0, 1.0, 10, k)
 
-    def test_small_n_warns(self):
-        with pytest.warns(UserWarning, match="validity threshold"):
-            theorem_bound(1.0, 1.0, 1.0, 10, 1)
+    def test_small_n_is_evaluated_without_a_warning(self):
+        # n = 10 is below 6 e^{gamma T} = 16.3: the constants are not valid
+        # there, but the expression is evaluated all the same and says nothing
+        import warnings as w
+
+        with w.catch_warnings():
+            w.simplefilter("error")
+            got = theorem_bound(1.0, 1.0, 1.0, 10, 1)
+        gap = math.exp(-1.0) - 0.1
+        assert got == pytest.approx(2.0 / 100.0 + math.exp(-20.0 * gap * gap), rel=1e-12)
 
     def test_large_n_silent(self):
         import warnings as w

@@ -398,10 +398,10 @@ class TestRunExperiment:
         assert a.manifest == b.manifest
 
     def test_overlapping_points_leave_the_warning_filters_as_they_were(self, monkeypatch):
-        # bound_rows silences theorem_bound in a catch_warnings block, which swaps the process-wide
-        # filter list. The first point waits inside its block for the second point to enter its own,
-        # and the second leaves only after the first has returned: blocks that may overlap restore out
-        # of order. Every wait times out, so no fix can deadlock the test.
+        # Points on threads share the process-wide warning filter list, which bound_rows must leave
+        # as it was. The first point waits inside theorem_bound for the second point to enter it, and
+        # the second leaves only after the first has returned, so the two calls overlap. Every wait
+        # times out, so no fix can deadlock the test.
         args = ((1,), [0.1], 0.05, 1.0, 1.0, 0.01)
         serial = {n: experiment.bound_rows(n, *args) for n in (4, 5)}
         original, timeout = experiment.theorem_bound, 2.0
@@ -435,6 +435,31 @@ class TestRunExperiment:
             assert not thread.is_alive()
         assert warnings.filters == before
         assert rows == serial
+
+    def test_warnings_on_other_threads_are_shown_while_bound_rows_runs(self, monkeypatch):
+        # n = 4 is below theorem_bound's validity threshold 6 e^{gamma t}. While a point is inside
+        # theorem_bound, a warning issued on another thread must reach the process's filters as
+        # they were, not a filter that the point swapped in.
+        args = ((1,), [0.1], 0.05, 1.0, 1.0, 0.01)
+        original, timeout = experiment.theorem_bound, 2.0
+        inside, warned = threading.Event(), threading.Event()
+
+        def held(c, gamma, t, n, k):
+            inside.set()
+            warned.wait(timeout)
+            return original(c, gamma, t, n, k)
+
+        monkeypatch.setattr(experiment, "theorem_bound", held)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            point = threading.Thread(target=experiment.bound_rows, args=(4, *args))
+            point.start()
+            assert inside.wait(timeout)
+            warnings.warn("issued while a point is inside theorem_bound")
+            warned.set()
+            point.join(4 * timeout)
+            assert not point.is_alive()
+        assert [str(w.message) for w in caught] == ["issued while a point is inside theorem_bound"]
 
     def test_fbm_at_hurst_half_writes_the_brownian_rows(self, tmp_path):
         # fBm with H = 1/2 is Brownian motion: the sampler, the weights and

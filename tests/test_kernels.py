@@ -393,6 +393,137 @@ class TestSignGate:
         assert u[0] * (1.0 / (2.0 * np.pi)) == 0.5
         assert sin_positive(u).tolist() == (np.sin(u) > 0.0).tolist() == [True, False, False]
 
+    @staticmethod
+    def gated(x, y):
+        """The sin-based gate on the u = x - y that the pair itself forms."""
+        u = np.subtract(x, y)
+        with np.errstate(invalid="ignore"):
+            return u * (np.sin(u) > 0.0)
+
+    def assert_pair_bits(self, x, y):
+        pair = build_drift(lin_cfg("sign_gated_pair")).pair_state
+        with np.errstate(invalid="ignore"):
+            got = pair(x, y)
+        assert same_bits(got, self.gated(x, y))
+        return got
+
+    def test_split_inputs_on_and_next_to_multiples_of_pi(self):
+        # u = x - y lands on, or one ulp either side of, k pi with neither
+        # input near a zero of sin itself
+        gen = np.random.default_rng(27)
+        k = np.arange(-2000, 2001, dtype=np.float64)
+        y = gen.uniform(-1e3, 1e3, size=k.size)
+        # even and odd multiples apart: each edge of the band alone
+        for zeros in (2.0 * k * np.pi, (2.0 * k + 1.0) * np.pi, (k + 0.5) * np.pi):
+            for x in (y + zeros, np.nextafter(y + zeros, -np.inf), np.nextafter(y + zeros, np.inf)):
+                self.assert_pair_bits(x, y)
+                u = x - y
+                self.assert_pair_bits(u + 3.0, np.full_like(u, 3.0))
+        # broadcast as the pair mean and the mean field call it
+        s = y[:256].reshape(32, 8, 1)
+        s[:, 1] = s[:, 0] + np.pi
+        s[:, 2] = np.nextafter(s[:, 0] - 2.0 * np.pi, 0.0)
+        self.assert_pair_bits(s[:, :, None, :], s[:, None, :, :])
+        self.assert_pair_bits(s[None, ..., None, :], (s[:4, 0] + np.pi).reshape(4, 1, 1, 1, 1))
+
+    def test_bound_on_either_side_of_the_lean_limit(self):
+        # max|x| + max|y| straddles 2pi 1e6 while every u stays small: the
+        # lean path on one side, the whole-call sin on the other, same bits
+        limit = 2.0 * np.pi * 1e6
+        gen = np.random.default_rng(28)
+        small = gen.standard_normal(500)
+        for half in (np.nextafter(limit / 2, 0.0), limit / 2, np.nextafter(limit / 2, np.inf), 0.75 * limit):
+            y = np.append(small, half)
+            for x in (y + np.pi * np.arange(y.size), np.nextafter(y + np.pi, np.inf), y - 1.0):
+                self.assert_pair_bits(x, y)
+                self.assert_pair_bits(-x, -y)
+        # one large input alone reaches the limit; its pairs' u do too
+        x = np.append(small, np.nextafter(limit, 0.0))
+        self.assert_pair_bits(x[:, None], small[None, :])
+        self.assert_pair_bits(x[:, None], -x[None, :])
+        # far above the limit the phase loses the sign of sin, so the bound
+        # of either input alone must hand the call to np.sin
+        large = 1e16 * gen.standard_normal(20000)
+        self.assert_pair_bits(large, small[:1])
+        self.assert_pair_bits(small[:1], large)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_x_only_or_y_only(self, bad):
+        gen = np.random.default_rng(29)
+        x, y = gen.standard_normal(300), gen.standard_normal(300)
+        x_bad, y_bad = x.copy(), y.copy()
+        x_bad[17], y_bad[211] = bad, bad
+        for a, b in ((x_bad, y), (x, y_bad), (x_bad[:, None], y[None, :50]), (x[:50, None], y_bad[None, :])):
+            got = self.assert_pair_bits(a, b)
+            assert np.isnan(got).any()
+            assert np.isfinite(got).sum() == got.size - np.isnan(got).sum()
+
+    @pytest.mark.parametrize("big", [1e7, -3e8, np.nextafter(np.pi * 1e6, np.inf)])
+    def test_mean_field_mixing_lean_and_fallback_calls(self, big):
+        # one member per chunk at lead (1024, 8), two members per call: the
+        # call holding the large member takes np.sin, the others the phase
+        drift, draw = _generic_drift_and_draw("sign_gated_pair")
+        x, ens = draw((1024, 8)), draw((40,))
+        ens[7], ens[22] = big, -big
+        got = drift.mean_field_drift(x, ens, None)
+        assert same_bits(got, documented_mean_field(drift, x, ens))
+
+    def test_gated_off_negative_u_gives_negative_zero(self):
+        # u * False is -0.0 for u < 0 and +0.0 for u > 0, on the lean path
+        # and on the whole-call sin alike
+        u = np.array([-0.5, -np.pi, -4.0, 0.5, 4.0, -0.0, 0.0, -5e-324])
+        for extra in ([], [1e7]):
+            x = np.append(u, extra)
+            got = self.assert_pair_bits(x, np.zeros_like(x))[: u.size]
+            assert got[[0, 1, 4]].tolist() == [-0.0, -0.0, 0.0]
+            assert np.signbit(got[[0, 1, 5, 7]]).all() and not np.signbit(got[[4, 6]]).any()
+            assert got[[2, 3]].tolist() == [-4.0, 0.5]
+
+
+def _near_pi_multiples():
+    """Floats at, or a few ulps from, k pi and k pi/2 over a wide k range."""
+    return st.tuples(st.integers(-(10**7), 10**7), st.sampled_from([np.pi, np.pi / 2]), st.integers(-2, 2)).map(
+        lambda t: float(np.nextafter(t[0] * t[1], np.inf * t[2]) if t[2] else t[0] * t[1])
+    )
+
+
+_WIDE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 2.0 * np.pi * 1e6]),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=-20.0, max_value=20.0),
+    st.floats(min_value=-2.0 * np.pi * 1e6 * (1 + 1e-9), max_value=2.0 * np.pi * 1e6 * (1 + 1e-9)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _near_pi_multiples(),
+)
+
+
+@st.composite
+def _pair_inputs(draw):
+    """x and y of a few hundred values at most, y sometimes x less a value
+    near a multiple of pi, so that u = x - y lands near a zero of sin."""
+    size = draw(st.integers(1, 300))
+    x = np.array(draw(st.lists(_WIDE, min_size=size, max_size=size)))
+    y = np.array(draw(st.lists(_WIDE, min_size=size, max_size=size)))
+    near = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    shift = np.array(draw(st.lists(_near_pi_multiples(), min_size=size, max_size=size)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = np.where(near, x - shift, y)
+    if draw(st.booleans()):
+        cut = max(1, size // 20)
+        return x[:cut, None], y[None, :20]
+    return x, y
+
+
+@given(_pair_inputs())
+def test_sign_gated_pair_has_the_bits_of_the_sin_gate(xy):
+    x, y = xy
+    pair = build_drift(lin_cfg("sign_gated_pair")).pair_state
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = pair(x, y)
+        u = x - y
+        want = u * (np.sin(u) > 0.0)
+    assert same_bits(got, want)
+
 
 def _state_formulas(drift_name, w=2.0 * math.pi):
     """Pair mean, ensemble summary and mean-field drift written directly on
